@@ -65,13 +65,15 @@ def _rational(value, where: str) -> Q:
     raise ConfigError(f"{where} must be an integer or a 'p/q' string, got {value!r}")
 
 
-def _integer(value, where: str) -> int:
+def _integer(value, where: str, minimum: int | None = None) -> int:
     if type(value) is not int:
         raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where} must be >= {minimum}")
     return value
 
 
-def _weight_dict(value, where: str) -> dict:
+def _weight_dict(value, where: str, minimum: int | None = None) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object of {{class: count}}")
     out = {}
@@ -82,14 +84,14 @@ def _weight_dict(value, where: str) -> dict:
             raise ConfigError(f"{where} has a non-integer class label {key!r}")
         if s < 1:
             raise ConfigError(f"{where} classes are labelled by integers >= 1")
-        out[s] = _integer(count, f"{where}[{key}]")
+        out[s] = _integer(count, f"{where}[{key}]", minimum)
     return out
 
 
-def _class_list(value, where: str) -> list[int]:
+def _class_list(value, where: str, minimum: int = 1) -> list[int]:
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list of class orders")
-    return [_integer(s, where) for s in value]
+    return [_integer(s, where, minimum) for s in value]
 
 
 class JobConfig:
@@ -246,7 +248,7 @@ def _run_dims(config: JobConfig, cache_path) -> dict:
         raise ConfigError("params.variance must be homology or cohomology")
     caps = None
     if "caps" in config.params:
-        caps = _weight_dict(config.params["caps"], "params.caps")
+        caps = _weight_dict(config.params["caps"], "params.caps", 0)
     theory = _make_theory(config, cache_path)
     run = sphere_homology if variance == "homology" else sphere_cohomology
     hom = run(theory, weights, caps=caps)
@@ -283,7 +285,7 @@ def _run_coeff(config: JobConfig, cache_path) -> dict:
     d_max = _integer(config.params.get("d_max", 4), "params.d_max")
     caps = None
     if "caps" in config.params:
-        caps = _weight_dict(config.params["caps"], "params.caps")
+        caps = _weight_dict(config.params["caps"], "params.caps", 0)
     theory = _make_theory(config, cache_path)
     rows = coefficient_ring(theory, d_min, d_max, caps=caps)
     return {**_echo(config, theory), "d_min": d_min, "d_max": d_max, "rows": rows}
@@ -293,9 +295,7 @@ def _run_divpoly(config: JobConfig, cache_path) -> dict:
     _check_keys(config.params, ("n",), "params")
     if "n" not in config.params:
         raise ConfigError("divpoly needs params.n")
-    n = _integer(config.params["n"], "params.n")
-    if n < 1:
-        raise ConfigError("params.n must be >= 1")
+    n = _integer(config.params["n"], "params.n", 1)
     cache = _make_cache(config)
     _load_cache_into(cache, cache_path)
     psi = cache.psi(n)
@@ -341,9 +341,7 @@ def _run_kmodel(config: JobConfig, cache_path) -> dict:
         report["euler"] = group.euler_class(weights).text()
     upto = config.params.get("products_upto")
     if upto is not None:
-        upto = _integer(upto, "params.products_upto")
-        if upto < 1:
-            raise ConfigError("params.products_upto must be >= 1")
+        upto = _integer(upto, "params.products_upto", 1)
         for n in range(1, upto + 1):
             product = None
             for d in divisors_of(n):
@@ -360,7 +358,7 @@ def _run_completion(config: JobConfig, cache_path) -> dict:
     _check_keys(config.params, ("k",), "params")
     if "k" not in config.params:
         raise ConfigError("completion needs params.k")
-    k = _integer(config.params["k"], "params.k")
+    k = _integer(config.params["k"], "params.k", 1)
     theory = _make_theory(config, cache_path)
     module = completion(theory, k)
     action = module.action_matrix()
@@ -382,7 +380,9 @@ def _run_localcoh(config: JobConfig, cache_path) -> dict:
     if "pi" not in config.params:
         raise ConfigError("localcoh needs params.pi")
     pi = _class_list(config.params["pi"], "params.pi")
-    a = _integer(config.params.get("a", 1), "params.a")
+    if not pi:
+        raise ConfigError("params.pi must name at least one class")
+    a = _integer(config.params.get("a", 1), "params.a", 1)
     theory = _make_theory(config, cache_path)
     return {**_echo(config, theory), **local_cohomology(theory, pi, a).report()}
 
@@ -394,7 +394,7 @@ def _run_serre(config: JobConfig, cache_path) -> dict:
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
     caps = None
     if "caps" in config.params:
-        caps = _weight_dict(config.params["caps"], "params.caps")
+        caps = _weight_dict(config.params["caps"], "params.caps", 0)
     theory = _make_theory(config, cache_path)
     pairing = serre_pairing(theory, coeffs, caps=caps)
     return {
@@ -414,7 +414,7 @@ def _run_sections(config: JobConfig, cache_path) -> dict:
             raise ConfigError(f"sections needs params.{key}")
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
     pi = _class_list(config.params["pi"], "params.pi")
-    cap = _integer(config.params.get("cap", 0), "params.cap")
+    cap = _integer(config.params.get("cap", 0), "params.cap", 0)
     cache = _make_cache(config)
     _load_cache_into(cache, cache_path)
     window = sections(cache, coeffs, OpenSet(pi), cap)
@@ -429,7 +429,7 @@ def _run_glue(config: JobConfig, cache_path) -> dict:
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
     left = OpenSet(_class_list(config.params["left"], "params.left"))
     right = OpenSet(_class_list(config.params["right"], "params.right"))
-    cap = _integer(config.params.get("cap", 0), "params.cap")
+    cap = _integer(config.params.get("cap", 0), "params.cap", 0)
     cache = _make_cache(config)
     _load_cache_into(cache, cache_path)
     return {**_echo(config, cache), **glue_check(cache, coeffs, left, right, cap)}
@@ -448,7 +448,7 @@ def _run_roundtrip(config: JobConfig, cache_path) -> dict:
         opens = tuple(OpenSet(_class_list(p, "params.opens")) for p in raw)
     caps = (0, 1, 2, 3)
     if "caps" in config.params:
-        caps = tuple(_class_list(config.params["caps"], "params.caps"))
+        caps = tuple(_class_list(config.params["caps"], "params.caps", 0))
     theory = _make_theory(config, cache_path)
     return {**_echo(config, theory), **roundtrip(theory, weights, opens, caps)}
 
@@ -475,9 +475,7 @@ def _run_cache_admin(config: JobConfig, cache_path) -> dict:
 
     cache = _make_cache(config)
     if action == "warm":
-        upto = _integer(config.params.get("upto", 6), "params.upto")
-        if upto < 1:
-            raise ConfigError("params.upto must be >= 1")
+        upto = _integer(config.params.get("upto", 6), "params.upto", 1)
         cache.warm(upto)
         payload = {**_cache_identity(cache), "upto": upto,
                    "psi": cache.psi_cache_payload()}

@@ -214,9 +214,10 @@ class FuncElt:
     def __init__(self, curve, u: Poly, v: Poly, d: Poly):
         if d.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(poly_gcd(u, v), d)
-        if g.degree > 0:
-            u, v, d = u // g, v // g, d // g
+        if d.degree > 0:  # a constant d already has gcd 1 with anything
+            g = poly_gcd(poly_gcd(u, v), d)
+            if g.degree > 0:
+                u, v, d = u // g, v // g, d // g
         lead = d.leading()
         if lead != 1:
             inv = QONE / lead
@@ -383,12 +384,14 @@ def _chart_series(curve: WeierstrassCurve, prec: int) -> tuple[LaurentSeries, La
     return x.truncate(prec), y.truncate(prec)
 
 
-def expand_at_e(elt: FuncElt, prec: int) -> LaurentSeries:
+def expand_at_e(elt: FuncElt, prec: int, chart=None) -> LaurentSeries:
     """Laurent expansion of a field element at e in the chart t = x/y.
 
     The returned window has `prec` retained coefficients starting at the
     exact valuation.  The valuation always matches ord_e, which gives a
-    cheap internal consistency check.
+    cheap internal consistency check.  `chart(p)` supplies the x and y
+    series to p terms; without it they are computed afresh, and
+    `CycCache.expand` passes its memoised `CycCache.chart`.
     """
     if elt.is_zero():
         raise ZeroDivisionError("cannot expand the zero element")
@@ -396,7 +399,8 @@ def expand_at_e(elt: FuncElt, prec: int) -> LaurentSeries:
     # evaluating u, vy, d never cancels leading terms (pole parities differ),
     # so relative precision survives every step below
     work = prec + 2
-    x, y = _chart_series(elt.curve, work + 2 * max(elt.u.degree, elt.v.degree, elt.d.degree, 1))
+    width = work + 2 * max(elt.u.degree, elt.v.degree, elt.d.degree, 1)
+    x, y = _chart_series(elt.curve, width) if chart is None else chart(width)
     num = None
     if not elt.u.is_zero():
         num = _eval_poly_series(elt.u, x)
@@ -577,7 +581,7 @@ class CycCache:
                 # series product: expanding t_e^m * raw as one canonical
                 # element would drag degree-50 polynomials through the
                 # chart; two short expansions multiply in constant time
-                series = expand_at_e(self.coordinate.base, 2) ** m * expand_at_e(raw, 2)
+                series = self.expand(self.coordinate.base, 2) ** m * self.expand(raw, 2)
                 if series.exact_valuation() != 0:
                     raise ValidationFailed(
                         f"t_{s} candidate has the wrong vanishing order at e"
@@ -612,7 +616,7 @@ class CycCache:
             raise ValidationFailed(
                 f"t_{s} has e-pole order {-val.ord_e()}, expected {m}"
             )
-        series = expand_at_e(self.coordinate.base, 1) ** m * expand_at_e(val, 1)
+        series = self.expand(self.coordinate.base, 1) ** m * self.expand(val, 1)
         if series.exact_valuation() != 0 or series.coeff(0) != 1:
             raise ValidationFailed(f"t_{s} normalisation failed")
         if s == 2:
@@ -653,7 +657,10 @@ class CycCache:
             return x.truncate(prec), y.truncate(prec)
 
     def expand(self, elt: FuncElt, prec: int) -> LaurentSeries:
-        return expand_at_e(elt, prec)
+        """`expand_at_e` on the memoised chart of this cache's curve."""
+        if elt.curve != self.curve:
+            raise ValueError("element lives on a different curve")
+        return expand_at_e(elt, prec, self.chart)
 
     def diff_factor(self) -> Q:
         """Scalar kappa with Dt = kappa * dx / y, fixed by Dt/dt_e -> 1 at e."""
@@ -662,7 +669,7 @@ class CycCache:
                 prec = 8
                 x, y = self.chart(prec)
                 ratio = x.derivative() * series_reciprocal(y)
-                te = expand_at_e(self.coordinate.base, prec)
+                te = self.expand(self.coordinate.base, prec)
                 ratio = ratio * series_reciprocal(te.derivative())
                 if ratio.exact_valuation() != 0:
                     raise ValidationFailed("invariant differential normalisation failed")
@@ -1019,7 +1026,7 @@ def residue_at_e(omega: MeromorphicDifferential, prec: int | None = None) -> Q:
         return QZERO
     work = prec if prec is not None else f.pole_order_at_e() + 2
     cache = omega.cache
-    fs = expand_at_e(f, work)
+    fs = cache.expand(f, work)
     x, y = cache.chart(work + 4)
     # Dt = kappa dx/y, so res_e(f Dt) is the t^-1 coefficient of
     # f(t) * kappa * x'(t)/y(t)
@@ -1123,7 +1130,7 @@ class QuotientWindow:
         self.frame_dim = self.residual_dim + self.block_size
         self.divisor = others + single_class(s, base + depth)
         self.shift = cache.t_star(self.divisor)
-        self._shift_inv = self.shift.inverse()
+        self._shift_inv = None  # built by the first rep()
         # frame vectors spanning H^0(O(G')); each has a distinct top slot
         # (strictly increasing pole orders), normalised to a 1 there
         sub_shift = cache.t(s) ** depth if s >= 2 else cache.curve.one()
@@ -1131,13 +1138,15 @@ class QuotientWindow:
         for j in range(self.residual_dim):
             vec = frame_coords(monomial(cache.curve, j) * sub_shift, self.frame_dim)
             top = max(k for k, c in enumerate(vec) if c != 0)
-            assert top not in reducers, "sub-basis tops collide"
+            if top in reducers:
+                raise ValidationFailed("sub-basis tops collide")
             lead = vec[top]
             reducers[top] = [c / lead for c in vec]
         self._reducers = reducers
         self._sweep_order = sorted(reducers, reverse=True)
         self.complement = sorted(set(range(self.frame_dim)) - set(reducers))
-        assert len(self.complement) == self.block_size
+        if len(self.complement) != self.block_size:
+            raise ValidationFailed("complement size differs from the block size")
 
     def coords(self, f: FuncElt) -> list[Q]:
         """Coordinate vector of the class of f, length block_size."""
@@ -1170,6 +1179,8 @@ class QuotientWindow:
 
     def rep(self, i: int) -> FuncElt:
         """Representative of the i-th basis class; coords(rep(i)) = e_i."""
+        if self._shift_inv is None:
+            self._shift_inv = self.shift.inverse()
         return monomial(self.cache.curve, self.complement[i]) * self._shift_inv
 
     def vanishes(self, f: FuncElt) -> bool:

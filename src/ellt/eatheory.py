@@ -323,7 +323,8 @@ class _EllipticAssembly:
                 e += w
             if e:
                 out = out * cache.t(r) ** e
-        assert out.is_pure(), "block multiplier must have poles only at e"
+        if not out.is_pure():
+            raise ValidationFailed("block multiplier must have poles only at e")
         return out
 
     def block_matrix(self, s: int) -> Matrix:

@@ -12,7 +12,7 @@ from .errors import PrecisionExhausted, ZeroSeries
 
 try:  # gmpy2.mpq is a drop-in exact rational, much faster than Fraction
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - fallback for minimal installs
+except ImportError:  # pragma: no cover - gmpy2 is the optional "fast" extra
     from fractions import Fraction as Q
 
 QZERO = Q(0)
@@ -49,7 +49,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [Q(c) for c in coeffs]
+        coeffs = [c if type(c) is Q else Q(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))

@@ -232,6 +232,22 @@ class TestOtherCommands:
         assert rep["D"] == {"1": 1, "2": 1}
 
 
+@pytest.mark.parametrize("command,params", [
+    ("completion", {"k": 0}),
+    ("dims", {"W": {"1": 1}, "caps": {"1": -1}}),
+    ("coeff", {"caps": {"1": -1}}),
+    ("serre", {"divisor": {"1": 1}, "caps": {"1": -1}}),
+    ("roundtrip", {"W": {"2": 1}, "caps": [-1]}),
+    ("sections", {"divisor": {}, "pi": [1], "cap": -1}),
+    ("glue", {"divisor": {}, "left": [1], "right": [2], "cap": -1}),
+    ("localcoh", {"pi": [0]}),
+])
+def test_out_of_range_parameters_are_config_errors(tmp_path, capsys, command, params):
+    assert run_cli(tmp_path, command, {**E1, "params": params}) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("ellt: config error:")
+
+
 class TestCacheAdmin:
     def test_warm_verify_clear_cycle(self, tmp_path, capsys):
         cache = str(tmp_path / "psi.json")

@@ -9,7 +9,7 @@ from ellt.errors import (
     UnsupportedPoles,
     ValidationFailed,
 )
-from ellt.exactcore import Poly, Q, parse_poly
+from ellt.exactcore import Poly, Q, parse_poly, poly_gcd
 from ellt.curvefield import (
     Coordinate,
     CycCache,
@@ -36,6 +36,26 @@ from ellt.curvefield import (
 
 E1 = WeierstrassCurve(-1, 0)  # y^2 = x^3 - x
 E2 = WeierstrassCurve(0, 1)   # y^2 = x^3 + 1
+
+small_poly = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=4
+).map(Poly)
+unit_poly = small_poly.filter(lambda p: not p.is_zero())
+# constant denominators (the pure fast path) as often as general ones
+denominator_poly = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    .filter(lambda c: c != 0).map(Poly.const),
+    unit_poly,
+)
+
+
+def reference_canonical(u, v, d):
+    """Canonical (u, v, d) by the full gcd path, whatever the degree of d."""
+    g = poly_gcd(poly_gcd(u, v), d)
+    if g.degree > 0:
+        u, v, d = u // g, v // g, d // g
+    inv = 1 / d.leading()
+    return u.scale(inv), v.scale(inv), d.monic()
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +121,17 @@ class TestCurveAndElements:
         f = (E1.x() * 2 + E1.y()) / (E1.x() - 3)
         assert parse_func_elt(E1, f.text()) == f
 
+    @settings(max_examples=150, deadline=None)
+    @given(small_poly, small_poly, denominator_poly, st.one_of(st.just(Poly.const(1)), unit_poly))
+    def test_canonical_form_matches_full_gcd_path(self, u, v, d, common):
+        # a shared factor across u, v and d must cancel; a constant d
+        # skips the gcd, so it is compared against the full path
+        u, v, d = u * common, v * common, d * common
+        f = FuncElt(E1, u, v, d)
+        assert (f.u, f.v, f.d) == reference_canonical(u, v, d)
+        if f.is_zero():
+            assert f.text() == "([]; []; [1])"
+
     def test_ord_additive_on_samples(self, cache1):
         samples = [E1.x(), E1.y(), E1.x() / E1.y(), cache1.t(3),
                    E1.one() * Q(7, 3), (E1.x() + 1).inverse()]
@@ -125,6 +156,23 @@ class TestExpansion:
         ys = expand_at_e(E1.y(), 8)
         diff = ys * ys - (xs * xs * xs - xs)
         assert diff.is_zero_to_precision()
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_poly, small_poly, denominator_poly, st.booleans())
+    def test_memoised_chart_matches_fresh_expansion(self, u, v, d, rising):
+        # the chart memo keeps its widest series and truncates, so the
+        # order in which precisions arrive must not change any answer
+        f = FuncElt(E2, u, v, d)
+        if f.is_zero():
+            return
+        cache = CycCache(E2)
+        precisions = [1, 4, 7] if rising else [7, 4, 1]
+        for prec in precisions:
+            assert cache.expand(f, prec) == expand_at_e(f, prec)
+
+    def test_expand_rejects_a_foreign_curve(self, cache1):
+        with pytest.raises(ValueError):
+            cache1.expand(E2.x(), 3)
 
     def test_expansion_matches_valuation(self, cache2):
         f = cache2.t(3)

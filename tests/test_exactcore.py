@@ -76,6 +76,22 @@ class TestPoly:
         assert P(0, 1).pow(3) == P(0, 0, 0, 1)
         assert P(1, 1).pow(2) == P(1, 2, 1)
 
+    @given(st.lists(st.integers(-9, 9), max_size=5), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_coefficient_sources_agree(self, nums, den):
+        # Q coefficients are kept as they are, everything else is coerced;
+        # the result must not depend on which path a coefficient took
+        from_ints, from_qs = Poly(nums), Poly([Q(n) for n in nums])
+        rationals = [Q(n, den) for n in nums]
+        texts = [qtext(c) for c in rationals]
+        polys = [Poly(rationals), Poly(texts), parse_poly("[" + ", ".join(texts) + "]")]
+        assert from_ints == from_qs and hash(from_ints) == hash(from_qs)
+        assert from_ints.scale(Q(1, den)) == polys[0]
+        for p in polys:
+            assert p == polys[0] and hash(p) == hash(polys[0])
+        for p in [from_ints, from_qs] + polys:
+            assert all(type(c) is Q for c in p.coeffs)
+
 
 class TestPolyGcd:
     def test_shared_factor(self):
