@@ -10,25 +10,21 @@ by the divisor recursion
 
 which for the multiplicative group recovers the classical cyclotomic
 polynomials, and for the additive group makes every phi_s with s >= 2 a
-constant.  The backend interface matches `tmodel.assemble`: a vertex of
-rational functions with poles capped along the cyclotomic loci, and one
-residue window per cyclotomic factor of positive degree.
+constant.  `AffineGroup` is a window backend for `tmodel.QWindow`: a
+vertex of rational functions with poles capped along the cyclotomic loci,
+and one residue window per cyclotomic factor of positive degree.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationFailed
-from .exactcore import Matrix, Poly, Q, QONE, poly_gcd, poly_inverse_mod
-from .tmodel import Representation, TorsionWindow
+from .exactcore import Matrix, Poly, Q, QONE, divisors_of, poly_gcd, poly_inverse_mod
+from .tmodel import Representation
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
 
 _ONE = Poly([1])
-
-
-def _x_power(k: int) -> Poly:
-    return Poly.x_power(k)
 
 
 class LaurentFn:
@@ -170,13 +166,12 @@ def parse_laurent_fn(text: str) -> LaurentFn:
 class AffineGroup:
     """A one-dimensional affine group law with its cyclotomic factors."""
 
-    __slots__ = ("kind", "variable", "_phi")
+    __slots__ = ("kind", "_phi")
 
     def __init__(self, kind: str):
         if kind not in (MULTIPLICATIVE, ADDITIVE):
             raise ValueError(f"unknown affine group kind {kind!r}")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "variable", "z" if kind == MULTIPLICATIVE else "x")
         object.__setattr__(self, "_phi", {})
 
     def __setattr__(self, name, value):
@@ -206,7 +201,7 @@ class AffineGroup:
         if cached is not None:
             return cached
         proper = _ONE
-        for d in _divisors(s)[:-1]:
+        for d in divisors_of(s)[:-1]:
             proper = proper * self.phi(d)
         total = self.n_series(s)
         factor = total // proper
@@ -243,7 +238,7 @@ class AffineGroup:
                 den = den * p.pow(-a)
         return LaurentFn(num, den)
 
-    # ----- backend interface for tmodel.assemble -----
+    # ----- backend interface for tmodel.QWindow -----
 
     def default_caps(self, exp: dict) -> dict:
         return {
@@ -256,35 +251,8 @@ class AffineGroup:
         """Vertex size before caps: room for chi^(+-1) plus slack."""
         return sum(abs(w) * self.class_size(s) for s, w in exp.items()) + 4
 
-    def torsion(self, s: int, depth: int) -> TorsionWindow:
-        if depth < 1:
-            raise ValueError("torsion windows need depth >= 1")
-        size = self.class_size(s)
-        modulus = self.phi(s).pow(depth)
-        var = self.variable
-
-        def label(i):
-            return f"{var}^{i} mod phi_{s}^{depth}"
-
-        def element(i):
-            return LaurentFn(_x_power(i), modulus)
-
-        return TorsionWindow(s, depth, depth * size, label, element)
-
     def setup(self, exp: dict, caps: dict) -> "_AffineAssembly":
         return _AffineAssembly(self, exp, caps)
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 class _AffineAssembly:
@@ -324,11 +292,8 @@ class _AffineAssembly:
             )
         )
 
-    def source_label(self, k: int) -> str:
-        return LaurentFn(_x_power(k), self.denominator).text()
-
     def source_element(self, k: int) -> LaurentFn:
-        return LaurentFn(_x_power(k), self.denominator)
+        return LaurentFn(Poly.x_power(k), self.denominator)
 
     def block_matrix(self, s: int) -> Matrix:
         depth = self._depth[s]
@@ -342,17 +307,14 @@ class _AffineAssembly:
         rows = depth * self.group.class_size(s)
         columns = []
         for j in range(self.source_dim):
-            residue = (_x_power(j) * inv_other) % modulus
+            residue = (Poly.x_power(j) * inv_other) % modulus
             columns.append([residue.coeff(i) for i in range(rows)])
         return Matrix(tuple(zip(*columns)))
-
-    def torsion_label(self, s: int, i: int) -> str:
-        return f"{self.group.variable}^{i} mod phi_{s}^{self._depth[s]}"
 
     def torsion_rep(self, s: int, i: int) -> LaurentFn:
         # honest representative, untwisted back by phi^w: pole depth cap(s)
         power = self._depth[s] + self.exp.get(s, 0)
-        return LaurentFn(_x_power(i), self.group.phi(s).pow(power))
+        return LaurentFn(Poly.x_power(i), self.group.phi(s).pow(power))
 
 
 def multiplicative_group() -> AffineGroup:

@@ -18,13 +18,7 @@ import tempfile
 import time
 
 from .affinegroups import AffineGroup, affine_sphere_module
-from .curvefield import (
-    Coordinate,
-    CycCache,
-    TorsionDivisor,
-    WeierstrassCurve,
-    divisors_of,
-)
+from .curvefield import Coordinate, CycCache, TorsionDivisor, WeierstrassCurve
 from .eatheory import (
     EATheory,
     coefficient_ring,
@@ -35,7 +29,7 @@ from .eatheory import (
     sphere_homology,
 )
 from .errors import CapTooSmall, EllTError
-from .exactcore import Q, qtext
+from .exactcore import Q, divisors_of, parse_poly, qtext
 from .sheafside import DEFAULT_OPENS, OpenSet, glue_check, roundtrip, sections
 
 
@@ -159,14 +153,18 @@ class JobConfig:
         return self.curve
 
 
-def load_config(command: str, path: str) -> JobConfig:
+def _read_json(path: str, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
+
+
+def load_config(command: str, path: str) -> JobConfig:
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return JobConfig(command, raw)
@@ -185,15 +183,29 @@ def _cache_identity(cache: CycCache) -> dict:
 
 
 def _read_cache_file(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read cache {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cache {path} is not valid JSON: {exc}")
-    if not isinstance(payload, dict) or "psi" not in payload:
+    """The cache file, refused unless its psi table has the shape
+    `CycCache.psi_cache_payload` writes: {"n": [u, v, d]} with n >= 1 and
+    three polynomial texts.  Whether the entries are right is checked
+    later, against recomputation."""
+    payload = _read_json(path, "cache")
+    if not isinstance(payload, dict) or not isinstance(payload.get("psi"), dict):
         raise ConfigError(f"cache {path} is not a division-polynomial cache")
+    for key, entry in payload["psi"].items():
+        try:
+            index = int(key) if key.isdecimal() else 0
+        except ValueError:  # more digits than int() will read
+            index = 0
+        if index < 1:
+            raise ConfigError(f"cache {path} has a psi index {key!r} that is not an integer >= 1")
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(isinstance(text, str) for text in entry)):
+            raise ConfigError(f"cache {path} entry {key} is not three polynomial texts")
+        try:
+            polys = [parse_poly(text) for text in entry]
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"cache {path} entry {key} has a malformed polynomial")
+        if polys[2].is_zero():
+            raise ConfigError(f"cache {path} entry {key} has a zero denominator")
     return payload
 
 
@@ -329,7 +341,7 @@ def _run_kmodel(config: JobConfig, cache_path) -> dict:
         if any(a < 1 for a in weights.values()):
             raise ConfigError("params.W multiplicities must be >= 1; dual "
                               "spheres are selected with params.sign = -1")
-        sign = config.params.get("sign", 1)
+        sign = _integer(config.params.get("sign", 1), "params.sign")
         if sign not in (1, -1):
             raise ConfigError("params.sign must be 1 or -1")
         module = affine_sphere_module(group, weights, sign)
@@ -479,7 +491,10 @@ def _run_cache_admin(config: JobConfig, cache_path) -> dict:
         cache.warm(upto)
         payload = {**_cache_identity(cache), "upto": upto,
                    "psi": cache.psi_cache_payload()}
-        _write_output(cache_path, _json_bytes(payload))
+        try:
+            _write_output(cache_path, _json_bytes(payload))
+        except OSError as exc:
+            raise ConfigError(f"cannot write cache {cache_path}: {exc}")
         report["upto"] = upto
         report["entries"] = len(payload["psi"])
         return report

@@ -10,7 +10,6 @@ monomials over a single t-product denominator.
 
 from __future__ import annotations
 
-import json
 import threading
 from functools import lru_cache
 
@@ -26,6 +25,7 @@ from .exactcore import (
     Q,
     QONE,
     QZERO,
+    divisors_of,
     parse_poly,
     poly_gcd,
     poly_inverse_mod,
@@ -67,10 +67,6 @@ def _moebius(n: int) -> int:
     if n > 1:
         result = -result
     return result
-
-
-def divisors_of(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 class TorsionDivisor:
@@ -176,9 +172,6 @@ class WeierstrassCurve:
 
     def __hash__(self):
         return hash((self.a, self.b))
-
-    def key(self) -> str:
-        return f"{qtext(self.a)};{qtext(self.b)}"
 
     def __repr__(self):
         return f"WeierstrassCurve(a={qtext(self.a)}, b={qtext(self.b)})"
@@ -305,9 +298,6 @@ class FuncElt:
             base = base * base
             n >>= 1
         return result
-
-    def conjugate(self) -> "FuncElt":
-        return FuncElt(self.curve, self.u, -self.v, self.d)
 
     def norm_poly(self) -> Poly:
         """(u + vy)(u - vy) as a polynomial in x (denominator ignored)."""
@@ -886,40 +876,6 @@ def h_dims(divisor: TorsionDivisor) -> tuple[int, int]:
     if deg < 0:
         return (0, -deg)
     return (1, 1)
-
-
-# ---------------------------------------------------------------------------
-# save/load for the division polynomial cache
-
-
-def save_psi_cache(cache: CycCache, path) -> None:
-    payload = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError):
-        payload = {}
-    payload[cache.curve.key()] = cache.psi_cache_payload()
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    import os
-
-    os.replace(tmp, path)
-
-
-def load_psi_cache(cache: CycCache, path) -> int:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        return 0
-    entry = payload.get(cache.curve.key())
-    if not entry:
-        return 0
-    cache.load_psi_payload(entry)
-    return len(entry)
 
 
 # ---------------------------------------------------------------------------

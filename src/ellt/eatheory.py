@@ -22,7 +22,6 @@ from .curvefield import (
     QuotientWindow,
     TorsionDivisor,
     WeierstrassCurve,
-    divisors_of,
     exact_order_count,
     frame_coords,
     monomial,
@@ -30,29 +29,17 @@ from .curvefield import (
     residue_along,
 )
 from .errors import CapTooSmall, UnsupportedPoles, ValidationFailed
-from .exactcore import Matrix, Q, QZERO, matrix_rank, qtext
+from .exactcore import Matrix, Q, QZERO, divisors_of, matrix_rank, qtext
 from .tmodel import (
     ASObject,
     AlmostConstant,
     EulerClassSymbol,
-    ExtWindow,
     QWindow,
     Representation,
     SphereObject,
-    TorsionWindow,
-    dim_fn,
+    _coerce_weight,
     stabilize,
 )
-
-
-def _as_weight(weights) -> AlmostConstant:
-    """Weight function of a representation given as {n: a_n} multiplicities,
-    an explicit Representation, an AlmostConstant, or a constant integer."""
-    if isinstance(weights, AlmostConstant):
-        return weights
-    if isinstance(weights, (Representation, dict)):
-        return dim_fn(weights)
-    return AlmostConstant(int(weights))
 
 
 def _weights_payload(weights) -> dict:
@@ -202,9 +189,6 @@ class EllipticGroupData:
         self.profile = dict(report["profile"])
         self._windows: dict = {}
 
-    def class_size(self, s: int) -> int:
-        return exact_order_count(s)
-
     def default_caps(self, exp: dict) -> dict:
         caps = {s: w for s, w in exp.items() if w > 0}
         if not caps:
@@ -221,12 +205,6 @@ class EllipticGroupData:
             win = QuotientWindow(self.cache, s, depth, others, base)
             self._windows[key] = win
         return win
-
-    def torsion(self, s: int, depth: int) -> TorsionWindow:
-        win = self.window(s, depth, TorsionDivisor())
-        return TorsionWindow(
-            s, depth, win.block_size, lambda i: win.rep(i).text(), win.rep
-        )
 
     def setup(self, exp: dict, caps: dict) -> "_EllipticAssembly":
         return _EllipticAssembly(self, exp, caps)
@@ -272,9 +250,6 @@ class _EllipticAssembly:
         if not 0 <= k < self.source_dim:
             raise IndexError("vertex index out of range")
         return monomial(self.cache.curve, k) * self._vertex_shift_inv()
-
-    def source_label(self, k: int) -> str:
-        return self.source_element(k).text()
 
     def _block(self, s: int) -> tuple[QuotientWindow, FuncElt]:
         built = self._built.get(s)
@@ -337,10 +312,6 @@ class _EllipticAssembly:
             columns.append(win.coords_of_frame(vec))
         return Matrix(tuple(zip(*columns)))
 
-    def torsion_label(self, s: int, i: int) -> str:
-        win, _ = self._block(s)
-        return win.rep(i).text()
-
     def torsion_rep(self, s: int, i: int) -> FuncElt:
         """Representative of the i-th window class pulled back through the
         twist, so vertex functions pair against it directly."""
@@ -378,12 +349,10 @@ class EATheory:
         return self.cache.curve
 
     def sphere(self, weights) -> SphereObject:
-        if isinstance(weights, Representation):
-            return SphereObject(self.backend, weights)
-        return SphereObject(self.backend, _as_weight(weights))
+        return SphereObject(self.backend, weights)
 
     def window(self, weights, caps=None) -> QWindow:
-        return QWindow(self.backend, _as_weight(weights), caps)
+        return QWindow(self.backend, weights, caps)
 
     def q(self, symbol, fn, s: int, depth: int = 1) -> TorsionClass:
         """Structure map on one tensor: the Euler symbol prescribes the
@@ -442,7 +411,7 @@ def rep_to_divisor(weights) -> TorsionDivisor:
     """Divisor attached to a representation sphere: its weight function
     classwise, with the constant tail dropped (a trivial summand twists
     the grading but moves no poles)."""
-    return TorsionDivisor(_as_weight(weights).exponent_map())
+    return TorsionDivisor(_coerce_weight(weights).exponent_map())
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +430,7 @@ class SphereHomology:
     def __init__(self, theory: EATheory, weights, caps=None):
         self.theory = theory
         self.weights = weights
-        self.weight = _as_weight(weights)
+        self.weight = _coerce_weight(weights)
         window = QWindow(theory.backend, self.weight, caps)
         if not window.certified:
             raise CapTooSmall(
@@ -487,14 +456,12 @@ class SphereHomology:
         ]
 
     def h1_reps(self) -> list[GradedFn]:
-        ext = ExtWindow(self.window)
         exp = self.weight.exponent_map()
         tail = self.weight.tail
-        out = []
-        for k in range(ext.dim):
-            s, _ = ext.classes[k]
-            out.append(GradedFn(ext.rep(k), tail - exp.get(s, 0)))
-        return out
+        return [
+            GradedFn(self.window.ext_rep(k), tail - exp.get(s, 0))
+            for k, (s, _) in enumerate(self.window.ext_classes())
+        ]
 
     def report(self) -> dict:
         curve = self.theory.curve
@@ -518,7 +485,7 @@ def sphere_homology(theory: EATheory, weights, caps=None) -> SphereHomology:
 
 def sphere_cohomology(theory: EATheory, weights, caps=None) -> SphereHomology:
     """Reduced cohomology of S^W, computed as the homology of S^{-W}."""
-    return SphereHomology(theory, -_as_weight(weights), caps)
+    return SphereHomology(theory, -_coerce_weight(weights), caps)
 
 
 def stable_sphere_homology(theory: EATheory, weights, caps):
@@ -527,7 +494,7 @@ def stable_sphere_homology(theory: EATheory, weights, caps):
     Evaluates at the given caps and two enlargements; raises CapTooSmall
     when any probe lacks a certificate or the dims keep moving.
     """
-    weight = _as_weight(weights)
+    weight = _coerce_weight(weights)
 
     def evaluate(c):
         window = QWindow(theory.backend, weight, c)
@@ -674,12 +641,12 @@ def serre_pairing(theory: EATheory, divisor, caps=None) -> SerrePairing:
     hom_window = QWindow(theory.backend, weight, caps)
     if not hom_window.certified:
         raise CapTooSmall("duality window is uncertified", caps=hom_window.caps)
-    ext = ExtWindow(QWindow(theory.backend, -weight))
+    ext = QWindow(theory.backend, -weight)
     sections = [
         hom_window.kernel_element(k) for k in range(hom_window.hom_dim)
     ]
-    reps = [ext.rep(j) for j in range(ext.dim)]
-    classes = tuple(ext.classes[j][0] for j in range(ext.dim))
+    reps = [ext.ext_rep(j) for j in range(ext.ext_dim)]
+    classes = tuple(s for s, _ in ext.ext_classes())
     if len(sections) != divisor.degree or len(reps) != divisor.degree:
         raise ValidationFailed(
             f"window dims ({len(sections)}, {len(reps)}) disagree with "
@@ -784,8 +751,7 @@ class LocalCohomology:
         self.dim = window.ext_dim
 
     def reps(self) -> list[FuncElt]:
-        ext = ExtWindow(self.window)
-        return [ext.rep(k) for k in range(ext.dim)]
+        return [self.window.ext_rep(k) for k in range(self.dim)]
 
     def report(self) -> dict:
         return {

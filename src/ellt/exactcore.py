@@ -35,6 +35,19 @@ def qtext(value) -> str:
     return f"{num}/{den}"
 
 
+def divisors_of(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -434,27 +447,6 @@ def kernel_and_image(matrix: Matrix) -> tuple[list[tuple], int]:
     return kernel, rank
 
 
-def solve_in_span(columns: list[tuple], target: tuple):
-    """Express target as a Q-combination of the given column vectors.
-
-    Returns the coefficient tuple, or None when target is outside the span.
-    """
-    if not columns:
-        return () if all(t == 0 for t in target) else None
-    n = len(target)
-    if any(len(c) != n for c in columns):
-        raise ValueError("dimension mismatch")
-    aug = Matrix([tuple(col[i] for col in columns) + (target[i],) for i in range(n)])
-    reduced, pivots = rref(aug)
-    ncols = len(columns)
-    if ncols in pivots:
-        return None  # inconsistent: target needed its own pivot
-    coeffs = [QZERO] * ncols
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = reduced.entries[r][ncols]
-    return tuple(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # truncated Laurent series
 
@@ -571,10 +563,6 @@ class LaurentSeries:
         if k == 0:
             return LaurentSeries(self.valuation, (QZERO,) * self.precision)
         return LaurentSeries(self.valuation, tuple(c * k for c in self.coeffs))
-
-    def scale_exponent(self, shift) -> "LaurentSeries":
-        """Multiply by t**shift."""
-        return LaurentSeries(self.valuation + shift, self.coeffs)
 
     def __pow__(self, exponent: int) -> "LaurentSeries":
         if not isinstance(exponent, int) or exponent < 0:

@@ -12,10 +12,10 @@ space, while `glue_check` runs Mayer-Vietoris on one cover.
 from __future__ import annotations
 
 from .curvefield import TorsionDivisor, frame_coords, h_dims
-from .eatheory import EATheory, _as_weight, _weights_payload, rep_to_divisor
+from .eatheory import EATheory, _weights_payload, rep_to_divisor
 from .errors import CapTooSmall, ValidationFailed
 from .exactcore import Matrix, matrix_rank
-from .tmodel import ASObject, AlmostConstant, HomWindow, suspend
+from .tmodel import ASObject, AlmostConstant, QWindow, _coerce_weight, suspend
 
 
 class OpenSet:
@@ -109,14 +109,15 @@ def sections(cache, divisor, open_set: OpenSet, cap: int = 0) -> SectionWindow:
     return SectionWindow(divisor, open_set, cap, allowed, cache.rr_basis(allowed))
 
 
-def ma_eval(x: ASObject, open_set: OpenSet, cap: int = 0, caps=None) -> HomWindow:
+def ma_eval(x: ASObject, open_set: OpenSet, cap: int = 0, caps=None) -> QWindow:
     """Evaluate the sheaf of a model object on an open set.
 
     Sections over the complement of some classes are maps out of the
-    zero sphere after letting poles grow there, so this is the kernel
-    window of the object suspended by cap on every removed class.  The
-    naive alternative of dropping matrix rows is wrong as soon as a
-    weight is negative; suspension keeps kernel and certificate honest.
+    zero sphere after letting poles grow there, so this is the certified
+    q-window of the object suspended by cap on every removed class, read
+    through its kernel (`hom_dim`, `kernel_element`).  The naive
+    alternative of dropping matrix rows is wrong as soon as a weight is
+    negative; suspension keeps kernel and certificate honest.
     """
     if cap < 0:
         raise ValidationFailed("the pole cap is nonnegative")
@@ -133,7 +134,7 @@ def ma_eval(x: ASObject, open_set: OpenSet, cap: int = 0, caps=None) -> HomWindo
             f"{window.caps}",
             caps=window.caps,
         )
-    return HomWindow(window)
+    return window
 
 
 def sa_build(theory: EATheory, divisor) -> ASObject:
@@ -217,7 +218,7 @@ def roundtrip(theory: EATheory, weights, opens=None, caps=(0, 1, 2, 3)) -> dict:
     """
     divisor = rep_to_divisor(weights)
     obj = sa_build(theory, divisor)
-    susp = suspend(theory.base_object, _as_weight(weights).minus_tail())
+    susp = suspend(theory.base_object, _coerce_weight(weights).minus_tail())
     if obj.weight != susp.weight:
         raise ValidationFailed(
             "the divisor object and the suspended base object disagree: "
@@ -232,13 +233,13 @@ def roundtrip(theory: EATheory, weights, opens=None, caps=(0, 1, 2, 3)) -> dict:
         for cap in caps:
             sec = sections(cache, divisor, piece, cap)
             hom = ma_eval(obj, piece, cap)
-            if hom.dim != sec.dim:
+            if hom.hom_dim != sec.dim:
                 raise ValidationFailed(
-                    f"model gives dimension {hom.dim} over {piece.text()} at "
+                    f"model gives dimension {hom.hom_dim} over {piece.text()} at "
                     f"cap {cap}, sections give {sec.dim}"
                 )
             if sec.dim:
-                elements = [hom.element(k) for k in range(hom.dim)]
+                elements = [hom.kernel_element(k) for k in range(hom.hom_dim)]
                 span = _span_rows(cache, sec.allowed, elements + sec.basis)
                 if matrix_rank(Matrix(tuple(span))) != sec.dim:
                     raise ValidationFailed(

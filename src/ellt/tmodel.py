@@ -8,25 +8,21 @@ the unit object.  This module is generic: it assembles backend windows
 into explicit matrices over Q, reads off kernel (Hom) and cokernel (Ext)
 windows, and certifies when the finite window already shows the stable
 answer.  Backends live in their own modules and are duck-typed; the
-contract is spelled out on `assemble`.
+contract is spelled out on `QWindow`.
 """
 
 from __future__ import annotations
 
 from .errors import CapTooSmall
-from .exactcore import Matrix, QONE, QZERO, kernel_and_image, matrix_rank, rref
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+from .exactcore import (
+    Matrix,
+    QONE,
+    QZERO,
+    divisors_of,
+    kernel_and_image,
+    matrix_rank,
+    rref,
+)
 
 
 class AlmostConstant:
@@ -58,10 +54,6 @@ class AlmostConstant:
         if s < 1:
             raise ValueError("classes are labelled by integers >= 1")
         return self.dev.get(s, self.tail)
-
-    def classes(self) -> list[int]:
-        """The deviating classes, sorted."""
-        return sorted(self.dev)
 
     def is_constant(self) -> bool:
         return not self.dev
@@ -119,10 +111,6 @@ class AlmostConstant:
             "tail": self.tail,
             "dev": {str(s): self.dev[s] for s in sorted(self.dev)},
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "AlmostConstant":
-        return cls(payload.get("tail", 0), payload.get("dev", {}))
 
 
 class Representation:
@@ -187,16 +175,6 @@ class Representation:
     def __repr__(self):
         return f"Representation({self.text()})"
 
-    def payload(self) -> dict:
-        return {
-            "weights": {str(n): self.weights[n] for n in sorted(self.weights)},
-            "fixed_part": self.fixed_part,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Representation":
-        return cls(payload.get("weights", {}), payload.get("fixed_part", 0))
-
 
 def dim_fn(weights=None, fixed_part=0) -> AlmostConstant:
     """Fixed-point dimension function of a (possibly virtual) representation.
@@ -218,7 +196,7 @@ def dim_fn(weights=None, fixed_part=0) -> AlmostConstant:
         if a:
             table[n] = table.get(n, 0) + a
     dev = {}
-    for s in {d for n in table for d in _divisors(n)}:
+    for s in {d for n in table for d in divisors_of(n)}:
         dev[s] = fixed_part + sum(a for n, a in table.items() if n % s == 0)
     return AlmostConstant(int(fixed_part), dev)
 
@@ -275,56 +253,9 @@ class EulerClassSymbol:
         return f"EulerClassSymbol({self.text()})"
 
 
-class VertexWindow:
-    """Finite basis window on the vertex (global sections) of an object."""
-
-    __slots__ = ("dim", "_label", "_element")
-
-    def __init__(self, dim, label, element):
-        self.dim = int(dim)
-        self._label = label
-        self._element = element
-
-    def label(self, k: int) -> str:
-        return self._label(self._check(k))
-
-    def element(self, k: int):
-        return self._element(self._check(k))
-
-    def _check(self, k: int) -> int:
-        if not 0 <= k < self.dim:
-            raise IndexError(f"vertex window has dimension {self.dim}")
-        return k
-
-    def labels(self) -> list[str]:
-        return [self.label(k) for k in range(self.dim)]
-
-
-class TorsionWindow:
-    """Finite window onto the torsion module at one isogeny class."""
-
-    __slots__ = ("s", "depth", "dim", "_label", "_element")
-
-    def __init__(self, s, depth, dim, label, element):
-        self.s = int(s)
-        self.depth = int(depth)
-        self.dim = int(dim)
-        self._label = label
-        self._element = element
-
-    def label(self, i: int) -> str:
-        return self._label(self._check(i))
-
-    def element(self, i: int):
-        return self._element(self._check(i))
-
-    def _check(self, i: int) -> int:
-        if not 0 <= i < self.dim:
-            raise IndexError(f"torsion window has dimension {self.dim}")
-        return i
-
-
 def _coerce_weight(weight) -> AlmostConstant:
+    """Weight function of an AlmostConstant, a Representation, a {n: a_n}
+    multiplicity dict or a constant int; anything else is a TypeError."""
     if isinstance(weight, AlmostConstant):
         return weight
     if isinstance(weight, Representation):
@@ -358,6 +289,18 @@ class QWindow:
     vectors present the Hom window, uncovered rows present the Ext window.
     `certified` records whether the caps dominate the weight everywhere,
     which is exactly when these windows compute the stable answer.
+
+    The backend `group` must provide:
+
+      default_caps(exp)      -> caps dict for a weight exponent dict
+      setup(exp, caps)       -> assembly context with
+          source_dim, source_element(k),
+          blocks: ordered (s, depth, rows) triples,
+          block_matrix(s)    -> Matrix of shape rows x source_dim,
+          torsion_rep(s, i),
+          certified: bool
+
+    Elements only need Q-linear arithmetic; nothing here inspects them.
     """
 
     def __init__(self, group, weight, caps=None):
@@ -401,9 +344,6 @@ class QWindow:
         self.certified = bool(ctx.certified)
         self._uncovered = None
 
-    def vertex_window(self) -> VertexWindow:
-        return VertexWindow(self.source_dim, self.ctx.source_label, self.ctx.source_element)
-
     def block_rows(self, s: int) -> tuple[int, int]:
         for cls, _, rows, offset in self.blocks:
             if cls == s:
@@ -441,6 +381,14 @@ class QWindow:
                 return s, row - offset
         raise IndexError(f"row {row} outside the window")
 
+    def ext_classes(self) -> list[tuple[int, int]]:
+        """(class, index inside its window) of each Ext basis vector."""
+        return [self.row_class(r) for r in self.uncovered_rows()]
+
+    def ext_rep(self, k: int):
+        """Torsion representative of the k-th Ext basis vector."""
+        return self.ctx.torsion_rep(*self.row_class(self.uncovered_rows()[k]))
+
     def kernel_element(self, k: int):
         """Materialise the k-th kernel vector as a backend element."""
         vec = self.kernel[k]
@@ -464,48 +412,19 @@ class QWindow:
         }
 
 
-def assemble(group, weight, caps=None) -> QWindow:
-    """Build the finite window of the torsion-point map at the given weight.
-
-    The backend `group` must provide:
-
-      class_size(s)          -> int, the size of the class-s window slice
-      default_caps(exp)      -> caps dict for a weight exponent dict
-      torsion(s, depth)      -> TorsionWindow, independent of any caps
-      setup(exp, caps)       -> assembly context with
-          source_dim, source_label(k), source_element(k),
-          blocks: ordered (s, depth, rows) triples,
-          block_matrix(s)    -> Matrix of shape rows x source_dim,
-          torsion_label(s, i), torsion_rep(s, i),
-          certified: bool
-
-    Elements only need Q-linear arithmetic; nothing here inspects them.
-    """
-    return QWindow(group, weight, caps)
-
-
 class ASObject:
     """A model object presented by a backend and a weight function."""
 
-    __slots__ = ("group", "weight", "name", "rigid_even")
+    __slots__ = ("group", "weight", "name")
 
-    def __init__(self, group, weight, name=None, rigid_even=True):
+    def __init__(self, group, weight, name=None):
         self.group = group
         self.weight = _coerce_weight(weight)
         self.name = name if name is not None else "X"
-        # rigid even: the object carries no odd-degree internal structure,
-        # so odd classes can only come from window cokernels.
-        self.rigid_even = bool(rigid_even)
 
     def q_window(self, caps=None, weight=None) -> QWindow:
         w = self.weight if weight is None else _coerce_weight(weight)
         return QWindow(self.group, w, caps)
-
-    def vertex_window(self, caps=None) -> VertexWindow:
-        return self.q_window(caps).vertex_window()
-
-    def torsion_window(self, s: int, depth: int) -> TorsionWindow:
-        return self.group.torsion(s, depth)
 
     def __repr__(self):
         return f"ASObject({self.name}, w={self.weight.text()})"
@@ -525,7 +444,7 @@ class SphereObject(ASObject):
         w = _coerce_weight(weight if weight is not None else 0)
         if name is None:
             name = f"S^({rep.text()})" if rep is not None else f"S^{w.text()}"
-        super().__init__(group, w, name=name, rigid_even=True)
+        super().__init__(group, w, name=name)
         self.rep = rep
 
 
@@ -538,64 +457,7 @@ def suspend(x: ASObject, delta) -> ASObject:
     delta = _coerce_weight(delta)
     if isinstance(x, SphereObject):
         return SphereObject(x.group, x.weight + delta)
-    return ASObject(x.group, x.weight + delta, name=f"susp({x.name})", rigid_even=x.rigid_even)
-
-
-class HomWindow:
-    """Window on maps from the zero sphere: the kernel of a q-window."""
-
-    __slots__ = ("window", "dim")
-
-    def __init__(self, window: QWindow):
-        self.window = window
-        self.dim = window.hom_dim
-
-    def vector(self, k: int) -> tuple:
-        return self.window.kernel[k]
-
-    def element(self, k: int):
-        return self.window.kernel_element(k)
-
-    @property
-    def certified(self) -> bool:
-        return self.window.certified
-
-
-class ExtWindow:
-    """Window on the cokernel of a q-window, with torsion representatives."""
-
-    __slots__ = ("window", "dim", "classes")
-
-    def __init__(self, window: QWindow):
-        self.window = window
-        self.dim = window.ext_dim
-        self.classes = [window.row_class(r) for r in window.uncovered_rows()]
-
-    def rep(self, k: int):
-        s, i = self.classes[k]
-        return self.window.ctx.torsion_rep(s, i)
-
-    def label(self, k: int) -> str:
-        s, i = self.classes[k]
-        return self.window.ctx.torsion_label(s, i)
-
-    @property
-    def certified(self) -> bool:
-        return self.window.certified
-
-
-def hom_from_sphere(x: ASObject, caps=None) -> HomWindow:
-    """Maps out of the zero sphere into x, as a window.
-
-    This is the degree-zero slice: the kernel of the q-window of x at its
-    own weight.
-    """
-    return HomWindow(x.q_window(caps))
-
-
-def ext_window(x: ASObject, caps=None) -> ExtWindow:
-    """First derived window of maps from the zero sphere into x."""
-    return ExtWindow(x.q_window(caps))
+    return ASObject(x.group, x.weight + delta, name=f"susp({x.name})")
 
 
 def sphere_hom(source, target) -> tuple[int, EulerClassSymbol | None]:
@@ -660,7 +522,3 @@ def stabilize(evaluation, caps) -> StabilizedResult:
         values[0], base, {"offsets": (0, 1, 2), "certified": True}
     )
 
-
-def window_report(window: QWindow) -> dict:
-    """The standard report payload for one q-window."""
-    return window.report()

@@ -17,8 +17,6 @@ from ellt.tmodel import (
     Representation,
     SphereObject,
     dim_fn,
-    ext_window,
-    hom_from_sphere,
     stabilize,
     suspend,
 )
@@ -188,10 +186,10 @@ class TestMultiplicativeWindows:
     def test_kernel_is_a_window_of_chi_inverse_multiples(self, gm):
         rep = Representation({1: 1, 2: 2})
         chi = gm.euler_class(rep)
-        hom = hom_from_sphere(SphereObject(gm, rep), caps={1: 4, 2: 3})
-        assert hom.dim == 9 + 3 + 2  # floor plus sum of w(s) * deg phi_s
-        for k in range(hom.dim):
-            assert (hom.element(k) * chi).is_polynomial()
+        hom = SphereObject(gm, rep).q_window(caps={1: 4, 2: 3})
+        assert hom.hom_dim == 9 + 3 + 2  # floor plus sum of w(s) * deg phi_s
+        for k in range(hom.hom_dim):
+            assert (hom.kernel_element(k) * chi).is_polynomial()
 
     def test_generator_survives_with_live_blocks(self, gm):
         rep = Representation({1: 1})
@@ -268,14 +266,6 @@ class TestMultiplicativeWindows:
         caps = {1: 3}
         assert stepped.q_window(caps=caps).report() == direct.q_window(caps=caps).report()
 
-    def test_torsion_window_labels(self, gm):
-        tw = gm.torsion(2, 2)
-        assert tw.dim == 2
-        assert tw.label(0) == "z^0 mod phi_2^2"
-        assert tw.element(1) == LaurentFn(Poly([0, 1]), Poly([1, 2, 1]))
-        with pytest.raises(ValueError):
-            gm.torsion(2, 0)
-
 
 class TestAdditiveWindows:
     def test_only_the_identity_class_carries_blocks(self, ga):
@@ -287,10 +277,10 @@ class TestAdditiveWindows:
     def test_kernel_window_tracks_the_euler_class(self, ga):
         rep = Representation({2: 1})
         chi = ga.euler_class(rep)  # 2x
-        hom = hom_from_sphere(SphereObject(ga, rep), caps={1: 3})
-        for k in range(hom.dim):
-            assert (hom.element(k) * chi).is_polynomial()
-        assert hom.dim == 5 + 1  # floor(|w|deg + 4) + w(1)
+        hom = SphereObject(ga, rep).q_window(caps={1: 3})
+        for k in range(hom.hom_dim):
+            assert (hom.kernel_element(k) * chi).is_polynomial()
+        assert hom.hom_dim == 5 + 1  # floor(|w|deg + 4) + w(1)
 
     def test_ext_vanishes(self, ga):
-        assert ext_window(SphereObject(ga, Representation({3: 2})), caps={1: 4}).dim == 0
+        assert SphereObject(ga, Representation({3: 2})).q_window(caps={1: 4}).ext_dim == 0

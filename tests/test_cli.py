@@ -248,6 +248,52 @@ def test_out_of_range_parameters_are_config_errors(tmp_path, capsys, command, pa
     assert "Traceback" not in err and err.startswith("ellt: config error:")
 
 
+MISSING_DIR = "missing-dir"
+
+
+def _malformed_input_cases():
+    """(command, config, cache): the config as a dict or as raw bytes, and
+    the raw bytes of the --cache file, or MISSING_DIR for a cache path in
+    a directory that does not exist."""
+    header = {"curve": E1["curve"], "scale": "1", "upto": 1}
+    bad_caches = {
+        "psi-is-a-list": {**header, "psi": [["[1]", "[]", "[1]"]]},
+        "two-fields": {**header, "psi": {"1": ["[1]", "[]"]}},
+        "non-integer-key": {**header, "psi": {"one": ["[1]", "[]", "[1]"]}},
+        "unparsable-polynomial": {**header, "psi": {"1": ["[1", "[]", "[1]"]}},
+        "zero-denominator": {**header, "psi": {"1": ["[1]", "[]", "[]"]}},
+    }
+    readers = {"divpoly": {"n": 2}, "cache": {"action": "verify"}}
+    for command, params in readers.items():
+        config = {**E1, "params": params}
+        for name, payload in bad_caches.items():
+            yield pytest.param(command, config, json.dumps(payload).encode(),
+                               id=f"{command}-{name}")
+        yield pytest.param(command, config, b'{"psi": "\xff"}', id=f"{command}-cache-not-utf8")
+    yield pytest.param("divpoly", b'{"curve": "\xff"}', None, id="config-not-utf8")
+    yield pytest.param("divpoly", b"[" * 100_000, None, id="config-nested-too-deep")
+    yield pytest.param("cache", {**E1, "params": {"action": "warm", "upto": 2}}, MISSING_DIR,
+                       id="cache-warm-into-missing-directory")
+    yield pytest.param("kmodel", {"params": {"group": "multiplicative", "W": {"1": 1},
+                                             "sign": True}}, None, id="kmodel-sign-true")
+
+
+@pytest.mark.parametrize("command,config,cache", _malformed_input_cases())
+def test_malformed_input_is_one_config_error(tmp_path, capsys, command, config, cache):
+    config_path = tmp_path / "job.json"
+    config_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+    argv = [command, "--config", str(config_path)]
+    if cache == MISSING_DIR:
+        argv += ["--cache", str(tmp_path / "absent" / "psi.json")]
+    elif cache is not None:
+        (tmp_path / "psi.json").write_bytes(cache)
+        argv += ["--cache", str(tmp_path / "psi.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ellt: config error:") and captured.err.count("\n") == 1
+
+
 class TestCacheAdmin:
     def test_warm_verify_clear_cycle(self, tmp_path, capsys):
         cache = str(tmp_path / "psi.json")
@@ -280,6 +326,7 @@ class TestCacheAdmin:
         blob["psi"]["3"][0] = "[1, 0, -6, 0, 3]"
         json.dump(blob, open(cache, "w"))
         assert run_cli(tmp_path, "cache", {**cfg, "params": {"action": "verify"}}) == 3
+        assert run_cli(tmp_path, "divpoly", {**cfg, "params": {"n": 2}}) == 3
 
     def test_verify_rejects_foreign_curve(self, tmp_path, capsys):
         cache = str(tmp_path / "psi.json")
@@ -297,6 +344,15 @@ class TestCacheAdmin:
         rep = run_json(tmp_path, capsys, "divpoly",
                        {**E1, "cache_path": cache, "params": {"n": 3}})
         assert rep["psi"] == "([-1, 0, -6, 0, 3]; []; [1])"
+
+    def test_missing_cache_file_is_an_empty_cache(self, tmp_path, capsys):
+        cfg = {**E1, "params": {"W": {"1": 1, "2": 1}}}
+        assert run_cli(tmp_path, "dims", cfg) == 0
+        plain = capsys.readouterr().out
+        absent = tmp_path / "absent.json"
+        assert run_cli(tmp_path, "dims", cfg, "--cache", str(absent)) == 0
+        assert capsys.readouterr().out == plain
+        assert not absent.exists()
 
     def test_env_var_supplies_the_path(self, tmp_path, capsys, monkeypatch):
         cache = str(tmp_path / "env.json")

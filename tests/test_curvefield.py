@@ -22,14 +22,12 @@ from ellt.curvefield import (
     expand_at_e,
     frame_coords,
     h_dims,
-    load_psi_cache,
     monomial,
     monomial_pole,
     parse_func_elt,
     principal_part,
     residue_along,
     residue_at_e,
-    save_psi_cache,
     single_class,
     trace_residues,
 )
@@ -233,28 +231,25 @@ class TestDivisionPolys:
 
 
 class TestPsiCachePersistence:
-    def test_roundtrip(self, tmp_path):
+    """The psi table the CLI cache file stores, through JSON text."""
+
+    def test_roundtrip(self):
         cache = CycCache(E1)
         cache.warm(5)
-        path = tmp_path / "psi.json"
-        save_psi_cache(cache, path)
+        payload = json.loads(json.dumps(cache.psi_cache_payload()))
+        assert sorted(payload, key=int) == ["1", "2", "3", "4", "5"]
         fresh = CycCache(E1)
-        assert load_psi_cache(fresh, path) == 5
+        fresh.load_psi_payload(payload)
+        assert fresh.psi_cache_payload() == payload
         assert fresh.psi(5) == cache.psi(5)
 
-    def test_tampered_entry_rejected(self, tmp_path):
+    def test_tampered_entry_rejected(self):
         cache = CycCache(E1)
         cache.warm(3)
-        path = tmp_path / "psi.json"
-        save_psi_cache(cache, path)
-        payload = json.loads(path.read_text())
-        payload[E1.key()]["3"] = ["[1, 1]", "[]", "[1]"]
-        path.write_text(json.dumps(payload))
+        payload = json.loads(json.dumps(cache.psi_cache_payload()))
+        payload["3"] = ["[1, 1]", "[]", "[1]"]
         with pytest.raises(ValidationFailed):
-            load_psi_cache(CycCache(E1), path)
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_psi_cache(CycCache(E1), tmp_path / "nope.json") == 0
+            CycCache(E1).load_psi_payload(payload)
 
 
 class TestCyclotomicFunctions:

@@ -25,7 +25,7 @@ from ellt.eatheory import (
 )
 from ellt.errors import CapTooSmall, UnsupportedPoles, ValidationFailed
 from ellt.exactcore import Matrix, Q, matrix_rank
-from ellt.tmodel import EulerClassSymbol, Representation, dim_fn, hom_from_sphere, suspend
+from ellt.tmodel import EulerClassSymbol, Representation, dim_fn, suspend
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +115,12 @@ class TestSphereHomology:
         via_rep = sphere_homology(e1, Representation({2: 1}))
         via_dict = sphere_homology(e1, {2: 1})
         assert (via_rep.h0, via_rep.h1) == (via_dict.h0, via_dict.h1)
+
+    @pytest.mark.parametrize("weight", [1.9, Q(3, 2), "1"])
+    def test_non_integer_weights_are_refused(self, e1, weight):
+        # int() would read each of these as the weight-1 sphere
+        with pytest.raises(TypeError):
+            sphere_homology(e1, weight)
 
     def test_trivial_summand_twists_but_does_not_move_dims(self, e1):
         h = sphere_homology(e1, Representation({1: 1}, fixed_part=2))
@@ -435,10 +441,10 @@ class TestRepToDivisor:
 class TestSuspensionAgreement:
     def test_suspending_the_base_object(self, e1):
         # suspension by z^2 must present the same window as the sphere
-        hom = hom_from_sphere(suspend(e1.base_object, dim_fn({2: 1})))
+        hom = suspend(e1.base_object, dim_fn({2: 1})).q_window()
         h = sphere_homology(e1, {2: 1})
-        assert hom.dim == h.h0
-        assert [hom.element(k).text() for k in range(hom.dim)] == [
+        assert hom.hom_dim == h.h0
+        assert [hom.kernel_element(k).text() for k in range(hom.hom_dim)] == [
             g.fn.text() for g in h.h0_basis()
         ]
 

@@ -17,7 +17,6 @@ from ellt.exactcore import (
     rational,
     series_one,
     series_reciprocal,
-    solve_in_span,
     squarefree_decomposition,
     trace_in_quotient,
 )
@@ -176,11 +175,6 @@ class TestKernelAndImage:
         assert rank == matrix_rank(m)
         for v in kernel:
             assert all(e == 0 for e in m.mul_vector(v))
-
-    def test_solve_in_span(self):
-        cols = [(1, 0, 1), (0, 1, 1)]
-        assert solve_in_span(cols, (2, 3, 5)) == (Q(2), Q(3))
-        assert solve_in_span(cols, (0, 0, 1)) is None
 
 
 class TestLaurentSeries:

@@ -116,27 +116,27 @@ class TestSections:
 class TestMaEval:
     def test_base_object_gives_global_constants(self):
         h = ma_eval(EA.base_object, U_ALL, 0)
-        assert h.dim == 1
-        assert h.element(0).text() == "([1]; []; [1])"
+        assert h.hom_dim == 1
+        assert h.kernel_element(0).text() == "([1]; []; [1])"
 
     def test_suspension_by_two_torsion_line(self):
         obj = suspend(EA.base_object, dim_fn({2: 1}))
         h = ma_eval(obj, U_ALL, 0)
-        assert h.dim == 4
+        assert h.hom_dim == 4
         # the kernel spans the Riemann-Roch space of (e) + A<2>
         target = sections(CACHE, {1: 1, 2: 1}, U_ALL, 0)
         rows = _span_rows(
             CACHE, target.allowed,
-            [h.element(k) for k in range(h.dim)] + target.basis,
+            [h.kernel_element(k) for k in range(h.hom_dim)] + target.basis,
         )
         assert matrix_rank(Matrix(tuple(rows))) == 4
 
     def test_matches_sections_over_punctured_curve(self):
         h = ma_eval(EA.base_object, U_E, 2)
         s = sections(CACHE, {}, U_E, 2)
-        assert h.dim == s.dim == 2
+        assert h.hom_dim == s.dim == 2
         rows = _span_rows(
-            CACHE, s.allowed, [h.element(k) for k in range(h.dim)] + s.basis
+            CACHE, s.allowed, [h.kernel_element(k) for k in range(h.hom_dim)] + s.basis
         )
         assert matrix_rank(Matrix(tuple(rows))) == 2
 
@@ -144,7 +144,7 @@ class TestMaEval:
         # sections of O(-e) with growing poles at e: the source must grow
         # with the cap, which row dropping would miss entirely.
         obj = suspend(EA.base_object, dim_fn({1: -1}))
-        dims = [ma_eval(obj, U_E, cap).dim for cap in range(4)]
+        dims = [ma_eval(obj, U_E, cap).hom_dim for cap in range(4)]
         assert dims == [0, 1, 1, 2]
 
     def test_negative_cap_rejected(self):
@@ -160,7 +160,7 @@ class TestMaEval:
     def test_explicit_caps_shift_with_the_open(self):
         obj = suspend(EA.base_object, dim_fn({2: 1}))
         h = ma_eval(obj, OpenSet({2}), 1, caps={1: 1, 2: 1})
-        assert h.dim == sections(CACHE, {1: 1, 2: 1}, OpenSet({2}), 1).dim == 7
+        assert h.hom_dim == sections(CACHE, {1: 1, 2: 1}, OpenSet({2}), 1).dim == 7
 
 
 class TestSaBuild:

@@ -9,17 +9,13 @@ from ellt.tmodel import (
     AlmostConstant,
     ASObject,
     EulerClassSymbol,
+    QWindow,
     Representation,
     SphereObject,
-    TorsionWindow,
-    assemble,
     dim_fn,
-    ext_window,
-    hom_from_sphere,
     sphere_hom,
     stabilize,
     suspend,
-    window_report,
 )
 
 
@@ -55,10 +51,8 @@ class TestAlmostConstant:
 
     def test_payload_roundtrip(self):
         w = AlmostConstant(-1, {2: 4, 6: 0})
-        assert AlmostConstant.from_payload(w.payload()) == w
-
-    def test_classes_sorted(self):
-        assert AlmostConstant(0, {5: 1, 2: 3}).classes() == [2, 5]
+        payload = w.payload()
+        assert AlmostConstant(payload["tail"], payload["dev"]) == w
 
     def test_rejects_bad_class_labels(self):
         with pytest.raises(ValueError):
@@ -126,10 +120,6 @@ class TestRepresentation:
     def test_text(self):
         assert Representation({1: 1, 3: 2}, fixed_part=1).text() == "z + 2*z^3 + Q^1"
         assert Representation().text() == "0"
-
-    def test_payload_roundtrip(self):
-        rep = Representation({2: 1, 5: 3}, fixed_part=4)
-        assert Representation.from_payload(rep.payload()) == rep
 
 
 class TestEulerClassSymbol:
@@ -208,17 +198,11 @@ class _FakeContext:
         self.blocks = backend.blocks
         self.certified = backend.certified_flag
 
-    def source_label(self, k):
-        return f"b{k}"
-
     def source_element(self, k):
         return Poly.x_power(k)
 
     def block_matrix(self, s):
         return self.backend.matrices[s]
-
-    def torsion_label(self, s, i):
-        return f"t({s},{i})"
 
     def torsion_rep(self, s, i):
         return (s, i)
@@ -233,14 +217,8 @@ class FakeBackend:
         self.dim = dim
         self.certified_flag = certified
 
-    def class_size(self, s):
-        return 1
-
     def default_caps(self, exp):
         return {s: max(w, 0) for s, w in exp.items()}
-
-    def torsion(self, s, depth):
-        return TorsionWindow(s, depth, depth, lambda i: f"t{i}", lambda i: (s, i))
 
     def setup(self, exp, caps):
         return _FakeContext(self, caps)
@@ -252,7 +230,7 @@ class TestWindowAssembly:
             blocks=[(2, 2, 2)],
             matrices={2: Matrix([(1, 0, 0), (0, 1, 0)])},
         )
-        win = assemble(backend, AlmostConstant(0), caps={2: 2})
+        win = QWindow(backend, AlmostConstant(0), caps={2: 2})
         assert win.hom_dim == 1 and win.ext_dim == 0
         assert win.kernel == [(Q(0), Q(0), Q(1))]
         assert win.kernel_element(0) == Poly.x_power(2)
@@ -263,26 +241,24 @@ class TestWindowAssembly:
             blocks=[(1, 1, 1), (3, 1, 1)],
             matrices={1: Matrix([(0, 0, 0)]), 3: Matrix([(1, 2, 0)])},
         )
-        win = assemble(backend, AlmostConstant(0), caps={1: 1, 3: 1})
+        win = QWindow(backend, AlmostConstant(0), caps={1: 1, 3: 1})
         assert win.ext_dim == 1 and win.hom_dim == 2
         assert win.uncovered_rows() == [0]
         assert win.row_class(0) == (1, 0) and win.row_class(1) == (3, 0)
-        ext = ext_window(ASObject(backend, 0), caps={1: 1, 3: 1})
-        assert ext.dim == 1 and ext.classes == [(1, 0)]
-        assert ext.rep(0) == (1, 0) and ext.label(0) == "t(1,0)"
+        assert win.ext_classes() == [(1, 0)] and win.ext_rep(0) == (1, 0)
         assert not win.block_surjective(1) and win.block_surjective(3)
 
     def test_no_rows_means_everything_survives(self):
         backend = FakeBackend(blocks=[], matrices={})
-        win = assemble(backend, AlmostConstant(0), caps={})
+        win = QWindow(backend, AlmostConstant(0), caps={})
         assert win.hom_dim == 3 and win.ext_dim == 0 and win.matrix is None
-        hom = hom_from_sphere(ASObject(backend, 0), caps={})
-        assert [hom.element(k) for k in range(3)] == [Poly.x_power(k) for k in range(3)]
+        hom = ASObject(backend, 0).q_window(caps={})
+        assert [hom.kernel_element(k) for k in range(3)] == [Poly.x_power(k) for k in range(3)]
 
     def test_report_shape(self):
         backend = FakeBackend(blocks=[], matrices={})
-        win = assemble(backend, dim_fn({2: 1}, fixed_part=1), caps={2: 1})
-        report = window_report(win)
+        win = QWindow(backend, dim_fn({2: 1}, fixed_part=1), caps={2: 1})
+        report = win.report()
         assert list(report) == ["w", "caps", "hom_dim", "ext_dim", "certified"]
         assert report["w"] == {"tail": 1, "dev": {"1": 2, "2": 2}}
         assert report["caps"] == {"2": 1}
@@ -290,7 +266,7 @@ class TestWindowAssembly:
     def test_caps_validation(self):
         backend = FakeBackend(blocks=[], matrices={})
         with pytest.raises(ValueError):
-            assemble(backend, AlmostConstant(0), caps={1: -1})
+            QWindow(backend, AlmostConstant(0), caps={1: -1})
 
     def test_wrong_block_shape_is_rejected(self):
         backend = FakeBackend(
@@ -298,7 +274,7 @@ class TestWindowAssembly:
             matrices={2: Matrix([(1, 0, 0)])},  # claims 2 rows, delivers 1
         )
         with pytest.raises(ValueError):
-            assemble(backend, AlmostConstant(0), caps={2: 1})
+            QWindow(backend, AlmostConstant(0), caps={2: 1})
 
 
 class TestObjectsAndSuspension:
@@ -307,7 +283,6 @@ class TestObjectsAndSuspension:
         s = SphereObject(backend, Representation({2: 1}))
         assert s.weight == dim_fn({2: 1})
         assert s.rep == Representation({2: 1})
-        assert s.rigid_even
 
     def test_suspend_adds_weight_functions(self):
         backend = FakeBackend(blocks=[], matrices={})
@@ -318,20 +293,6 @@ class TestObjectsAndSuspension:
         x = ASObject(backend, dim_fn({3: 1}), name="EA")
         y = suspend(x, dim_fn({}, 1))
         assert y.weight.tail == 1 and y.weight(3) == 2
-
-    def test_vertex_window_bounds(self):
-        backend = FakeBackend(blocks=[], matrices={})
-        vw = ASObject(backend, 0).vertex_window(caps={})
-        assert vw.dim == 3 and vw.labels() == ["b0", "b1", "b2"]
-        with pytest.raises(IndexError):
-            vw.element(3)
-
-    def test_torsion_window_bounds(self):
-        backend = FakeBackend(blocks=[], matrices={})
-        tw = ASObject(backend, 0).torsion_window(5, 2)
-        assert tw.dim == 2 and tw.label(1) == "t1"
-        with pytest.raises(IndexError):
-            tw.element(2)
 
 
 @given(
