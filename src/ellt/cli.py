@@ -59,11 +59,14 @@ def _rational(value, where: str) -> Q:
     raise ConfigError(f"{where} must be an integer or a 'p/q' string, got {value!r}")
 
 
-def _integer(value, where: str, minimum: int | None = None) -> int:
+def _integer(value, where: str, minimum: int | None = None,
+             maximum: int | None = None) -> int:
     if type(value) is not int:
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{where} must be <= {maximum}")
     return value
 
 
@@ -173,6 +176,10 @@ def load_config(command: str, path: str) -> JobConfig:
 # ----------------------------------------------------------------------
 # cache file handling
 
+# largest psi index a request may compute or a cache file may hold:
+# psi_n costs about four times as much for every 8 added to n
+PSI_CEILING = 32
+
 
 def _cache_identity(cache: CycCache) -> dict:
     curve = cache.curve
@@ -183,20 +190,25 @@ def _cache_identity(cache: CycCache) -> dict:
 
 
 def _read_cache_file(path: str) -> dict:
-    """The cache file, refused unless its psi table has the shape
-    `CycCache.psi_cache_payload` writes: {"n": [u, v, d]} with n >= 1 and
-    three polynomial texts.  Whether the entries are right is checked
-    later, against recomputation."""
+    """The cache file, refused unless it has the shape `cache warm`
+    writes: an `upto` in 1..PSI_CEILING and a psi table {"n": [u, v, d]}
+    with 1 <= n <= upto and three polynomial texts.  Whether the entries
+    are right is checked later, against recomputation, so the ceiling
+    bounds that work too."""
     payload = _read_json(path, "cache")
     if not isinstance(payload, dict) or not isinstance(payload.get("psi"), dict):
         raise ConfigError(f"cache {path} is not a division-polynomial cache")
+    upto = payload.get("upto")
+    if type(upto) is not int or not 1 <= upto <= PSI_CEILING:
+        raise ConfigError(f"cache {path} has no upto in 1..{PSI_CEILING}")
     for key, entry in payload["psi"].items():
         try:
             index = int(key) if key.isdecimal() else 0
         except ValueError:  # more digits than int() will read
             index = 0
-        if index < 1:
-            raise ConfigError(f"cache {path} has a psi index {key!r} that is not an integer >= 1")
+        if not 1 <= index <= upto:
+            raise ConfigError(f"cache {path} has a psi index {key!r} that is not "
+                              f"an integer in 1..{upto}")
         if not (isinstance(entry, list) and len(entry) == 3
                 and all(isinstance(text, str) for text in entry)):
             raise ConfigError(f"cache {path} entry {key} is not three polynomial texts")
@@ -307,7 +319,7 @@ def _run_divpoly(config: JobConfig, cache_path) -> dict:
     _check_keys(config.params, ("n",), "params")
     if "n" not in config.params:
         raise ConfigError("divpoly needs params.n")
-    n = _integer(config.params["n"], "params.n", 1)
+    n = _integer(config.params["n"], "params.n", 1, PSI_CEILING)
     cache = _make_cache(config)
     _load_cache_into(cache, cache_path)
     psi = cache.psi(n)
@@ -487,7 +499,7 @@ def _run_cache_admin(config: JobConfig, cache_path) -> dict:
 
     cache = _make_cache(config)
     if action == "warm":
-        upto = _integer(config.params.get("upto", 6), "params.upto", 1)
+        upto = _integer(config.params.get("upto", 6), "params.upto", 1, PSI_CEILING)
         cache.warm(upto)
         payload = {**_cache_identity(cache), "upto": upto,
                    "psi": cache.psi_cache_payload()}

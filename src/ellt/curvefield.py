@@ -82,7 +82,8 @@ class TorsionDivisor:
         clean = {}
         for s, n in (coeffs or {}).items():
             s = int(s)
-            n = int(n)
+            if type(n) is not int:
+                raise TypeError(f"divisor multiplicities are integers, got {n!r}")
             if s < 1:
                 raise ValueError("order classes start at 1")
             if n:
@@ -537,6 +538,7 @@ class CycCache:
         self._t: dict[int, FuncElt] = {}
         self._t_raw: dict[int, FuncElt] = {}
         self._class_poly: dict[int, Poly] = {}
+        self._t_star: dict[tuple, FuncElt] = {}
         self._chart: tuple[int, LaurentSeries, LaurentSeries] | None = None
         self._diff_factor: Q | None = None
         self._coordinate_profile: dict[int, tuple[int, int]] = {}
@@ -628,13 +630,17 @@ class CycCache:
             return self._class_poly[s]
 
     def t_star(self, divisor: TorsionDivisor) -> FuncElt:
-        """Product over s >= 2 of t_s^{n_s}; the s = 1 coefficient is
-        deliberately ignored (the e-part is tracked by degrees)."""
-        out = self.curve.one()
-        for s, n in divisor.coeffs.items():
-            if s >= 2 and n:
-                out = out * self.t(s) ** n
-        return out
+        """Product over s >= 2 of t_s^{n_s}, memoised by that part; the
+        s = 1 coefficient is deliberately ignored (the e-part is tracked
+        by degrees)."""
+        key = tuple((s, n) for s, n in divisor.coeffs.items() if s >= 2)
+        with self._lock:
+            if key not in self._t_star:
+                out = self.curve.one()
+                for s, n in key:
+                    out = out * self.t(s) ** n
+                self._t_star[key] = out
+            return self._t_star[key]
 
     # -- chart series and differentials ----------------------------------
 

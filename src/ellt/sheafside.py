@@ -11,7 +11,7 @@ space, while `glue_check` runs Mayer-Vietoris on one cover.
 
 from __future__ import annotations
 
-from .curvefield import TorsionDivisor, frame_coords, h_dims
+from .curvefield import TorsionDivisor, frame_coords, h_dims, monomial
 from .eatheory import EATheory, _weights_payload, rep_to_divisor
 from .errors import CapTooSmall, ValidationFailed
 from .exactcore import Matrix, matrix_rank
@@ -67,20 +67,45 @@ class OpenSet:
 
 
 class SectionWindow:
-    """Sections of O(D) over an open, at one finite pole stage."""
+    """Sections of O(D) over an open, at one finite pole stage.
 
-    __slots__ = ("divisor", "open_set", "cap", "allowed", "basis")
+    The space is H^0(O(allowed)), spanned by the monomials m_k over
+    t*(allowed).  It stays in that frame: `basis` builds the canonical
+    elements only when read, and `frame_rows` places them in a larger
+    space without any inversion.
+    """
 
-    def __init__(self, divisor, open_set, cap, allowed, basis):
+    __slots__ = ("divisor", "open_set", "cap", "allowed", "dim", "cache", "_basis")
+
+    def __init__(self, divisor, open_set, cap, allowed, cache):
         self.divisor = divisor
         self.open_set = open_set
         self.cap = int(cap)
         self.allowed = allowed
-        self.basis = list(basis)
+        deg = allowed.degree
+        self.dim = 0 if deg < 0 else max(deg, 1)  # len(cache.rr_basis(allowed))
+        self.cache = cache
+        self._basis = None
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def basis(self) -> list:
+        if self._basis is None:
+            self._basis = self.cache.rr_basis(self.allowed)
+        return self._basis
+
+    def frame_rows(self, target) -> list[tuple]:
+        """Coordinate rows of the basis inside H^0(O(target)), for a target
+        at least `allowed` on every class >= 2.
+
+        Row k is m_k * t*(target - allowed), a pure element, so no inverse
+        and no gcd is needed; a target that does not dominate leaves a
+        denominator, and `frame_coords` refuses it.
+        """
+        dim = max(target.degree, 1)
+        shift = self.cache.t_star(target - self.allowed)
+        curve = self.cache.curve
+        return [tuple(frame_coords(monomial(curve, k) * shift, dim))
+                for k in range(self.dim)]
 
     def report(self) -> dict:
         return {
@@ -106,7 +131,7 @@ def sections(cache, divisor, open_set: OpenSet, cap: int = 0) -> SectionWindow:
         raise ValidationFailed("the pole cap is nonnegative")
     divisor = _as_divisor(divisor)
     allowed = divisor + TorsionDivisor(open_set.indicator(cap))
-    return SectionWindow(divisor, open_set, cap, allowed, cache.rr_basis(allowed))
+    return SectionWindow(divisor, open_set, cap, allowed, cache)
 
 
 def ma_eval(x: ASObject, open_set: OpenSet, cap: int = 0, caps=None) -> QWindow:
@@ -170,7 +195,7 @@ def glue_check(cache, divisor, left: OpenSet, right: OpenSet,
     v_union = sections(cache, divisor, left.union(right), cap)
     v_inter = sections(cache, divisor, left.intersect(right), cap)
 
-    rows = _span_rows(cache, v_inter.allowed, va.basis + vb.basis)
+    rows = va.frame_rows(v_inter.allowed) + vb.frame_rows(v_inter.allowed)
     rank = matrix_rank(Matrix(tuple(rows))) if rows else 0
     if rank != va.dim + vb.dim - v_union.dim:
         raise ValidationFailed(
@@ -240,7 +265,8 @@ def roundtrip(theory: EATheory, weights, opens=None, caps=(0, 1, 2, 3)) -> dict:
                 )
             if sec.dim:
                 elements = [hom.kernel_element(k) for k in range(hom.hom_dim)]
-                span = _span_rows(cache, sec.allowed, elements + sec.basis)
+                span = (_span_rows(cache, sec.allowed, elements)
+                        + sec.frame_rows(sec.allowed))
                 if matrix_rank(Matrix(tuple(span))) != sec.dim:
                     raise ValidationFailed(
                         f"model and sheaf sections over {piece.text()} at cap "

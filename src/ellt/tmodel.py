@@ -25,6 +25,14 @@ from .exactcore import (
 )
 
 
+def _whole(n) -> int:
+    """n itself when it is an int; a float, string or fraction is a
+    TypeError instead of being truncated."""
+    if type(n) is not int:
+        raise TypeError(f"multiplicities are integers, got {n!r}")
+    return n
+
+
 class AlmostConstant:
     """Integer function on isogeny classes s >= 1, constant off a finite set.
 
@@ -36,10 +44,10 @@ class AlmostConstant:
     __slots__ = ("tail", "dev")
 
     def __init__(self, tail=0, dev=None):
-        tail = int(tail)
+        tail = _whole(tail)
         clean = {}
         for s, v in (dev or {}).items():
-            s, v = int(s), int(v)
+            s, v = int(s), _whole(v)
             if s < 1:
                 raise ValueError("classes are labelled by integers >= 1")
             if v != tail:
@@ -124,12 +132,12 @@ class Representation:
     __slots__ = ("weights", "fixed_part")
 
     def __init__(self, weights=None, fixed_part=0):
-        fixed_part = int(fixed_part)
+        fixed_part = _whole(fixed_part)
         if fixed_part < 0:
             raise ValueError("fixed part is a dimension, so nonnegative")
         clean = {}
         for n, a in (weights or {}).items():
-            n, a = int(n), int(a)
+            n, a = int(n), _whole(a)
             if n < 1:
                 raise ValueError("weights are labelled by integers >= 1")
             if a < 1:
@@ -190,7 +198,7 @@ def dim_fn(weights=None, fixed_part=0) -> AlmostConstant:
         weights = weights.weights
     table = {}
     for n, a in (weights or {}).items():
-        n, a = int(n), int(a)
+        n, a = int(n), _whole(a)
         if n < 1:
             raise ValueError("weights are labelled by integers >= 1")
         if a:
@@ -198,7 +206,7 @@ def dim_fn(weights=None, fixed_part=0) -> AlmostConstant:
     dev = {}
     for s in {d for n in table for d in divisors_of(n)}:
         dev[s] = fixed_part + sum(a for n, a in table.items() if n % s == 0)
-    return AlmostConstant(int(fixed_part), dev)
+    return AlmostConstant(fixed_part, dev)
 
 
 class EulerClassSymbol:
@@ -270,7 +278,7 @@ def _coerce_weight(weight) -> AlmostConstant:
 def _coerce_caps(caps) -> dict[int, int]:
     clean = {}
     for s, c in caps.items():
-        s, c = int(s), int(c)
+        s, c = int(s), _whole(c)
         if s < 1:
             raise ValueError("classes are labelled by integers >= 1")
         if c < 0:
@@ -500,7 +508,7 @@ def stabilize(evaluation, caps) -> StabilizedResult:
     raises CapTooSmall rather than returning a number that might be
     wrong.
     """
-    base = {int(s): int(c) for s, c in caps.items()}
+    base = {int(s): _whole(c) for s, c in caps.items()}
     if any(c < 0 for c in base.values()):
         raise ValueError("caps are pole bounds, so nonnegative")
     values = []

@@ -262,6 +262,12 @@ def _malformed_input_cases():
         "non-integer-key": {**header, "psi": {"one": ["[1]", "[]", "[1]"]}},
         "unparsable-polynomial": {**header, "psi": {"1": ["[1", "[]", "[1]"]}},
         "zero-denominator": {**header, "psi": {"1": ["[1]", "[]", "[]"]}},
+        # a right entry past the file's own upto, and files that would make
+        # a reader recompute psi past the ceiling of 32
+        "index-above-upto": {**header, "psi": {"2": ["[]", "[2]", "[1]"]}},
+        "no-upto": {"curve": E1["curve"], "scale": "1", "psi": {"1": ["[1]", "[]", "[1]"]}},
+        "upto-above-ceiling": {**header, "upto": 33, "psi": {"1": ["[1]", "[]", "[1]"]}},
+        "index-above-ceiling": {**header, "upto": 33, "psi": {"33": ["[1]", "[]", "[1]"]}},
     }
     readers = {"divpoly": {"n": 2}, "cache": {"action": "verify"}}
     for command, params in readers.items():
@@ -274,6 +280,9 @@ def _malformed_input_cases():
     yield pytest.param("divpoly", b"[" * 100_000, None, id="config-nested-too-deep")
     yield pytest.param("cache", {**E1, "params": {"action": "warm", "upto": 2}}, MISSING_DIR,
                        id="cache-warm-into-missing-directory")
+    yield pytest.param("cache", {**E1, "params": {"action": "warm", "upto": 33}}, b"{}",
+                       id="cache-warm-above-ceiling")
+    yield pytest.param("divpoly", {**E1, "params": {"n": 33}}, None, id="divpoly-above-ceiling")
     yield pytest.param("kmodel", {"params": {"group": "multiplicative", "W": {"1": 1},
                                              "sign": True}}, None, id="kmodel-sign-true")
 

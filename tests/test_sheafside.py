@@ -1,10 +1,11 @@
 """Sections over torsion-complement opens, gluing, and the model comparison."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ellt.curvefield import TorsionDivisor
+import ellt.curvefield
+from ellt.curvefield import CycCache, TorsionDivisor
 from ellt.eatheory import build_ea
 from ellt.errors import CapTooSmall, ValidationFailed
 from ellt.exactcore import Matrix, matrix_rank
@@ -111,6 +112,75 @@ class TestSections:
     def test_divisor_object_accepted(self):
         d = TorsionDivisor({1: 2})
         assert sections(CACHE, d, U_ALL, 0).dim == 2
+
+    def test_frame_rows_refuse_a_target_that_does_not_dominate(self):
+        w = sections(CACHE, {2: 1}, U_ALL, 0)
+        with pytest.raises(ValueError):
+            w.frame_rows(TorsionDivisor({1: 6}))
+
+
+CLASSES = st.integers(min_value=1, max_value=4)
+
+
+class TestSymbolicSections:
+    """The symbolic section space against the canonical Riemann-Roch path
+    it replaces: `CycCache.rr_basis` read through `_span_rows`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        coeffs=st.dictionaries(CLASSES, st.integers(min_value=-2, max_value=2), max_size=2),
+        pi=st.sets(CLASSES, max_size=2),
+        cap=st.integers(min_value=0, max_value=2),
+        extra=st.dictionaries(CLASSES, st.integers(min_value=0, max_value=2), max_size=2),
+    )
+    @example(coeffs={}, pi=set(), cap=0, extra={})
+    @example(coeffs={1: -1}, pi=set(), cap=0, extra={1: 1})
+    def test_window_matches_the_canonical_path(self, coeffs, pi, cap, extra):
+        window = sections(CACHE, coeffs, OpenSet(pi), cap)
+        reference = CACHE.rr_basis(window.allowed)
+        assert window.dim == len(reference)
+        assert window.basis == reference
+        target = window.allowed + TorsionDivisor(extra)
+        assert window.frame_rows(target) == _span_rows(CACHE, target, reference)
+
+    @settings(max_examples=30, deadline=None)
+    @given(coeffs=st.dictionaries(CLASSES, st.integers(min_value=-2, max_value=3), max_size=3))
+    @example(coeffs={})
+    @example(coeffs={1: 3})
+    @example(coeffs={1: -2})
+    def test_t_star_memo_matches_a_fresh_product(self, coeffs):
+        fresh = CACHE.curve.one()
+        for s, n in coeffs.items():
+            if s >= 2:
+                fresh = fresh * CACHE.t(s) ** n
+        divisor = TorsionDivisor(coeffs)
+        assert CACHE.t_star(divisor) == fresh
+        assert CACHE.t_star(divisor) == fresh  # the second read is the memo
+
+    def test_gluing_reads_no_canonical_basis(self, monkeypatch):
+        # the acceptance sheaf suite on one curve: once t_2..t_4 exist,
+        # gluing stays in the monomial frame, with no gcd and no basis
+        cache = CycCache(CACHE.curve)
+        for s in (2, 3, 4):
+            cache.t(s)
+        calls = {"poly_gcd": 0, "rr_basis": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ellt.curvefield, "poly_gcd",
+                            counted("poly_gcd", ellt.curvefield.poly_gcd))
+        monkeypatch.setattr(CycCache, "rr_basis", counted("rr_basis", CycCache.rr_basis))
+        covers = [((), (1,)), ((1,), (2,)), ((2,), (3,)), ((1, 2), (2, 4)),
+                  ((4,), (1, 3)), ((3,), (3,))]
+        for coeffs in ({}, {1: 1}, {2: 1}, {1: -1}):
+            for left, right in covers:
+                for cap in range(4):
+                    assert glue_check(cache, coeffs, OpenSet(left), OpenSet(right), cap)["ok"]
+        assert calls == {"poly_gcd": 0, "rr_basis": 0}
 
 
 class TestMaEval:

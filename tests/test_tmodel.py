@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from ellt.curvefield import CycCache, TorsionDivisor, WeierstrassCurve
 from ellt.errors import CapTooSmall
 from ellt.exactcore import Matrix, Poly, Q
+from ellt.sheafside import OpenSet, sections
 from ellt.tmodel import (
     AlmostConstant,
     ASObject,
@@ -12,11 +14,30 @@ from ellt.tmodel import (
     QWindow,
     Representation,
     SphereObject,
+    _coerce_caps,
     dim_fn,
     sphere_hom,
     stabilize,
     suspend,
 )
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: TorsionDivisor({1: 1.9}), id="divisor-float"),
+    pytest.param(lambda: TorsionDivisor({2: "3"}), id="divisor-string"),
+    pytest.param(lambda: sections(CycCache(WeierstrassCurve(-1, 0)), {1: 2.7}, OpenSet()),
+                 id="sections-float"),
+    pytest.param(lambda: AlmostConstant(0, {1: 1.9}), id="almost-constant-entry"),
+    pytest.param(lambda: AlmostConstant(Q(3, 2)), id="almost-constant-tail"),
+    pytest.param(lambda: dim_fn({1: 1.9}), id="dim-fn-multiplicity"),
+    pytest.param(lambda: Representation({1: Q(3, 2)}), id="representation-multiplicity"),
+    pytest.param(lambda: _coerce_caps({1: 2.5}), id="caps-float"),
+    pytest.param(lambda: stabilize(lambda caps: (0, True), {1: 1.5}), id="stabilize-caps"),
+])
+def test_non_integer_multiplicities_are_refused(build):
+    # int() would truncate each of these to a nearby integer
+    with pytest.raises(TypeError):
+        build()
 
 
 class TestAlmostConstant:
