@@ -70,7 +70,14 @@ def _integer(value, where: str, minimum: int | None = None,
     return value
 
 
-def _weight_dict(value, where: str, minimum: int | None = None) -> dict:
+# largest class label, and largest `cap` or `caps` value, a request may
+# name: past them one small config can run for minutes (README.md)
+CLASS_CEILING = 8
+CAP_CEILING = 10
+
+
+def _weight_dict(value, where: str, minimum: int | None = None,
+                 maximum: int | None = None) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object of {{class: count}}")
     out = {}
@@ -81,14 +88,16 @@ def _weight_dict(value, where: str, minimum: int | None = None) -> dict:
             raise ConfigError(f"{where} has a non-integer class label {key!r}")
         if s < 1:
             raise ConfigError(f"{where} classes are labelled by integers >= 1")
-        out[s] = _integer(count, f"{where}[{key}]", minimum)
+        _integer(s, f"{where} class label", maximum=CLASS_CEILING)
+        out[s] = _integer(count, f"{where}[{key}]", minimum, maximum)
     return out
 
 
-def _class_list(value, where: str, minimum: int = 1) -> list[int]:
+def _class_list(value, where: str, minimum: int = 1,
+                maximum: int = CLASS_CEILING) -> list[int]:
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list of class orders")
-    return [_integer(s, where, minimum) for s in value]
+    return [_integer(s, where, minimum, maximum) for s in value]
 
 
 class JobConfig:
@@ -272,7 +281,7 @@ def _run_dims(config: JobConfig, cache_path) -> dict:
         raise ConfigError("params.variance must be homology or cohomology")
     caps = None
     if "caps" in config.params:
-        caps = _weight_dict(config.params["caps"], "params.caps", 0)
+        caps = _weight_dict(config.params["caps"], "params.caps", 0, CAP_CEILING)
     theory = _make_theory(config, cache_path)
     run = sphere_homology if variance == "homology" else sphere_cohomology
     hom = run(theory, weights, caps=caps)
@@ -309,7 +318,7 @@ def _run_coeff(config: JobConfig, cache_path) -> dict:
     d_max = _integer(config.params.get("d_max", 4), "params.d_max")
     caps = None
     if "caps" in config.params:
-        caps = _weight_dict(config.params["caps"], "params.caps", 0)
+        caps = _weight_dict(config.params["caps"], "params.caps", 0, CAP_CEILING)
     theory = _make_theory(config, cache_path)
     rows = coefficient_ring(theory, d_min, d_max, caps=caps)
     return {**_echo(config, theory), "d_min": d_min, "d_max": d_max, "rows": rows}
@@ -418,7 +427,7 @@ def _run_serre(config: JobConfig, cache_path) -> dict:
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
     caps = None
     if "caps" in config.params:
-        caps = _weight_dict(config.params["caps"], "params.caps", 0)
+        caps = _weight_dict(config.params["caps"], "params.caps", 0, CAP_CEILING)
     theory = _make_theory(config, cache_path)
     pairing = serre_pairing(theory, coeffs, caps=caps)
     return {
@@ -438,7 +447,7 @@ def _run_sections(config: JobConfig, cache_path) -> dict:
             raise ConfigError(f"sections needs params.{key}")
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
     pi = _class_list(config.params["pi"], "params.pi")
-    cap = _integer(config.params.get("cap", 0), "params.cap", 0)
+    cap = _integer(config.params.get("cap", 0), "params.cap", 0, CAP_CEILING)
     cache = _make_cache(config)
     _load_cache_into(cache, cache_path)
     window = sections(cache, coeffs, OpenSet(pi), cap)
@@ -453,7 +462,7 @@ def _run_glue(config: JobConfig, cache_path) -> dict:
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
     left = OpenSet(_class_list(config.params["left"], "params.left"))
     right = OpenSet(_class_list(config.params["right"], "params.right"))
-    cap = _integer(config.params.get("cap", 0), "params.cap", 0)
+    cap = _integer(config.params.get("cap", 0), "params.cap", 0, CAP_CEILING)
     cache = _make_cache(config)
     _load_cache_into(cache, cache_path)
     return {**_echo(config, cache), **glue_check(cache, coeffs, left, right, cap)}
@@ -472,7 +481,7 @@ def _run_roundtrip(config: JobConfig, cache_path) -> dict:
         opens = tuple(OpenSet(_class_list(p, "params.opens")) for p in raw)
     caps = (0, 1, 2, 3)
     if "caps" in config.params:
-        caps = tuple(_class_list(config.params["caps"], "params.caps", 0))
+        caps = tuple(_class_list(config.params["caps"], "params.caps", 0, CAP_CEILING))
     theory = _make_theory(config, cache_path)
     return {**_echo(config, theory), **roundtrip(theory, weights, opens, caps)}
 

@@ -25,6 +25,8 @@ from .exactcore import (
     Q,
     QONE,
     QZERO,
+    _label,
+    _whole,
     divisors_of,
     parse_poly,
     poly_gcd,
@@ -81,9 +83,7 @@ class TorsionDivisor:
     def __init__(self, coeffs=None):
         clean = {}
         for s, n in (coeffs or {}).items():
-            s = int(s)
-            if type(n) is not int:
-                raise TypeError(f"divisor multiplicities are integers, got {n!r}")
+            s, n = _label(s), _whole(n, "divisor multiplicities")
             if s < 1:
                 raise ValueError("order classes start at 1")
             if n:
@@ -861,15 +861,6 @@ def monomial_pole(k: int) -> int:
     return 0 if k == 0 else k + 1
 
 
-def pole_index(pole: int) -> int:
-    """Inverse of monomial_pole (pole 1 never occurs)."""
-    if pole == 0:
-        return 0
-    if pole == 1:
-        raise ValueError("no monomial has a simple pole at e")
-    return pole - 1
-
-
 def h_dims(divisor: TorsionDivisor) -> tuple[int, int]:
     """(h^0, h^1) of O(divisor) for a torsion-class divisor.
 
@@ -1028,25 +1019,40 @@ def frame_coords(elt: FuncElt, dim: int) -> list[Q]:
     The ladder spans exactly the elements with poles only at e, so this
     fails loudly when the element is not pure or overflows the window.
     """
-    if not elt.is_pure():
+    return ladder_frames(elt, 1, dim)[0]
+
+
+def ladder_frames(h: FuncElt, count: int, dim: int) -> list[list[Q]]:
+    """Frame vectors of m_k * h for k < count, each truncated to `dim`.
+
+    For pure h = u + v y, x^a h puts u and v a rungs up the ladder (x^j
+    at slot 2j - 1, or 0 for j = 0, and x^j y at slot 2j + 2), and
+    x^a y h puts v * rhs and u there.  Every vector is a copy of those
+    three coefficient tuples: no product in the function field.
+    """
+    if not h.is_pure():
         raise ValueError("frame coordinates need a pure element")
-    out = [QZERO] * dim
-    for j in range(elt.u.degree + 1):
-        c = elt.u.coeff(j)
-        if c == 0:
-            continue
-        k = 0 if j == 0 else pole_index(2 * j)
-        if k >= dim:
-            raise ValueError(f"x^{j} overflows a frame of dimension {dim}")
-        out[k] = c
-    for j in range(elt.v.degree + 1):
-        c = elt.v.coeff(j)
-        if c == 0:
-            continue
-        k = pole_index(2 * j + 3)
-        if k >= dim:
-            raise ValueError(f"x^{j} y overflows a frame of dimension {dim}")
-        out[k] = c
+    u, v = h.u.coeffs, h.v.coeffs
+    vr = (h.v * h.curve.rhs).coeffs if count > 2 else ()
+    out = []
+    for k in range(count):
+        a, xs, ys = (k // 2 - 1, vr, u) if k and not k % 2 else ((k + 1) // 2, u, v)
+        vec = [QZERO] * dim
+        if xs:  # the leading x power sits at slot 2(a + len) - 3, or 0
+            if max(2 * (a + len(xs)) - 3, 0) >= dim:
+                j = next(j for j, c in enumerate(xs, a) if c and max(2 * j - 1, 0) >= dim)
+                raise ValueError(f"x^{j} overflows a frame of dimension {dim}")
+            if a:
+                vec[2 * a - 1:2 * (a + len(xs)) - 1:2] = xs
+            else:
+                vec[0] = xs[0]
+                vec[1:2 * len(xs) - 1:2] = xs[1:]
+        if ys:
+            if 2 * (a + len(ys)) >= dim:
+                j = next(j for j, c in enumerate(ys, a) if c and 2 * j + 2 >= dim)
+                raise ValueError(f"x^{j} y overflows a frame of dimension {dim}")
+            vec[2 * a + 2:2 * (a + len(ys)) + 1:2] = ys
+        out.append(vec)
     return out
 
 
@@ -1091,24 +1097,28 @@ class QuotientWindow:
         self.residual_dim = base * m + others.degree
         self.frame_dim = self.residual_dim + self.block_size
         self.divisor = others + single_class(s, base + depth)
-        self.shift = cache.t_star(self.divisor)
         self._shift_inv = None  # built by the first rep()
         # frame vectors spanning H^0(O(G')); each has a distinct top slot
-        # (strictly increasing pole orders), normalised to a 1 there
+        # (strictly increasing pole orders) and is kept as the nonzero
+        # (slot, c / lead) pairs below it, since the sweep never reads a top
         sub_shift = cache.t(s) ** depth if s >= 2 else cache.curve.one()
-        reducers: dict[int, list[Q]] = {}
-        for j in range(self.residual_dim):
-            vec = frame_coords(monomial(cache.curve, j) * sub_shift, self.frame_dim)
+        reducers: dict[int, list[tuple[int, Q]]] = {}
+        for vec in ladder_frames(sub_shift, self.residual_dim, self.frame_dim):
             top = max(k for k, c in enumerate(vec) if c != 0)
             if top in reducers:
                 raise ValidationFailed("sub-basis tops collide")
             lead = vec[top]
-            reducers[top] = [c / lead for c in vec]
-        self._reducers = reducers
-        self._sweep_order = sorted(reducers, reverse=True)
+            reducers[top] = [(k, vec[k] / lead) for k in range(top) if vec[k]]
+        self._sweep = sorted(reducers.items(), reverse=True)
         self.complement = sorted(set(range(self.frame_dim)) - set(reducers))
         if len(self.complement) != self.block_size:
             raise ValidationFailed("complement size differs from the block size")
+
+    @property
+    def shift(self) -> FuncElt:
+        """t*(divisor), which only `coords` and `rep` need; block assembly
+        stays in the frame and never builds it."""
+        return self.cache.t_star(self.divisor)
 
     def coords(self, f: FuncElt) -> list[Q]:
         """Coordinate vector of the class of f, length block_size."""
@@ -1130,13 +1140,11 @@ class QuotientWindow:
         if len(vec) != self.frame_dim:
             raise ValueError("frame vector does not match the window frame")
         vec = list(vec)
-        for top in self._sweep_order:
+        for top, pairs in self._sweep:
             c = vec[top]
-            if c != 0:
-                red = self._reducers[top]
-                for k in range(top + 1):
-                    if red[k] != 0:
-                        vec[k] -= c * red[k]
+            if c:
+                for k, r in pairs:
+                    vec[k] -= c * r
         return [vec[k] for k in self.complement]
 
     def rep(self, i: int) -> FuncElt:

@@ -23,7 +23,7 @@ from .curvefield import (
     TorsionDivisor,
     WeierstrassCurve,
     exact_order_count,
-    frame_coords,
+    ladder_frames,
     monomial,
     principal_part,
     residue_along,
@@ -287,29 +287,19 @@ class _EllipticAssembly:
         against t*(E) out of the function field arithmetic.
         """
         cache = self.cache
-        out = cache.curve.one()
+        exps = {r: c - self.caps.get(r, 0) + (w if r == s else 0)
+                for r, c in win.divisor.coeffs.items() if r >= 2}
+        out = cache.t_star(TorsionDivisor(exps))
         if s == 1 and w:
-            out = cache.coordinate.base ** w
-        for r, c in win.divisor.coeffs.items():
-            if r < 2 or not c:
-                continue
-            e = c - self.caps.get(r, 0)
-            if r == s:
-                e += w
-            if e:
-                out = out * cache.t(r) ** e
+            out = cache.coordinate.base ** w * out
         if not out.is_pure():
             raise ValidationFailed("block multiplier must have poles only at e")
         return out
 
     def block_matrix(self, s: int) -> Matrix:
         win, mult = self._block(s)
-        curve = self.cache.curve
-        columns = []
-        for k in range(self.source_dim):
-            shifted = monomial(curve, k) * mult
-            vec = frame_coords(shifted, win.frame_dim)
-            columns.append(win.coords_of_frame(vec))
+        columns = [win.coords_of_frame(vec)
+                   for vec in ladder_frames(mult, self.source_dim, win.frame_dim)]
         return Matrix(tuple(zip(*columns)))
 
     def torsion_rep(self, s: int, i: int) -> FuncElt:

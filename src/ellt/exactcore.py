@@ -35,6 +35,20 @@ def qtext(value) -> str:
     return f"{num}/{den}"
 
 
+def _whole(n, what: str = "multiplicities") -> int:
+    """n itself when it is an int; a float, string or fraction is a
+    TypeError instead of being truncated."""
+    if type(n) is not int:
+        raise TypeError(f"{what} are integers, got {n!r}")
+    return n
+
+
+def _label(s) -> int:
+    """A class label: an int, or its decimal text as payload keys carry
+    it; a float or fraction is a TypeError instead of being truncated."""
+    return int(s) if type(s) is str else _whole(s, "class labels")
+
+
 def divisors_of(n: int) -> list[int]:
     """The positive divisors of n >= 1, ascending."""
     small, large = [], []

@@ -11,10 +11,10 @@ space, while `glue_check` runs Mayer-Vietoris on one cover.
 
 from __future__ import annotations
 
-from .curvefield import TorsionDivisor, frame_coords, h_dims, monomial
+from .curvefield import TorsionDivisor, frame_coords, h_dims, ladder_frames
 from .eatheory import EATheory, _weights_payload, rep_to_divisor
 from .errors import CapTooSmall, ValidationFailed
-from .exactcore import Matrix, matrix_rank
+from .exactcore import Matrix, _label, matrix_rank
 from .tmodel import ASObject, AlmostConstant, QWindow, _coerce_weight, suspend
 
 
@@ -29,7 +29,7 @@ class OpenSet:
     __slots__ = ("pi",)
 
     def __init__(self, pi=()):
-        classes = sorted({int(s) for s in pi})
+        classes = sorted({_label(s) for s in pi})
         if classes and classes[0] < 1:
             raise ValidationFailed("isogeny classes are labelled by orders >= 1")
         object.__setattr__(self, "pi", tuple(classes))
@@ -99,13 +99,11 @@ class SectionWindow:
 
         Row k is m_k * t*(target - allowed), a pure element, so no inverse
         and no gcd is needed; a target that does not dominate leaves a
-        denominator, and `frame_coords` refuses it.
+        denominator, and `ladder_frames` refuses it.
         """
-        dim = max(target.degree, 1)
         shift = self.cache.t_star(target - self.allowed)
-        curve = self.cache.curve
-        return [tuple(frame_coords(monomial(curve, k) * shift, dim))
-                for k in range(self.dim)]
+        return [tuple(vec) for vec in
+                ladder_frames(shift, self.dim, max(target.degree, 1))]
 
     def report(self) -> dict:
         return {

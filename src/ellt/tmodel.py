@@ -18,19 +18,13 @@ from .exactcore import (
     Matrix,
     QONE,
     QZERO,
+    _label,
+    _whole,
     divisors_of,
     kernel_and_image,
     matrix_rank,
     rref,
 )
-
-
-def _whole(n) -> int:
-    """n itself when it is an int; a float, string or fraction is a
-    TypeError instead of being truncated."""
-    if type(n) is not int:
-        raise TypeError(f"multiplicities are integers, got {n!r}")
-    return n
 
 
 class AlmostConstant:
@@ -47,7 +41,7 @@ class AlmostConstant:
         tail = _whole(tail)
         clean = {}
         for s, v in (dev or {}).items():
-            s, v = int(s), _whole(v)
+            s, v = _label(s), _whole(v)
             if s < 1:
                 raise ValueError("classes are labelled by integers >= 1")
             if v != tail:
@@ -137,7 +131,7 @@ class Representation:
             raise ValueError("fixed part is a dimension, so nonnegative")
         clean = {}
         for n, a in (weights or {}).items():
-            n, a = int(n), _whole(a)
+            n, a = _label(n), _whole(a)
             if n < 1:
                 raise ValueError("weights are labelled by integers >= 1")
             if a < 1:
@@ -198,7 +192,7 @@ def dim_fn(weights=None, fixed_part=0) -> AlmostConstant:
         weights = weights.weights
     table = {}
     for n, a in (weights or {}).items():
-        n, a = int(n), _whole(a)
+        n, a = _label(n), _whole(a)
         if n < 1:
             raise ValueError("weights are labelled by integers >= 1")
         if a:
@@ -278,7 +272,7 @@ def _coerce_weight(weight) -> AlmostConstant:
 def _coerce_caps(caps) -> dict[int, int]:
     clean = {}
     for s, c in caps.items():
-        s, c = int(s), _whole(c)
+        s, c = _label(s), _whole(c)
         if s < 1:
             raise ValueError("classes are labelled by integers >= 1")
         if c < 0:
@@ -508,7 +502,7 @@ def stabilize(evaluation, caps) -> StabilizedResult:
     raises CapTooSmall rather than returning a number that might be
     wrong.
     """
-    base = {int(s): _whole(c) for s, c in caps.items()}
+    base = {_label(s): _whole(c) for s, c in caps.items()}
     if any(c < 0 for c in base.values()):
         raise ValueError("caps are pole bounds, so nonnegative")
     values = []

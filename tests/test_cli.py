@@ -285,6 +285,23 @@ def _malformed_input_cases():
     yield pytest.param("divpoly", {**E1, "params": {"n": 33}}, None, id="divpoly-above-ceiling")
     yield pytest.param("kmodel", {"params": {"group": "multiplicative", "W": {"1": 1},
                                              "sign": True}}, None, id="kmodel-sign-true")
+    # class labels above CLASS_CEILING = 8 and caps above CAP_CEILING = 10
+    above_ceiling = {
+        "dims-label": ("dims", {"W": {"9": 1}}),
+        "dims-caps-label": ("dims", {"W": {"1": 1}, "caps": {"1": 1, "9": 0}}),
+        "basis-label": ("basis", {"divisor": {"9": -1}}),
+        "localcoh-label": ("localcoh", {"pi": [9]}),
+        "glue-label": ("glue", {"divisor": {}, "left": [9], "right": [2]}),
+        "kmodel-label": ("kmodel", {"group": "additive", "W": {"9": 1}}),
+        "dims-cap": ("dims", {"W": {"1": 1}, "caps": {"1": 11}}),
+        "serre-cap": ("serre", {"divisor": {"1": 1}, "caps": {"1": 11}}),
+        "sections-cap": ("sections", {"divisor": {}, "pi": [1], "cap": 11}),
+        "glue-cap": ("glue", {"divisor": {}, "left": [1], "right": [2], "cap": 11}),
+        "roundtrip-cap": ("roundtrip", {"W": {"1": 1}, "caps": [11]}),
+    }
+    for name, (command, params) in above_ceiling.items():
+        config = {"params": params} if command == "kmodel" else {**E1, "params": params}
+        yield pytest.param(command, config, None, id=f"{name}-above-ceiling")
 
 
 @pytest.mark.parametrize("command,config,cache", _malformed_input_cases())
@@ -301,6 +318,14 @@ def test_malformed_input_is_one_config_error(tmp_path, capsys, command, config, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("ellt: config error:") and captured.err.count("\n") == 1
+
+
+def test_ceilings_are_inclusive(tmp_path, capsys):
+    rep = run_json(tmp_path, capsys, "glue",
+                   {**E1, "params": {"divisor": {}, "left": [1], "right": [2], "cap": 10}})
+    assert rep["ok"] is True
+    rep = run_json(tmp_path, capsys, "localcoh", {**E1, "params": {"pi": [8]}})
+    assert rep["dim"] == 64  # |A[8]|
 
 
 class TestCacheAdmin:

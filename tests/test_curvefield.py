@@ -22,6 +22,7 @@ from ellt.curvefield import (
     expand_at_e,
     frame_coords,
     h_dims,
+    ladder_frames,
     monomial,
     monomial_pole,
     parse_func_elt,
@@ -34,6 +35,7 @@ from ellt.curvefield import (
 
 E1 = WeierstrassCurve(-1, 0)  # y^2 = x^3 - x
 E2 = WeierstrassCurve(0, 1)   # y^2 = x^3 + 1
+E3 = WeierstrassCurve(Q(1, 4), -2)
 
 small_poly = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=4
@@ -64,6 +66,12 @@ def cache1():
 @pytest.fixture(scope="module")
 def cache2():
     return CycCache(E2)
+
+
+@pytest.fixture(scope="module")
+def cache1_scaled():
+    # reducers on this coordinate have leads other than 1
+    return CycCache(E1, Coordinate(E1, scale=2))
 
 
 class TestTorsionCounting:
@@ -471,6 +479,73 @@ class TestQuotientWindows:
         assert monomial_pole(0) == 0
         assert [monomial_pole(k) for k in (1, 2, 3, 4)] == [2, 3, 4, 5]
         assert monomial(E1, 4) == x * y
+
+
+def _outcome(compute):
+    """The value, or the ValueError message, so refusals compare too."""
+    try:
+        return "value", compute()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _dense_sweep(win, vec):
+    """The dense reducer sweep the window's sparse one replaces: reducers
+    from canonical products, divided through by their leads in full."""
+    curve = win.cache.curve
+    sub_shift = win.cache.t(win.s) ** win.depth if win.s >= 2 else curve.one()
+    reducers = {}
+    for j in range(win.residual_dim):
+        red = frame_coords(monomial(curve, j) * sub_shift, win.frame_dim)
+        top = max(k for k, c in enumerate(red) if c != 0)
+        reducers[top] = [c / red[top] for c in red]
+    vec = list(vec)
+    for top in sorted(reducers, reverse=True):
+        c = vec[top]
+        vec = [a - c * r for a, r in zip(vec, reducers[top])]
+    return [vec[k] for k in range(win.frame_dim) if k not in reducers]
+
+
+class TestFrameFastPath:
+    """`ladder_frames` and the sparse reducers against the canonical
+    `FuncElt` products they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([E1, E2, E3]), small_poly, small_poly,
+           st.one_of(st.just(Poly.const(1)), unit_poly),
+           st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=20))
+    def test_ladder_matches_the_product_path(self, curve, u, v, d, count, dim):
+        h = FuncElt(curve, u, v, d)
+        expected = _outcome(
+            lambda: [frame_coords(monomial(curve, k) * h, dim) for k in range(count)])
+        assert _outcome(lambda: ladder_frames(h, count, dim)) == expected
+
+    def test_ladder_refusals_name_the_overflowing_term(self):
+        h = E1.x() + E1.y()
+        # y * h = x^3 - x + x y: x^3 sits at slot 5
+        assert _outcome(lambda: ladder_frames(h, 3, 5)) == (
+            "ValueError", "x^3 overflows a frame of dimension 5")
+        # x * h = x^2 + x y: x y sits at slot 4
+        assert _outcome(lambda: ladder_frames(h, 2, 4)) == (
+            "ValueError", "x^1 y overflows a frame of dimension 4")
+        assert _outcome(lambda: ladder_frames(E1.x().inverse(), 1, 5)) == (
+            "ValueError", "frame coordinates need a pure element")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1, 2]), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=1),
+           st.dictionaries(st.integers(min_value=1, max_value=4),
+                           st.integers(min_value=0, max_value=2), max_size=2),
+           st.data())
+    def test_sparse_sweep_matches_a_dense_sweep(self, cache1, cache2, cache1_scaled,
+                                                which, s, depth, base, others, data):
+        cache = (cache1, cache2, cache1_scaled)[which]
+        others = TorsionDivisor({r: n for r, n in others.items() if r != s})
+        win = QuotientWindow(cache, s, depth, others, base)
+        vec = data.draw(st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=3),
+            min_size=win.frame_dim, max_size=win.frame_dim))
+        assert win.coords_of_frame(vec) == _dense_sweep(win, vec)
 
 
 class TestPrincipalParts:

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellt.curvefield import Coordinate, TorsionDivisor, WeierstrassCurve, h_dims
+from ellt.curvefield import (
+    Coordinate,
+    FuncElt,
+    TorsionDivisor,
+    WeierstrassCurve,
+    frame_coords,
+    h_dims,
+    monomial,
+)
 from ellt.eatheory import (
     CompletionModule,
     EATheory,
@@ -25,6 +33,7 @@ from ellt.eatheory import (
 )
 from ellt.errors import CapTooSmall, UnsupportedPoles, ValidationFailed
 from ellt.exactcore import Matrix, Q, matrix_rank
+from ellt.sheafside import OpenSet, sections
 from ellt.tmodel import EulerClassSymbol, Representation, dim_fn, suspend
 
 
@@ -497,3 +506,66 @@ class TestTorsionClass:
     def test_text(self):
         cls = TorsionClass(3, 1, -1, [Q(1, 2)] + [Q(0)] * 7)
         assert cls.text().startswith("class 3 depth 1 weight -1: [1/2, ")
+
+
+def _product_multiplier(ctx, s, win):
+    """The block multiplier as the product of t_r ** e over the window
+    divisor, the path `_multiplier` replaces."""
+    cache, w = ctx.cache, ctx.exp.get(s, 0)
+    out = cache.coordinate.base ** w if s == 1 and w else cache.curve.one()
+    for r, c in win.divisor.coeffs.items():
+        e = c - ctx.caps.get(r, 0) + (w if r == s else 0)
+        if r >= 2 and e:
+            out = out * cache.t(r) ** e
+    return out
+
+
+@pytest.fixture(scope="module")
+def e1_scaled():
+    curve = WeierstrassCurve(-1, 0)
+    return build_ea(curve, Coordinate(curve, scale=Q(2)), check=False)
+
+
+class TestFrameAssembly:
+    """Blocks assembled in the monomial frame against canonical products."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["e1", "e2", "scaled"]),
+        st.dictionaries(st.integers(min_value=1, max_value=4),
+                        st.integers(min_value=-2, max_value=2), max_size=3),
+        st.dictionaries(st.integers(min_value=1, max_value=4),
+                        st.integers(min_value=1, max_value=2), min_size=1, max_size=3),
+    )
+    def test_blocks_match_the_product_path(self, e1, e2, e1_scaled, which, exp, caps):
+        theory = {"e1": e1, "e2": e2, "scaled": e1_scaled}[which]
+        curve = theory.curve
+        ctx = theory.backend.setup(exp, caps)
+        for s, _, rows in ctx.blocks:
+            win, mult = ctx._block(s)
+            assert mult == _product_multiplier(ctx, s, win)
+            columns = [
+                win.coords_of_frame(frame_coords(monomial(curve, k) * mult, win.frame_dim))
+                for k in range(ctx.source_dim)
+            ]
+            assert ctx.block_matrix(s) == Matrix(tuple(zip(*columns)))
+
+    def test_warm_assembly_makes_no_function_field_products(self, monkeypatch):
+        theory = build_ea((-1, 0), check=False)
+        weights, caps = {1: 1, 2: -1, 3: 1}, {1: 2, 2: 1, 3: 2, 4: 1}
+        theory.window(weights, caps)
+        ctx = theory.window(weights, caps).ctx  # window memo and t* warm
+        section = sections(theory.cache, {1: 1}, OpenSet([2, 3]), 2)
+        target = section.allowed + TorsionDivisor({1: 2, 3: 1})
+        section.frame_rows(target)  # warms t*(target - allowed)
+        products = []
+        original = FuncElt.__mul__
+
+        def counted(self, other):
+            products.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(FuncElt, "__mul__", counted)
+        assert all(ctx.block_matrix(s).rows == rows for s, _, rows in ctx.blocks)
+        assert len(ctx.blocks) == 4 and products == []
+        assert len(section.frame_rows(target)) == section.dim and products == []

@@ -40,6 +40,21 @@ def test_non_integer_multiplicities_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: TorsionDivisor({1.9: 1}), id="divisor"),
+    pytest.param(lambda: OpenSet([2.5]), id="open-set"),
+    pytest.param(lambda: AlmostConstant(0, {2.5: 1}), id="almost-constant"),
+    pytest.param(lambda: Representation({1.5: 1}), id="representation"),
+    pytest.param(lambda: dim_fn({2.7: 1}), id="dim-fn"),
+    pytest.param(lambda: _coerce_caps({1.5: 2}), id="caps"),
+    pytest.param(lambda: stabilize(lambda caps: (0, True), {1.5: 1}), id="stabilize-caps"),
+])
+def test_non_integer_class_labels_are_refused(build):
+    # int() would truncate each label to the class below it
+    with pytest.raises(TypeError):
+        build()
+
+
 class TestAlmostConstant:
     def test_tail_entries_are_dropped(self):
         w = AlmostConstant(2, {3: 2, 5: 1})
