@@ -70,10 +70,15 @@ def _integer(value, where: str, minimum: int | None = None,
     return value
 
 
-# largest class label, and largest `cap` or `caps` value, a request may
+# largest class label, `cap` or `caps` value, completion stage `k`,
+# `products_upto`, `coeff` span and `serre` divisor degree a request may
 # name: past them one small config can run for minutes (README.md)
 CLASS_CEILING = 8
 CAP_CEILING = 10
+STAGE_CEILING = 16
+PRODUCTS_CEILING = 140
+SPAN_CEILING = 100_000
+DEGREE_CEILING = 6
 
 
 def _weight_dict(value, where: str, minimum: int | None = None,
@@ -316,6 +321,7 @@ def _run_coeff(config: JobConfig, cache_path) -> dict:
     _check_keys(config.params, ("d_min", "d_max", "caps"), "params")
     d_min = _integer(config.params.get("d_min", -4), "params.d_min")
     d_max = _integer(config.params.get("d_max", 4), "params.d_max")
+    _integer(d_max - d_min, "params.d_max - params.d_min", maximum=SPAN_CEILING)
     caps = None
     if "caps" in config.params:
         caps = _weight_dict(config.params["caps"], "params.caps", 0, CAP_CEILING)
@@ -374,7 +380,7 @@ def _run_kmodel(config: JobConfig, cache_path) -> dict:
         report["euler"] = group.euler_class(weights).text()
     upto = config.params.get("products_upto")
     if upto is not None:
-        upto = _integer(upto, "params.products_upto", 1)
+        upto = _integer(upto, "params.products_upto", 1, PRODUCTS_CEILING)
         for n in range(1, upto + 1):
             product = None
             for d in divisors_of(n):
@@ -391,7 +397,7 @@ def _run_completion(config: JobConfig, cache_path) -> dict:
     _check_keys(config.params, ("k",), "params")
     if "k" not in config.params:
         raise ConfigError("completion needs params.k")
-    k = _integer(config.params["k"], "params.k", 1)
+    k = _integer(config.params["k"], "params.k", 1, STAGE_CEILING)
     theory = _make_theory(config, cache_path)
     module = completion(theory, k)
     action = module.action_matrix()
@@ -425,6 +431,8 @@ def _run_serre(config: JobConfig, cache_path) -> dict:
     if "divisor" not in config.params:
         raise ConfigError("serre needs params.divisor")
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
+    _integer(TorsionDivisor(coeffs).degree, "params.divisor degree",
+             maximum=DEGREE_CEILING)
     caps = None
     if "caps" in config.params:
         caps = _weight_dict(config.params["caps"], "params.caps", 0, CAP_CEILING)

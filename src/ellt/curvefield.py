@@ -10,7 +10,6 @@ monomials over a single t-product denominator.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
 from .errors import (
@@ -526,14 +525,14 @@ class CycCache:
     """Per-(curve, coordinate) memo of division polynomials, cyclotomic
     functions t_s, class polynomials, and chart series.
 
-    Writes happen under a lock with insert-if-absent semantics, so
-    concurrent readers only ever observe fully validated entries.
+    Single-threaded: entries are stored in place, and a t_s is stored
+    only after it has been validated, so a stored entry is always a
+    checked one.
     """
 
     def __init__(self, curve: WeierstrassCurve, coordinate: Coordinate | None = None):
         self.curve = curve
         self.coordinate = coordinate or Coordinate(curve)
-        self._lock = threading.RLock()
         self._psi: dict[int, FuncElt] = {}
         self._t: dict[int, FuncElt] = {}
         self._t_raw: dict[int, FuncElt] = {}
@@ -546,14 +545,7 @@ class CycCache:
     # -- division polynomials -------------------------------------------
 
     def psi(self, n: int) -> FuncElt:
-        with self._lock:
-            if n not in self._psi:
-                memo = dict(self._psi)
-                val = division_psi_raw(self.curve, n, memo)
-                for k, v in memo.items():
-                    self._psi.setdefault(k, v)
-                self._psi.setdefault(n, val)
-            return self._psi[n]
+        return division_psi_raw(self.curve, n, self._psi)
 
     # -- cyclotomic functions --------------------------------------------
 
@@ -566,39 +558,37 @@ class CycCache:
         """
         if s == 1:
             return self.coordinate.base
-        with self._lock:
-            if s not in self._t:
-                raw = self._primitive_part(s)
-                m = exact_order_count(s)
-                # series product: expanding t_e^m * raw as one canonical
-                # element would drag degree-50 polynomials through the
-                # chart; two short expansions multiply in constant time
-                series = self.expand(self.coordinate.base, 2) ** m * self.expand(raw, 2)
-                if series.exact_valuation() != 0:
-                    raise ValidationFailed(
-                        f"t_{s} candidate has the wrong vanishing order at e"
-                    )
-                const = series.coeff(0)
-                val = raw * (QONE / const)
-                self._validate_t(s, val)
-                self._t.setdefault(s, val)
-            return self._t[s]
+        if s not in self._t:
+            raw = self._primitive_part(s)
+            m = exact_order_count(s)
+            # series product: expanding t_e^m * raw as one canonical
+            # element would drag degree-50 polynomials through the
+            # chart; two short expansions multiply in constant time
+            series = self.expand(self.coordinate.base, 2) ** m * self.expand(raw, 2)
+            if series.exact_valuation() != 0:
+                raise ValidationFailed(
+                    f"t_{s} candidate has the wrong vanishing order at e"
+                )
+            const = series.coeff(0)
+            val = raw * (QONE / const)
+            self._validate_t(s, val)
+            self._t[s] = val
+        return self._t[s]
 
     def _primitive_part(self, s: int) -> FuncElt:
-        with self._lock:
-            if s not in self._t_raw:
-                if s < 2:
-                    raise ValueError("cyclotomic functions start at order 2")
-                val = self.psi(s)
-                for d in divisors_of(s):
-                    if 1 < d < s:
-                        val = val / self._primitive_part(d)
-                if not val.is_pure():
-                    raise ValidationFailed(
-                        f"primitive part of psi_{s} is not polynomial"
-                    )
-                self._t_raw.setdefault(s, val)
-            return self._t_raw[s]
+        if s not in self._t_raw:
+            if s < 2:
+                raise ValueError("cyclotomic functions start at order 2")
+            val = self.psi(s)
+            for d in divisors_of(s):
+                if 1 < d < s:
+                    val = val / self._primitive_part(d)
+            if not val.is_pure():
+                raise ValidationFailed(
+                    f"primitive part of psi_{s} is not polynomial"
+                )
+            self._t_raw[s] = val
+        return self._t_raw[s]
 
     def _validate_t(self, s: int, val: FuncElt) -> None:
         m = exact_order_count(s)
@@ -620,37 +610,34 @@ class CycCache:
     def class_poly(self, s: int) -> Poly:
         """Monic squarefree polynomial in x whose roots are the x-values
         of the class of exact order s (s >= 2)."""
-        with self._lock:
-            if s not in self._class_poly:
-                if s == 2:
-                    val = self.curve.rhs.monic()
-                else:
-                    val = self.t(s).u.monic()
-                self._class_poly.setdefault(s, val)
-            return self._class_poly[s]
+        if s not in self._class_poly:
+            if s == 2:
+                val = self.curve.rhs.monic()
+            else:
+                val = self.t(s).u.monic()
+            self._class_poly[s] = val
+        return self._class_poly[s]
 
     def t_star(self, divisor: TorsionDivisor) -> FuncElt:
         """Product over s >= 2 of t_s^{n_s}, memoised by that part; the
         s = 1 coefficient is deliberately ignored (the e-part is tracked
         by degrees)."""
         key = tuple((s, n) for s, n in divisor.coeffs.items() if s >= 2)
-        with self._lock:
-            if key not in self._t_star:
-                out = self.curve.one()
-                for s, n in key:
-                    out = out * self.t(s) ** n
-                self._t_star[key] = out
-            return self._t_star[key]
+        if key not in self._t_star:
+            out = self.curve.one()
+            for s, n in key:
+                out = out * self.t(s) ** n
+            self._t_star[key] = out
+        return self._t_star[key]
 
     # -- chart series and differentials ----------------------------------
 
     def chart(self, prec: int) -> tuple[LaurentSeries, LaurentSeries]:
-        with self._lock:
-            if self._chart is None or self._chart[0] < prec:
-                x, y = _chart_series(self.curve, prec)
-                self._chart = (prec, x, y)
-            stored_prec, x, y = self._chart
-            return x.truncate(prec), y.truncate(prec)
+        if self._chart is None or self._chart[0] < prec:
+            x, y = _chart_series(self.curve, prec)
+            self._chart = (prec, x, y)
+        stored_prec, x, y = self._chart
+        return x.truncate(prec), y.truncate(prec)
 
     def expand(self, elt: FuncElt, prec: int) -> LaurentSeries:
         """`expand_at_e` on the memoised chart of this cache's curve."""
@@ -660,17 +647,16 @@ class CycCache:
 
     def diff_factor(self) -> Q:
         """Scalar kappa with Dt = kappa * dx / y, fixed by Dt/dt_e -> 1 at e."""
-        with self._lock:
-            if self._diff_factor is None:
-                prec = 8
-                x, y = self.chart(prec)
-                ratio = x.derivative() * series_reciprocal(y)
-                te = self.expand(self.coordinate.base, prec)
-                ratio = ratio * series_reciprocal(te.derivative())
-                if ratio.exact_valuation() != 0:
-                    raise ValidationFailed("invariant differential normalisation failed")
-                self._diff_factor = QONE / ratio.coeff(0)
-            return self._diff_factor
+        if self._diff_factor is None:
+            prec = 8
+            x, y = self.chart(prec)
+            ratio = x.derivative() * series_reciprocal(y)
+            te = self.expand(self.coordinate.base, prec)
+            ratio = ratio * series_reciprocal(te.derivative())
+            if ratio.exact_valuation() != 0:
+                raise ValidationFailed("invariant differential normalisation failed")
+            self._diff_factor = QONE / ratio.coeff(0)
+        return self._diff_factor
 
     def differential(self, f) -> "MeromorphicDifferential":
         return MeromorphicDifferential(self, f)
@@ -770,27 +756,23 @@ class CycCache:
         Degree zero gives the single element 1/t* (every full-class sum
         of torsion points adds to e, so such divisors are principal).
         """
-        deg = divisor.degree
-        if deg < 0:
+        dim = h_dims(divisor)[0]
+        if not dim:
             return []
-        shift = self.t_star(divisor)
-        inv = shift.inverse()
-        if deg == 0:
-            return [inv]
-        return [monomial(self.curve, k) * inv for k in range(deg)]
+        inv = self.t_star(divisor).inverse()
+        return [monomial(self.curve, k) * inv for k in range(dim)]
 
     def coordinate_profile(self, s: int) -> tuple[int, int]:
         """(pole bound of t_e, pole bound of 1/t_e) on the class of order s."""
         if s == 1:
             return (0, 1)
-        with self._lock:
-            if s not in self._coordinate_profile:
-                base = self.coordinate.base
-                lo = self.ord_along(base, s)
-                hi = -self.ord_along(base.inverse(), s)
-                # lo = min valuation, hi = max valuation on the class
-                self._coordinate_profile[s] = (max(0, -lo), max(0, hi))
-            return self._coordinate_profile[s]
+        if s not in self._coordinate_profile:
+            base = self.coordinate.base
+            lo = self.ord_along(base, s)
+            hi = -self.ord_along(base.inverse(), s)
+            # lo = min valuation, hi = max valuation on the class
+            self._coordinate_profile[s] = (max(0, -lo), max(0, hi))
+        return self._coordinate_profile[s]
 
     def validate_coordinate(self) -> dict:
         """Check the coordinate's divisor is torsion-supported up to the
@@ -816,12 +798,11 @@ class CycCache:
     # -- persistence -------------------------------------------------------
 
     def psi_cache_payload(self) -> dict:
-        with self._lock:
-            return {
-                str(n): [f.u.text(), f.v.text(), f.d.text()]
-                for n, f in sorted(self._psi.items())
-                if n >= 1
-            }
+        return {
+            str(n): [f.u.text(), f.v.text(), f.d.text()]
+            for n, f in sorted(self._psi.items())
+            if n >= 1
+        }
 
     def warm(self, upto: int) -> None:
         for n in range(1, upto + 1):
@@ -836,9 +817,7 @@ class CycCache:
             if fresh != elt:
                 raise ValidationFailed(f"cached psi_{n} disagrees with recomputation")
             entries[n] = elt
-        with self._lock:
-            for n, elt in entries.items():
-                self._psi.setdefault(n, elt)
+        self._psi.update(entries)
 
 
 def monomial(curve: WeierstrassCurve, k: int) -> FuncElt:

@@ -23,13 +23,14 @@ from .curvefield import (
     TorsionDivisor,
     WeierstrassCurve,
     exact_order_count,
+    h_dims,
     ladder_frames,
     monomial,
     principal_part,
     residue_along,
 )
 from .errors import CapTooSmall, UnsupportedPoles, ValidationFailed
-from .exactcore import Matrix, Q, QZERO, divisors_of, matrix_rank, qtext
+from .exactcore import Matrix, Q, QZERO, _label, _whole, divisors_of, matrix_rank, qtext
 from .tmodel import (
     ASObject,
     AlmostConstant,
@@ -226,16 +227,13 @@ class _EllipticAssembly:
         self.exp = dict(exp)
         self.caps = dict(caps)
         self.cap_divisor = TorsionDivisor(self.caps)
-        deg = self.cap_divisor.degree
-        self.degree = deg
-        # degree zero still holds the constants (such divisors are principal)
-        self.source_dim = deg if deg >= 1 else 1
+        self.source_dim = h_dims(self.cap_divisor)[0]
         self.blocks = []
         for s in sorted(set(self.exp) | set(self.caps)):
             depth = self.caps.get(s, 0) - self.exp.get(s, 0)
             if depth >= 1:
                 self.blocks.append((s, depth, depth * exact_order_count(s)))
-        self.certified = deg >= 1 and all(
+        self.certified = self.cap_divisor.degree >= 1 and all(
             self.caps.get(s, 0) >= w for s, w in self.exp.items()
         )
         self._shift_inv = None
@@ -665,10 +663,10 @@ class CompletionModule:
     __slots__ = ("cache", "k", "basis", "_expansions")
 
     def __init__(self, cache: CycCache, k: int):
-        if k < 1:
+        if _whole(k, "completion stages") < 1:
             raise ValueError("completion stages start at k = 1")
         self.cache = cache
-        self.k = int(k)
+        self.k = k
         base = cache.coordinate.base
         self.basis = [base ** j for j in range(self.k)]
         # triangular by valuation: base^j starts at t^j with a unit lead
@@ -759,7 +757,7 @@ def local_cohomology(theory: EATheory, pi, a: int = 1) -> LocalCohomology:
     The window at the weight -a on those classes computes it: no kernel,
     and one odd class per point per thickening level.
     """
-    pi = sorted({int(n) for n in pi})
+    pi = sorted({_label(n) for n in pi})
     if not pi or pi[0] < 1:
         raise ValidationFailed("pi must be a nonempty family of positive orders")
     if a < 1:
@@ -785,8 +783,7 @@ def localization_vertex(theory: EATheory, n: int, caps=None,
     """Vertex basis after inverting the Euler classes away from the
     order-n subgroup: sections with poles capped on the classes inside
     the subgroup, twisted into the given differential weight."""
-    n = int(n)
-    if n < 1:
+    if _whole(n, "subgroup orders") < 1:
         raise ValidationFailed("the subgroup order must be positive")
     caps = dict(caps or {})
     allowed = set(divisors_of(n))

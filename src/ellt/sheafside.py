@@ -6,15 +6,16 @@ of a divisor sheaf over such an open form the colimit of Riemann-Roch
 spaces as the poles on the removed classes grow; one `cap` fixes a
 finite stage.  The model side reproduces these stages as kernels of
 suspended windows, and `roundtrip` checks the two agree space for
-space, while `glue_check` runs Mayer-Vietoris on one cover.
+space, both placed in the frame of the window's cap divisor, while
+`glue_check` runs Mayer-Vietoris on one cover.
 """
 
 from __future__ import annotations
 
-from .curvefield import TorsionDivisor, frame_coords, h_dims, ladder_frames
+from .curvefield import TorsionDivisor, h_dims, ladder_frames
 from .eatheory import EATheory, _weights_payload, rep_to_divisor
 from .errors import CapTooSmall, ValidationFailed
-from .exactcore import Matrix, _label, matrix_rank
+from .exactcore import Matrix, _label, _whole, matrix_rank
 from .tmodel import ASObject, AlmostConstant, QWindow, _coerce_weight, suspend
 
 
@@ -80,10 +81,9 @@ class SectionWindow:
     def __init__(self, divisor, open_set, cap, allowed, cache):
         self.divisor = divisor
         self.open_set = open_set
-        self.cap = int(cap)
+        self.cap = cap
         self.allowed = allowed
-        deg = allowed.degree
-        self.dim = 0 if deg < 0 else max(deg, 1)  # len(cache.rr_basis(allowed))
+        self.dim = h_dims(allowed)[0]
         self.cache = cache
         self._basis = None
 
@@ -95,15 +95,21 @@ class SectionWindow:
 
     def frame_rows(self, target) -> list[tuple]:
         """Coordinate rows of the basis inside H^0(O(target)), for a target
-        at least `allowed` on every class >= 2.
+        at least `allowed` on every class.
 
         Row k is m_k * t*(target - allowed), a pure element, so no inverse
-        and no gcd is needed; a target that does not dominate leaves a
-        denominator, and `ladder_frames` refuses it.
+        and no gcd is needed.  A target below `allowed` on some class does
+        not contain the space, and is refused.
         """
-        shift = self.cache.t_star(target - self.allowed)
+        gap = target - self.allowed
+        if not gap.is_effective():
+            raise ValidationFailed(
+                f"frame of {target!r} does not contain the sections of "
+                f"{self.allowed!r}"
+            )
+        shift = self.cache.t_star(gap)
         return [tuple(vec) for vec in
-                ladder_frames(shift, self.dim, max(target.degree, 1))]
+                ladder_frames(shift, self.dim, h_dims(target)[0])]
 
     def report(self) -> dict:
         return {
@@ -125,7 +131,7 @@ def sections(cache, divisor, open_set: OpenSet, cap: int = 0) -> SectionWindow:
     """Sections of O(D) over the open set, with poles on the removed
     classes capped at `cap`: the Riemann-Roch space of the fattened
     divisor."""
-    if cap < 0:
+    if _whole(cap, "pole caps") < 0:
         raise ValidationFailed("the pole cap is nonnegative")
     divisor = _as_divisor(divisor)
     allowed = divisor + TorsionDivisor(open_set.indicator(cap))
@@ -138,7 +144,9 @@ def ma_eval(x: ASObject, open_set: OpenSet, cap: int = 0, caps=None) -> QWindow:
     Sections over the complement of some classes are maps out of the
     zero sphere after letting poles grow there, so this is the certified
     q-window of the object suspended by cap on every removed class, read
-    through its kernel (`hom_dim`, `kernel_element`).  The naive
+    through its kernel: `hom_dim`, and the kernel vectors, which are
+    coordinates in the basis m_k / t*(E) of H^0(O(E)) for the window's
+    cap divisor E (`ctx.cap_divisor`).  The naive
     alternative of dropping matrix rows is wrong as soon as a weight is
     negative; suspension keeps kernel and certificate honest.
     """
@@ -171,11 +179,16 @@ def sa_build(theory: EATheory, divisor) -> ASObject:
     return ASObject(theory.backend, AlmostConstant(0, coeffs), name=name)
 
 
-def _span_rows(cache, allowed, elements) -> list[tuple]:
-    """Coordinate rows of the elements inside H^0(O(allowed))."""
-    dim = max(allowed.degree, 1)
-    shift = cache.t_star(allowed)
-    return [tuple(frame_coords(g * shift, dim)) for g in elements]
+def _span_rows(hom: QWindow, sec: SectionWindow) -> list[tuple]:
+    """The model kernel and the section basis as rows in one frame.
+
+    Kernel vectors already are coordinates in H^0(O(E)) for the cap
+    divisor E of the window, and the section space is placed there by
+    t* products, so the two spaces agree exactly when these rows have
+    rank `sec.dim`.  E must dominate `sec.allowed`; otherwise
+    `frame_rows` raises ValidationFailed.
+    """
+    return list(hom.kernel) + sec.frame_rows(hom.ctx.cap_divisor)
 
 
 def glue_check(cache, divisor, left: OpenSet, right: OpenSet,
@@ -262,9 +275,7 @@ def roundtrip(theory: EATheory, weights, opens=None, caps=(0, 1, 2, 3)) -> dict:
                     f"cap {cap}, sections give {sec.dim}"
                 )
             if sec.dim:
-                elements = [hom.kernel_element(k) for k in range(hom.hom_dim)]
-                span = (_span_rows(cache, sec.allowed, elements)
-                        + sec.frame_rows(sec.allowed))
+                span = _span_rows(hom, sec)
                 if matrix_rank(Matrix(tuple(span))) != sec.dim:
                     raise ValidationFailed(
                         f"model and sheaf sections over {piece.text()} at cap "

@@ -298,6 +298,15 @@ def _malformed_input_cases():
         "sections-cap": ("sections", {"divisor": {}, "pi": [1], "cap": 11}),
         "glue-cap": ("glue", {"divisor": {}, "left": [1], "right": [2], "cap": 11}),
         "roundtrip-cap": ("roundtrip", {"W": {"1": 1}, "caps": [11]}),
+        # completion stage above 16, products above 140, a coeff span above
+        # 100000 and a serre divisor of degree above 6
+        "completion-k": ("completion", {"k": 17}),
+        "kmodel-products": ("kmodel", {"group": "additive", "products_upto": 141}),
+        "coeff-span": ("coeff", {"d_min": 0, "d_max": 100_001}),
+        "coeff-negative-span": ("coeff", {"d_min": -100_000, "d_max": 1}),
+        "serre-degree": ("serre", {"divisor": {"1": 7}}),
+        "serre-class-degree": ("serre", {"divisor": {"8": 1}}),
+        "serre-mixed-degree": ("serre", {"divisor": {"1": 1, "2": 2}}),
     }
     for name, (command, params) in above_ceiling.items():
         config = {"params": params} if command == "kmodel" else {**E1, "params": params}
@@ -326,6 +335,15 @@ def test_ceilings_are_inclusive(tmp_path, capsys):
     assert rep["ok"] is True
     rep = run_json(tmp_path, capsys, "localcoh", {**E1, "params": {"pi": [8]}})
     assert rep["dim"] == 64  # |A[8]|
+    rep = run_json(tmp_path, capsys, "completion", {**E1, "params": {"k": 16}})
+    assert rep["dim"] == 16
+    rep = run_json(tmp_path, capsys, "kmodel",
+                   {"params": {"group": "additive", "products_upto": 140}})
+    assert rep["products_ok_upto"] == 140
+    rep = run_json(tmp_path, capsys, "coeff", {**E1, "params": {"d_min": -5, "d_max": 99_995}})
+    assert len(rep["rows"]) == 100_001
+    rep = run_json(tmp_path, capsys, "serre", {**E1, "params": {"divisor": {"2": 2}}})
+    assert rep["dim"] == rep["rank"] == 6
 
 
 class TestCacheAdmin:

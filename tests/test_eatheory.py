@@ -47,6 +47,18 @@ def e2():
     return build_ea((0, 1))  # y^2 = x^3 + 1
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda ea: local_cohomology(ea, [2.7]), id="local-cohomology-pi"),
+    pytest.param(lambda ea: localization_vertex(ea, 2.9, {1: 2}), id="localization-order"),
+    pytest.param(lambda ea: completion(ea, 2.5), id="completion-stage"),
+    pytest.param(lambda ea: sections(ea.cache, {}, OpenSet(), 1.5), id="sections-cap"),
+])
+def test_non_integer_arguments_are_refused(e1, call):
+    # int() would truncate each of these to the integer below it
+    with pytest.raises(TypeError):
+        call(e1)
+
+
 def _mat_pow(m, n):
     out = m
     for _ in range(n - 1):

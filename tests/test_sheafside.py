@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ellt.curvefield
-from ellt.curvefield import CycCache, TorsionDivisor
-from ellt.eatheory import build_ea
+from ellt.curvefield import CycCache, TorsionDivisor, frame_coords
+from ellt.eatheory import build_ea, rep_to_divisor
 from ellt.errors import CapTooSmall, ValidationFailed
 from ellt.exactcore import Matrix, matrix_rank
 from ellt.sheafside import (
@@ -19,10 +19,17 @@ from ellt.sheafside import (
     sa_build,
     sections,
 )
-from ellt.tmodel import dim_fn, suspend
+from ellt.tmodel import QWindow, dim_fn, suspend
 
 EA = build_ea((-1, 0))
 CACHE = EA.cache
+EA2 = build_ea((0, 1))
+
+
+def _frame_of(allowed, elements, cache=CACHE):
+    """Reference rows of canonical elements inside H^0(O(allowed))."""
+    dim, shift = max(allowed.degree, 1), cache.t_star(allowed)
+    return [tuple(frame_coords(g * shift, dim)) for g in elements]
 
 U_ALL = OpenSet()
 U_E = OpenSet({1})
@@ -100,13 +107,13 @@ class TestSections:
     def test_nested_under_cap_increase(self):
         small = sections(CACHE, {2: 1}, U_E, 1)
         big = sections(CACHE, {2: 1}, U_E, 3)
-        rows = _span_rows(CACHE, big.allowed, small.basis + big.basis)
+        rows = _frame_of(big.allowed, small.basis + big.basis)
         assert matrix_rank(Matrix(tuple(rows))) == big.dim
 
     def test_nested_under_restriction(self):
         outer = sections(CACHE, {1: 1}, OpenSet({2}), 2)
         inner = sections(CACHE, {1: 1}, OpenSet({2, 3}), 2)
-        rows = _span_rows(CACHE, inner.allowed, outer.basis + inner.basis)
+        rows = _frame_of(inner.allowed, outer.basis + inner.basis)
         assert matrix_rank(Matrix(tuple(rows))) == inner.dim
 
     def test_divisor_object_accepted(self):
@@ -114,9 +121,10 @@ class TestSections:
         assert sections(CACHE, d, U_ALL, 0).dim == 2
 
     def test_frame_rows_refuse_a_target_that_does_not_dominate(self):
-        w = sections(CACHE, {2: 1}, U_ALL, 0)
-        with pytest.raises(ValueError):
-            w.frame_rows(TorsionDivisor({1: 6}))
+        w = sections(CACHE, {1: 2, 2: 1}, U_ALL, 0)
+        for target in ({1: 6}, {1: 1, 2: 2}):  # below on class 2, then class 1
+            with pytest.raises(ValidationFailed):
+                w.frame_rows(TorsionDivisor(target))
 
 
 CLASSES = st.integers(min_value=1, max_value=4)
@@ -124,7 +132,7 @@ CLASSES = st.integers(min_value=1, max_value=4)
 
 class TestSymbolicSections:
     """The symbolic section space against the canonical Riemann-Roch path
-    it replaces: `CycCache.rr_basis` read through `_span_rows`."""
+    it replaces: `CycCache.rr_basis` read through `_frame_of`."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -141,7 +149,7 @@ class TestSymbolicSections:
         assert window.dim == len(reference)
         assert window.basis == reference
         target = window.allowed + TorsionDivisor(extra)
-        assert window.frame_rows(target) == _span_rows(CACHE, target, reference)
+        assert window.frame_rows(target) == _frame_of(target, reference)
 
     @settings(max_examples=30, deadline=None)
     @given(coeffs=st.dictionaries(CLASSES, st.integers(min_value=-2, max_value=3), max_size=3))
@@ -195,8 +203,8 @@ class TestMaEval:
         assert h.hom_dim == 4
         # the kernel spans the Riemann-Roch space of (e) + A<2>
         target = sections(CACHE, {1: 1, 2: 1}, U_ALL, 0)
-        rows = _span_rows(
-            CACHE, target.allowed,
+        rows = _frame_of(
+            target.allowed,
             [h.kernel_element(k) for k in range(h.hom_dim)] + target.basis,
         )
         assert matrix_rank(Matrix(tuple(rows))) == 4
@@ -205,8 +213,8 @@ class TestMaEval:
         h = ma_eval(EA.base_object, U_E, 2)
         s = sections(CACHE, {}, U_E, 2)
         assert h.hom_dim == s.dim == 2
-        rows = _span_rows(
-            CACHE, s.allowed, [h.kernel_element(k) for k in range(h.hom_dim)] + s.basis
+        rows = _frame_of(
+            s.allowed, [h.kernel_element(k) for k in range(h.hom_dim)] + s.basis
         )
         assert matrix_rank(Matrix(tuple(rows))) == 2
 
@@ -231,6 +239,62 @@ class TestMaEval:
         obj = suspend(EA.base_object, dim_fn({2: 1}))
         h = ma_eval(obj, OpenSet({2}), 1, caps={1: 1, 2: 1})
         assert h.hom_dim == sections(CACHE, {1: 1, 2: 1}, OpenSet({2}), 1).dim == 7
+
+
+class TestSpanRows:
+    """The vertex-frame span check of `roundtrip` against the path it
+    replaces: kernel elements times t*(allowed), read by `frame_coords`,
+    beside the section basis in its own frame."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        theory=st.sampled_from((EA, EA2)),
+        weights=st.dictionaries(CLASSES, st.integers(min_value=-2, max_value=2), max_size=2),
+        pi=st.sets(CLASSES, max_size=2),
+        cap=st.integers(min_value=0, max_value=3),
+    )
+    @example(theory=EA, weights={1: -1}, pi={1}, cap=3)
+    @example(theory=EA2, weights={2: 1, 3: -1}, pi={2}, cap=1)
+    def test_rank_matches_the_canonical_path(self, theory, weights, pi, cap):
+        divisor = rep_to_divisor(weights)
+        piece = OpenSet(pi)
+        hom = ma_eval(sa_build(theory, divisor), piece, cap)
+        sec = sections(theory.cache, divisor, piece, cap)
+        assert hom.hom_dim == sec.dim
+        if not sec.dim:
+            return
+        rank = matrix_rank(Matrix(tuple(_span_rows(hom, sec))))
+        elements = [hom.kernel_element(k) for k in range(hom.hom_dim)]
+        reference = (_frame_of(sec.allowed, elements, theory.cache)
+                     + sec.frame_rows(sec.allowed))
+        assert rank == matrix_rank(Matrix(tuple(reference))) == sec.dim
+
+    def test_equal_dimensions_in_different_places_are_told_apart(self):
+        # O(e + A<2>) and O(4e) both have four sections, but only the
+        # constants are shared: E = 4e + A<2> holds 7 of the 8 rows
+        hom = ma_eval(sa_build(EA, {1: 1, 2: 1}), U_ALL, 0, caps={1: 4, 2: 1})
+        sec = sections(CACHE, {1: 4}, U_ALL, 0)
+        assert hom.hom_dim == sec.dim == 4
+        assert matrix_rank(Matrix(tuple(_span_rows(hom, sec)))) == 7
+
+    @pytest.mark.parametrize("coeffs", [{2: 1}, {1: 3}])
+    def test_cap_divisor_must_dominate_the_sections(self, coeffs):
+        hom = ma_eval(EA.base_object, U_ALL, 0)  # cap divisor (e)
+        with pytest.raises(ValidationFailed):
+            _span_rows(hom, sections(CACHE, coeffs, U_ALL, 0))
+
+    def test_warm_roundtrip_builds_no_kernel_element(self, monkeypatch):
+        roundtrip(EA, {1: 1, 2: 1})
+        calls = []
+        original = QWindow.kernel_element
+
+        def counted(self, k):
+            calls.append(k)
+            return original(self, k)
+
+        monkeypatch.setattr(QWindow, "kernel_element", counted)
+        assert roundtrip(EA, {1: 1, 2: 1})["ok"]
+        assert calls == []
 
 
 class TestSaBuild:
