@@ -18,7 +18,7 @@ and one residue window per cyclotomic factor of positive degree.
 from __future__ import annotations
 
 from .errors import ValidationFailed
-from .exactcore import Matrix, Poly, Q, QONE, divisors_of, poly_gcd, poly_inverse_mod
+from .exactcore import Poly, Q, QONE, divisors_of, poly_gcd, poly_inverse_mod
 from .tmodel import Representation
 
 MULTIPLICATIVE = "multiplicative"
@@ -295,7 +295,7 @@ class _AffineAssembly:
     def source_element(self, k: int) -> LaurentFn:
         return LaurentFn(Poly.x_power(k), self.denominator)
 
-    def block_matrix(self, s: int) -> Matrix:
+    def block_matrix(self, s: int) -> tuple[tuple, ...]:
         depth = self._depth[s]
         modulus = self.group.phi(s).pow(depth)
         other = _ONE
@@ -309,7 +309,7 @@ class _AffineAssembly:
         for j in range(self.source_dim):
             residue = (Poly.x_power(j) * inv_other) % modulus
             columns.append([residue.coeff(i) for i in range(rows)])
-        return Matrix(tuple(zip(*columns)))
+        return tuple(zip(*columns))
 
     def torsion_rep(self, s: int, i: int) -> LaurentFn:
         # honest representative, untwisted back by phi^w: pole depth cap(s)

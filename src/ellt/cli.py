@@ -21,6 +21,7 @@ from .affinegroups import AffineGroup, affine_sphere_module
 from .curvefield import Coordinate, CycCache, TorsionDivisor, WeierstrassCurve
 from .eatheory import (
     EATheory,
+    EllipticGroupData,
     coefficient_ring,
     completion,
     local_cohomology,
@@ -31,6 +32,7 @@ from .eatheory import (
 from .errors import CapTooSmall, EllTError
 from .exactcore import Q, divisors_of, parse_poly, qtext
 from .sheafside import DEFAULT_OPENS, OpenSet, glue_check, roundtrip, sections
+from .tmodel import _coerce_weight
 
 
 class ConfigError(Exception):
@@ -70,11 +72,13 @@ def _integer(value, where: str, minimum: int | None = None,
     return value
 
 
-# largest class label, `cap` or `caps` value, completion stage `k`,
-# `products_upto`, `coeff` span and `serre` divisor degree a request may
-# name: past them one small config can run for minutes (README.md)
+# largest class label, `cap` or `caps` value, cap divisor degree,
+# completion stage `k`, `products_upto`, `coeff` span and `serre` divisor
+# degree a request may name: past them one small config can run for
+# minutes (README.md)
 CLASS_CEILING = 8
 CAP_CEILING = 10
+CAP_DEGREE_CEILING = 73
 STAGE_CEILING = 16
 PRODUCTS_CEILING = 140
 SPAN_CEILING = 100_000
@@ -96,6 +100,19 @@ def _weight_dict(value, where: str, minimum: int | None = None,
         _integer(s, f"{where} class label", maximum=CLASS_CEILING)
         out[s] = _integer(count, f"{where}[{key}]", minimum, maximum)
     return out
+
+
+def _caps(params: dict, default: dict | None = None) -> dict | None:
+    """params.caps, or else `default`, refused when the cap divisor they
+    make has a degree above CAP_DEGREE_CEILING."""
+    where, caps = "params.W default caps", default
+    if "caps" in params:
+        where = "params.caps"
+        caps = _weight_dict(params["caps"], where, 0, CAP_CEILING)
+    if caps is not None:
+        _integer(TorsionDivisor(caps).degree, f"{where} cap divisor degree",
+                 maximum=CAP_DEGREE_CEILING)
+    return caps
 
 
 def _class_list(value, where: str, minimum: int = 1,
@@ -284,9 +301,9 @@ def _run_dims(config: JobConfig, cache_path) -> dict:
     variance = config.params.get("variance", "homology")
     if variance not in ("homology", "cohomology"):
         raise ConfigError("params.variance must be homology or cohomology")
-    caps = None
-    if "caps" in config.params:
-        caps = _weight_dict(config.params["caps"], "params.caps", 0, CAP_CEILING)
+    weight = _coerce_weight(weights)
+    exp = (weight if variance == "homology" else -weight).exponent_map()
+    caps = _caps(config.params, EllipticGroupData.default_caps(exp))
     theory = _make_theory(config, cache_path)
     run = sphere_homology if variance == "homology" else sphere_cohomology
     hom = run(theory, weights, caps=caps)
@@ -322,9 +339,7 @@ def _run_coeff(config: JobConfig, cache_path) -> dict:
     d_min = _integer(config.params.get("d_min", -4), "params.d_min")
     d_max = _integer(config.params.get("d_max", 4), "params.d_max")
     _integer(d_max - d_min, "params.d_max - params.d_min", maximum=SPAN_CEILING)
-    caps = None
-    if "caps" in config.params:
-        caps = _weight_dict(config.params["caps"], "params.caps", 0, CAP_CEILING)
+    caps = _caps(config.params)
     theory = _make_theory(config, cache_path)
     rows = coefficient_ring(theory, d_min, d_max, caps=caps)
     return {**_echo(config, theory), "d_min": d_min, "d_max": d_max, "rows": rows}
@@ -433,9 +448,7 @@ def _run_serre(config: JobConfig, cache_path) -> dict:
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
     _integer(TorsionDivisor(coeffs).degree, "params.divisor degree",
              maximum=DEGREE_CEILING)
-    caps = None
-    if "caps" in config.params:
-        caps = _weight_dict(config.params["caps"], "params.caps", 0, CAP_CEILING)
+    caps = _caps(config.params)
     theory = _make_theory(config, cache_path)
     pairing = serre_pairing(theory, coeffs, caps=caps)
     return {

@@ -189,8 +189,10 @@ class EllipticGroupData:
         self.touched = tuple(report["classes"])
         self.profile = dict(report["profile"])
         self._windows: dict = {}
+        self._base_powers: dict = {}
 
-    def default_caps(self, exp: dict) -> dict:
+    @staticmethod
+    def default_caps(exp: dict) -> dict:
         caps = {s: w for s, w in exp.items() if w > 0}
         if not caps:
             # a degree-zero vertex would lose the constants; one pole at
@@ -206,6 +208,14 @@ class EllipticGroupData:
             win = QuotientWindow(self.cache, s, depth, others, base)
             self._windows[key] = win
         return win
+
+    def base_power(self, w: int) -> FuncElt:
+        """coordinate.base ** w, memoised per w: it depends on nothing else,
+        and every assembly twisting class 1 by w needs it."""
+        power = self._base_powers.get(w)
+        if power is None:
+            power = self._base_powers[w] = self.cache.coordinate.base ** w
+        return power
 
     def setup(self, exp: dict, caps: dict) -> "_EllipticAssembly":
         return _EllipticAssembly(self, exp, caps)
@@ -289,16 +299,16 @@ class _EllipticAssembly:
                 for r, c in win.divisor.coeffs.items() if r >= 2}
         out = cache.t_star(TorsionDivisor(exps))
         if s == 1 and w:
-            out = cache.coordinate.base ** w * out
+            out = self.backend.base_power(w) * out
         if not out.is_pure():
             raise ValidationFailed("block multiplier must have poles only at e")
         return out
 
-    def block_matrix(self, s: int) -> Matrix:
+    def block_matrix(self, s: int) -> tuple[tuple, ...]:
         win, mult = self._block(s)
         columns = [win.coords_of_frame(vec)
                    for vec in ladder_frames(mult, self.source_dim, win.frame_dim)]
-        return Matrix(tuple(zip(*columns)))
+        return tuple(zip(*columns))
 
     def torsion_rep(self, s: int, i: int) -> FuncElt:
         """Representative of the i-th window class pulled back through the
@@ -309,7 +319,7 @@ class _EllipticAssembly:
         if not w:
             return rep
         if s == 1:
-            return rep * self.cache.coordinate.base ** (-w)
+            return rep * self.backend.base_power(-w)
         return rep * self.cache.t(s) ** (-w)
 
 

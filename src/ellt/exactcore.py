@@ -1,5 +1,5 @@
-"""Exact rational arithmetic: scalars, dense polynomials, dense matrices,
-and truncated Laurent series.
+"""Exact rational arithmetic: scalars, dense polynomials, matrices with
+their fraction-free elimination, and truncated Laurent series.
 
 Every object here is immutable and every operation is exact over Q.
 There are deliberately no floats, no FFT multiplication and no sparse
@@ -7,6 +7,8 @@ formats; sizes stay at desk scale and predictability wins.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .errors import PrecisionExhausted, ZeroSeries
 
@@ -377,88 +379,106 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _rref(rows: list[list], cols: int) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _matrix_rows(matrix) -> tuple[tuple, int]:
+    """(rows, column count) of a Matrix, or of a sequence of equal-length
+    rational rows, which internal callers pass without building a Matrix."""
+    if isinstance(matrix, Matrix):
+        return matrix.entries, matrix.cols
+    cols = len(matrix[0]) if matrix else 0
+    if any(len(row) != cols for row in matrix):
+        raise ValueError("ragged matrix")
+    return matrix, cols
+
+
+def _echelon(rows, cols: int, reduced: bool) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free elimination: (pivot rows, pivot columns).
+
+    Each rational row is scaled by the lcm of its denominators to a
+    primitive integer row (zero rows drop out), and every update
+    p * row - a * pivot_row is divided by its content at once, so the
+    elimination runs on small Python ints and never divides by a pivot
+    (the fraction-free idea of Bareiss, Math. Comp. 22, 1968).  With
+    `reduced` each pivot column is also cleared above its pivot, so pivot
+    row r divided by its pivot entry is row r of the reduced echelon
+    form; without it only rows below are cleared, which is enough for
+    the rank and the pivot columns.
+    """
+    work = []
+    for row in rows:
+        den = lcm(*[e.denominator for e in row])
+        if den == 1:
+            ints = [e.numerator for e in row]
+        else:
+            ints = [e.numerator * (den // e.denominator) for e in row]
+        g = gcd(*ints)
+        if g:
+            work.append([a // g for a in ints] if g != 1 else ints)
+    n = len(work)
     pivots = []
-    r = 0
-    nrows = len(rows)
     for c in range(cols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = QONE / rows[r][c]
-        if inv != 1:
-            rows[r] = [e * inv for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        r = len(pivots)
+        if r == n:
             break
-    return rows, pivots
+        for i in range(r, n):
+            if work[i][c]:
+                break
+        else:
+            continue
+        prow = work[i]
+        work[i], work[r] = work[r], prow
+        p = prow[c]
+        for i in range(0 if reduced else r + 1, n):
+            a = work[i][c]
+            if a and i != r:
+                g = gcd(p, a)
+                f, a = p // g, a // g
+                row = [f * x - a * y for x, y in zip(work[i], prow)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return work[: len(pivots)], pivots
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    rows = [list(row) for row in matrix.entries]
-    rows, pivots = _rref(rows, matrix.cols)
-    return Matrix(rows) if rows else matrix, pivots
+    """Reduced row echelon form and pivot columns; zero rows stay at the
+    bottom, so the shape is the input's."""
+    rows, cols = _matrix_rows(matrix)
+    pivot_rows, pivots = _echelon(rows, cols, reduced=True)
+    out = [[Q(x, row[pc]) if x else QZERO for x in row]
+           for row, pc in zip(pivot_rows, pivots)]
+    out += [(QZERO,) * cols] * (len(rows) - len(pivots))
+    return Matrix(out), pivots
 
 
-def matrix_rank(matrix: Matrix) -> int:
-    """Rank by forward Gaussian elimination (no back-substitution)."""
-    rows = [list(row) for row in matrix.entries]
-    cols = matrix.cols
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = QONE / prow[c]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][c] != 0:
-                factor = rows[i][c] * inv
-                row = rows[i]
-                for j in range(c, cols):
-                    if prow[j] != 0:
-                        row[j] -= factor * prow[j]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def matrix_rank(matrix) -> int:
+    """Rank of a Matrix or of a sequence of rational rows, by forward
+    elimination only."""
+    rows, cols = _matrix_rows(matrix)
+    return len(_echelon(rows, cols, reduced=False)[1])
 
 
-def kernel_and_image(matrix: Matrix) -> tuple[list[tuple], int]:
-    """Exact kernel basis and rank of a matrix over Q.
+def kernel_and_image(matrix) -> tuple[list[tuple], int]:
+    """Exact kernel basis and rank of a Matrix, or of a non-empty sequence
+    of rational rows, over Q.
 
     The kernel vectors come from the reduced row echelon form, one per
     free column, so the answer is deterministic.  rank + len(kernel)
     always equals the column count.
     """
-    reduced, pivots = rref(matrix)
-    rank = len(pivots)
-    cols = matrix.cols
-    free = [c for c in range(cols) if c not in pivots]
+    rows, cols = _matrix_rows(matrix)
+    pivot_rows, pivots = _echelon(rows, cols, reduced=True)
+    pivot_set = set(pivots)
     kernel = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
         vec = [QZERO] * cols
         vec[fc] = QONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced.entries[r][fc]
+        for row, pc in zip(pivot_rows, pivots):
+            if row[fc]:
+                vec[pc] = Q(-row[fc], row[pc])
         kernel.append(tuple(vec))
-    return kernel, rank
+    return kernel, len(pivots)
 
 
 # ---------------------------------------------------------------------------

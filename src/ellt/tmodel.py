@@ -13,17 +13,19 @@ contract is spelled out on `QWindow`.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import CapTooSmall
 from .exactcore import (
     Matrix,
     QONE,
     QZERO,
+    _echelon,
     _label,
     _whole,
     divisors_of,
     kernel_and_image,
     matrix_rank,
-    rref,
 )
 
 
@@ -298,7 +300,8 @@ class QWindow:
       setup(exp, caps)       -> assembly context with
           source_dim, source_element(k),
           blocks: ordered (s, depth, rows) triples,
-          block_matrix(s)    -> Matrix of shape rows x source_dim,
+          block_matrix(s)    -> tuple of `rows` row tuples of length
+                                source_dim, entries rational,
           torsion_rep(s, i),
           certified: bool
 
@@ -328,23 +331,28 @@ class QWindow:
             entries = []
             for s, depth, rows, _ in self.blocks:
                 block = ctx.block_matrix(s)
-                if block.rows != rows or block.cols != self.source_dim:
+                if len(block) != rows or any(len(row) != self.source_dim for row in block):
                     raise ValueError(f"backend block at class {s} has wrong shape")
-                entries.extend(block.entries)
-            self.matrix = Matrix(entries)
-            self.kernel, self.rank = kernel_and_image(self.matrix)
+                entries.extend(block)
+            self.rows = tuple(entries)
+            self.kernel, self.rank = kernel_and_image(self.rows)
         else:
             # no conditions at all: everything in the vertex is a cycle
-            self.matrix = None
+            self.rows = ()
             self.rank = 0
-            self.kernel = [
-                tuple(QONE if j == k else QZERO for j in range(self.source_dim))
-                for k in range(self.source_dim)
-            ]
+            n = self.source_dim
+            self.kernel = [(QZERO,) * k + (QONE,) + (QZERO,) * (n - k - 1)
+                           for k in range(n)]
         self.hom_dim = len(self.kernel)
         self.ext_dim = self.total_rows - self.rank
         self.certified = bool(ctx.certified)
         self._uncovered = None
+
+    @cached_property
+    def matrix(self) -> Matrix | None:
+        """The stacked structure map as a public Matrix, built on first
+        read; None when the window has no conditions."""
+        return Matrix(self.rows) if self.rows else None
 
     def block_rows(self, s: int) -> tuple[int, int]:
         for cls, _, rows, offset in self.blocks:
@@ -357,22 +365,20 @@ class QWindow:
         offset, rows = self.block_rows(s)
         if rows == 0:
             return True
-        sub = Matrix(self.matrix.entries[offset : offset + rows])
-        return matrix_rank(sub) == rows
+        return matrix_rank(self.rows[offset : offset + rows]) == rows
 
     def uncovered_rows(self) -> list[int]:
         """Rows outside the image; their unit vectors present the cokernel.
 
-        Computed from the pivot rows of the column space: the reduced
-        echelon form of the transpose marks which coordinates the image
-        covers, and the complement splits off as a cokernel basis.
+        Computed from the pivot rows of the column space: the echelon
+        form of the transpose marks which coordinates the image covers,
+        and the complement splits off as a cokernel basis.
         """
         if self._uncovered is None:
-            if self.matrix is None or self.rank == 0:
-                covered = []
-            else:
-                _, covered = rref(self.matrix.transpose())
-            covered = set(covered)
+            covered = set()
+            if self.rank:
+                covered.update(_echelon(tuple(zip(*self.rows)), self.total_rows,
+                                        reduced=False)[1])
             self._uncovered = [r for r in range(self.total_rows) if r not in covered]
         return self._uncovered
 

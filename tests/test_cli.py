@@ -307,6 +307,13 @@ def _malformed_input_cases():
         "serre-degree": ("serre", {"divisor": {"1": 7}}),
         "serre-class-degree": ("serre", {"divisor": {"8": 1}}),
         "serre-mixed-degree": ("serre", {"divisor": {"1": 1, "2": 2}}),
+        # cap divisors of degree above 73, explicit or the default caps of W
+        "dims-cap-degree": ("dims", {"W": {"1": 1}, "caps": {"1": 2, "8": 1, "6": 1}}),
+        "dims-default-cap-degree": ("dims", {"W": {"8": 1, "7": 1}}),
+        "dims-cohomology-cap-degree": ("dims", {"W": {"8": -1, "7": -1},
+                                                "variance": "cohomology"}),
+        "coeff-cap-degree": ("coeff", {"caps": {"1": 2, "8": 1, "6": 1}}),
+        "serre-cap-degree": ("serre", {"divisor": {"1": 1}, "caps": {"1": 1, "8": 10}}),
     }
     for name, (command, params) in above_ceiling.items():
         config = {"params": params} if command == "kmodel" else {**E1, "params": params}
@@ -344,6 +351,10 @@ def test_ceilings_are_inclusive(tmp_path, capsys):
     assert len(rep["rows"]) == 100_001
     rep = run_json(tmp_path, capsys, "serre", {**E1, "params": {"divisor": {"2": 2}}})
     assert rep["dim"] == rep["rank"] == 6
+    caps = {"1": 1, "8": 1, "6": 1}  # cap divisor degree 1 + 48 + 24 = 73
+    rep = run_json(tmp_path, capsys, "dims",
+                   {"curve": {"a": "0", "b": "1"}, "params": {"W": {"1": 1}, "caps": caps}})
+    assert rep["certified_caps"] == caps
 
 
 class TestCacheAdmin:

@@ -560,7 +560,7 @@ class TestFrameAssembly:
                 win.coords_of_frame(frame_coords(monomial(curve, k) * mult, win.frame_dim))
                 for k in range(ctx.source_dim)
             ]
-            assert ctx.block_matrix(s) == Matrix(tuple(zip(*columns)))
+            assert ctx.block_matrix(s) == Matrix(tuple(zip(*columns))).entries
 
     def test_warm_assembly_makes_no_function_field_products(self, monkeypatch):
         theory = build_ea((-1, 0), check=False)
@@ -578,6 +578,25 @@ class TestFrameAssembly:
             return original(self, other)
 
         monkeypatch.setattr(FuncElt, "__mul__", counted)
-        assert all(ctx.block_matrix(s).rows == rows for s, _, rows in ctx.blocks)
+        assert all(len(ctx.block_matrix(s)) == rows for s, _, rows in ctx.blocks)
         assert len(ctx.blocks) == 4 and products == []
         assert len(section.frame_rows(target)) == section.dim and products == []
+
+    def test_warm_window_builds_no_public_matrix(self, monkeypatch):
+        theory = build_ea((-1, 0), check=False)
+        weights, caps = {1: 1, 2: -1, 3: 1}, {1: 2, 2: 1, 3: 2, 4: 1}
+        theory.window(weights, caps)  # window memo and t* warm
+        built = []
+        original = Matrix.__init__
+
+        def counted(self, entries):
+            built.append(1)
+            original(self, entries)
+
+        monkeypatch.setattr(Matrix, "__init__", counted)
+        win = theory.window(weights, caps)
+        surjective = [win.block_surjective(s) for s, *_ in win.blocks]
+        uncovered = win.uncovered_rows()
+        assert built == [] and len(surjective) == 4 and len(uncovered) == win.ext_dim
+        assert win.matrix.rows == win.total_rows and built == [1]  # public, on demand
+        assert win.matrix is win.matrix and built == [1]

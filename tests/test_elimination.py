@@ -1,0 +1,140 @@
+"""The fraction-free elimination core against textbook Gauss-Jordan on
+Fractions, directly and through the window kernels, ranks and cokernels
+built on it."""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellt.curvefield import Coordinate, WeierstrassCurve
+from ellt.eatheory import build_ea
+from ellt.exactcore import Matrix, Q, _echelon, kernel_and_image, matrix_rank, rref
+
+
+def reference_rref(rows, cols):
+    """Gauss-Jordan on Fractions: (reduced rows, pivot columns)."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        lead = rows[r][c]
+        rows[r] = [e / lead for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def reference_kernel(rows, cols):
+    """One kernel vector per free column, read off the reduced form."""
+    reduced, pivots = reference_rref(rows, cols)
+    kernel = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        kernel.append(tuple(vec))
+    return kernel, len(pivots)
+
+
+_entry = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+)
+
+
+@st.composite
+def rational_rows(draw):
+    """Rows of one length with zero rows, zero columns, duplicate rows,
+    negative entries and huge numerators and denominators.  A matrix with
+    no rows has no columns in either input form, so 0 x n is 0 x 0."""
+    nrows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = [[Q(draw(_entry)) for _ in range(cols)] for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    list(rows[draw(st.integers(0, len(rows) - 1))]))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Q(0)] * cols)
+    if cols and draw(st.booleans()):
+        zero = draw(st.integers(0, cols - 1))
+        for row in rows:
+            row[zero] = Q(0)
+    return [tuple(row) for row in rows], cols if rows else 0
+
+
+class TestIntegerCore:
+    @settings(max_examples=300, deadline=None)
+    @given(rational_rows())
+    def test_public_functions_match_the_fraction_reference(self, data):
+        rows, cols = data
+        kernel, rank = reference_kernel(rows, cols)
+        reduced, pivots = reference_rref(rows, cols)
+        matrix = Matrix(rows)
+        for form in (matrix, tuple(rows)):
+            assert kernel_and_image(form) == (kernel, rank)
+            assert matrix_rank(form) == rank
+        assert rref(matrix) == (Matrix(reduced), pivots)
+        assert all(type(e) is Q for vec in kernel_and_image(matrix)[0] for e in vec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_rows(), st.booleans())
+    def test_pivot_rows_stay_primitive_integer_rows(self, data, reduced):
+        rows, cols = data
+        pivot_rows, pivots = _echelon(rows, cols, reduced)
+        assert pivots == reference_rref(rows, cols)[1]
+        for row in pivot_rows:
+            assert all(type(x) is int for x in row) and gcd(*row) == 1
+
+    def test_ragged_rows_are_refused(self):
+        with pytest.raises(ValueError):
+            matrix_rank(((Q(1), Q(2)), (Q(3),)))
+
+
+@pytest.fixture(scope="module")
+def theories():
+    scaled = WeierstrassCurve(-1, 0)
+    return {
+        "e1": build_ea((-1, 0), check=False),
+        "e2": build_ea((0, 1), check=False),
+        "scaled": build_ea(scaled, Coordinate(scaled, scale=Q(2)), check=False),
+    }
+
+
+class TestWindowElimination:
+    """Window kernels, ranks and cokernels against the reference applied
+    to the public matrix of the same window."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["e1", "e2", "scaled"]),
+        st.dictionaries(st.integers(min_value=1, max_value=4),
+                        st.integers(min_value=-2, max_value=2), max_size=3),
+        st.dictionaries(st.integers(min_value=1, max_value=4),
+                        st.integers(min_value=0, max_value=3), max_size=3),
+    )
+    def test_windows_match_the_fraction_reference(self, theories, which, weights, caps):
+        win = theories[which].window(weights, caps or None)
+        if win.matrix is None:
+            assert win.rank == 0 and win.rows == ()
+            return
+        rows, cols = win.matrix.entries, win.matrix.cols
+        assert (win.kernel, win.rank) == reference_kernel(rows, cols)
+        covered = reference_rref(list(zip(*rows)), len(rows))[1]
+        assert win.uncovered_rows() == [r for r in range(len(rows)) if r not in covered]
+        for s, _, count, offset in win.blocks:
+            block = rows[offset : offset + count]
+            assert win.block_surjective(s) == (reference_kernel(block, cols)[1] == count)

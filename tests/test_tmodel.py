@@ -238,7 +238,7 @@ class _FakeContext:
         return Poly.x_power(k)
 
     def block_matrix(self, s):
-        return self.backend.matrices[s]
+        return self.backend.matrices[s].entries
 
     def torsion_rep(self, s, i):
         return (s, i)
