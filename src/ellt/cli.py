@@ -25,6 +25,7 @@ from .eatheory import (
     coefficient_ring,
     completion,
     local_cohomology,
+    rep_to_divisor,
     serre_pairing,
     sphere_cohomology,
     sphere_homology,
@@ -73,12 +74,13 @@ def _integer(value, where: str, minimum: int | None = None,
 
 
 # largest class label, `cap` or `caps` value, cap divisor degree,
-# completion stage `k`, `products_upto`, `coeff` span and `serre` divisor
-# degree a request may name: past them one small config can run for
-# minutes (README.md)
+# section divisor degree, completion stage `k`, `products_upto`, `coeff`
+# span and `serre` divisor degree a request may name: past them one small
+# config can run for minutes (README.md)
 CLASS_CEILING = 8
 CAP_CEILING = 10
 CAP_DEGREE_CEILING = 73
+DIVISOR_CEILING = 96
 STAGE_CEILING = 16
 PRODUCTS_CEILING = 140
 SPAN_CEILING = 100_000
@@ -113,6 +115,16 @@ def _caps(params: dict, default: dict | None = None) -> dict | None:
         _integer(TorsionDivisor(caps).degree, f"{where} cap divisor degree",
                  maximum=CAP_DEGREE_CEILING)
     return caps
+
+
+def _divisor(coeffs: dict, where: str, cap: int = 0, pi=()) -> dict:
+    """coeffs, refused when their size is above DIVISOR_CEILING: the
+    degree with every multiplicity counted positive, plus `cap` on each
+    class of `pi`, which bounds every divisor a request builds from them."""
+    size = TorsionDivisor({s: abs(n) for s, n in coeffs.items()}).degree
+    size += cap * TorsionDivisor(dict.fromkeys(pi, 1)).degree
+    _integer(size, f"{where} size", maximum=DIVISOR_CEILING)
+    return coeffs
 
 
 def _class_list(value, where: str, minimum: int = 1,
@@ -322,7 +334,8 @@ def _run_basis(config: JobConfig, cache_path) -> dict:
     _check_keys(config.params, ("divisor",), "params")
     if "divisor" not in config.params:
         raise ConfigError("basis needs params.divisor")
-    coeffs = _weight_dict(config.params["divisor"], "params.divisor")
+    coeffs = _divisor(_weight_dict(config.params["divisor"], "params.divisor"),
+                      "params.divisor")
     cache = _make_cache(config)
     _load_cache_into(cache, cache_path)
     basis = cache.rr_basis(TorsionDivisor(coeffs))
@@ -469,6 +482,7 @@ def _run_sections(config: JobConfig, cache_path) -> dict:
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
     pi = _class_list(config.params["pi"], "params.pi")
     cap = _integer(config.params.get("cap", 0), "params.cap", 0, CAP_CEILING)
+    _divisor(coeffs, "params.divisor", cap, pi)
     cache = _make_cache(config)
     _load_cache_into(cache, cache_path)
     window = sections(cache, coeffs, OpenSet(pi), cap)
@@ -484,6 +498,7 @@ def _run_glue(config: JobConfig, cache_path) -> dict:
     left = OpenSet(_class_list(config.params["left"], "params.left"))
     right = OpenSet(_class_list(config.params["right"], "params.right"))
     cap = _integer(config.params.get("cap", 0), "params.cap", 0, CAP_CEILING)
+    _divisor(coeffs, "params.divisor", cap, set(left.pi) | set(right.pi))
     cache = _make_cache(config)
     _load_cache_into(cache, cache_path)
     return {**_echo(config, cache), **glue_check(cache, coeffs, left, right, cap)}
@@ -494,6 +509,7 @@ def _run_roundtrip(config: JobConfig, cache_path) -> dict:
     if "W" not in config.params:
         raise ConfigError("roundtrip needs params.W")
     weights = _weight_dict(config.params["W"], "params.W")
+    _divisor(rep_to_divisor(weights).coeffs, "params.W divisor")
     opens = DEFAULT_OPENS
     if "opens" in config.params:
         raw = config.params["opens"]

@@ -379,9 +379,11 @@ def expand_at_e(elt: FuncElt, prec: int, chart=None) -> LaurentSeries:
 
     The returned window has `prec` retained coefficients starting at the
     exact valuation.  The valuation always matches ord_e, which gives a
-    cheap internal consistency check.  `chart(p)` supplies the x and y
-    series to p terms; without it they are computed afresh, and
-    `CycCache.expand` passes its memoised `CycCache.chart`.
+    cheap internal consistency check.  Each of u, v, d is evaluated in
+    relative precision as p(x) = x^n q(1/x) (see `_eval_rel`), so the x
+    and y series are needed to `prec + 2` terms whatever the degrees.
+    `chart(p)` supplies them to p terms; without it they are computed
+    afresh, and `CycCache.expand` passes its memoised `CycCache.chart`.
     """
     if elt.is_zero():
         raise ZeroDivisionError("cannot expand the zero element")
@@ -389,16 +391,15 @@ def expand_at_e(elt: FuncElt, prec: int, chart=None) -> LaurentSeries:
     # evaluating u, vy, d never cancels leading terms (pole parities differ),
     # so relative precision survives every step below
     work = prec + 2
-    width = work + 2 * max(elt.u.degree, elt.v.degree, elt.d.degree, 1)
-    x, y = _chart_series(elt.curve, width) if chart is None else chart(width)
+    x, y = _chart_series(elt.curve, work) if chart is None else chart(work)
+    z = series_reciprocal(x)
     num = None
     if not elt.u.is_zero():
-        num = _eval_poly_series(elt.u, x)
+        num = _eval_rel(elt.u, x, z)
     if not elt.v.is_zero():
-        vy = _eval_poly_series(elt.v, x) * y
+        vy = _eval_rel(elt.v, x, z) * y
         num = vy if num is None else num + vy
-    den = _eval_poly_series(elt.d, x)
-    series = num * series_reciprocal(den)
+    series = num * series_reciprocal(_eval_rel(elt.d, x, z))
     if series.exact_valuation() != ord_e:
         raise PrecisionExhausted(
             f"expansion valuation {series.exact_valuation()} disagrees with ord_e {ord_e}"
@@ -406,16 +407,20 @@ def expand_at_e(elt: FuncElt, prec: int, chart=None) -> LaurentSeries:
     return series.truncate(prec)
 
 
-def _eval_poly_series(p: Poly, x: LaurentSeries) -> LaurentSeries:
-    acc = None
-    for c in reversed(p.coeffs):
-        if acc is None:
-            acc = LaurentSeries(0, (Q(c),) + (QZERO,) * (x.precision - 1))
-        else:
-            acc = acc * x + c
-    if acc is None:
-        raise ZeroDivisionError("evaluating the zero polynomial as a unit")
-    return acc
+def _eval_rel(p: Poly, x: LaurentSeries, z: LaurentSeries) -> LaurentSeries:
+    """p(x) to the relative precision of x, as x^n q(z) for z = 1/x.
+
+    q(z) = sum c_{n-k} z^k has constant term p's leading coefficient, and
+    z has valuation 2, so z^k lies past the window once 2k reaches its
+    precision: Horner reads only p's top coefficients, starting from a
+    window that each step by z widens by two.
+    """
+    n, w = p.degree, z.precision
+    top = min(n, (w - 1) // 2)
+    q = LaurentSeries(0, (p.coeffs[n - top],) + (QZERO,) * (w - 2 * top - 1))
+    for k in range(top - 1, -1, -1):
+        q = q * z + p.coeffs[n - k]
+    return x ** n * q if n else q
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +735,28 @@ class CycCache:
         return shifted.pole_order_at_e() <= divisor.degree
 
     def ord_along(self, elt: FuncElt, s: int) -> int:
-        """Minimum valuation of elt across the points of exact order s."""
+        """Minimum valuation of elt across the points of exact order s.
+
+        When u or v is zero, elt is w(x) or w(x) y over d(x) with
+        gcd(w, d) = 1 (canonical form), so ±P agree and the answer is a
+        multiplicity along `class_poly(s)`: minus the largest one of d
+        where d meets the class, else how often the class divides w.  On
+        A[2] a root of x - x0 is double and y adds a simple zero.  Mixed
+        elements fall back to `membership` tests.
+        """
         if elt.is_zero():
             raise ZeroDivisionError("the zero element has no valuation")
         if s == 1:
             return elt.ord_e()
         support = self.pole_support(elt)
+        if elt.u.is_zero() or elt.v.is_zero():
+            cp = self.class_poly(s)
+            num, d, m = elt.v if elt.u.is_zero() else elt.u, elt.d, 0
+            while d.degree >= 1 and (g := poly_gcd(d, cp)).degree >= 1:
+                m, d = m - 1, d // g  # one pass per unit of pole depth
+            while (qr := divmod(num, cp))[1].is_zero():  # never where d meets cp
+                m, num = m + 1, qr[0]
+            return 2 * m + (1 if elt.u.is_zero() else 0) if s == 2 else m
         enclosing = {r: n for r, n in support.items() if r != s}
         # upper bound for zeros on the class: total zero degree / class size
         num_deg = max(2 * elt.u.degree, 3 + 2 * elt.v.degree)

@@ -498,7 +498,7 @@ class LaurentSeries:
     __slots__ = ("valuation", "coeffs")
 
     def __init__(self, valuation, coeffs):
-        coeffs = tuple(Q(c) for c in coeffs)
+        coeffs = tuple(c if type(c) is Q else Q(c) for c in coeffs)
         if not coeffs:
             raise ValueError("series needs at least one retained coefficient")
         # normalise: leading retained coefficient nonzero (or all zero)

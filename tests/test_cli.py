@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from ellt import curvefield
 from ellt.cli import ConfigError, JobConfig, load_config, main
 
 E1 = {"curve": {"a": "-1", "b": "0"}}
@@ -213,6 +214,33 @@ class TestOtherCommands:
     def test_degenerate_serre_exits_three(self, tmp_path):
         assert run_cli(tmp_path, "serre", {**E1, "params": {"divisor": {}}}) == 3
 
+    def test_off_torsion_coordinate_exits_three_on_narrow_charts(
+            self, tmp_path, capsys, monkeypatch):
+        # x/y vanishes where x = 0, which on this curve is no torsion point
+        # of order <= 12: all twelve class polynomials are built before the
+        # refusal, each normalised on charts no wider than the expansion's
+        # precision plus 10, whatever the degree of t_s
+        precs, widths = [], []
+        expand, chart = curvefield.expand_at_e, curvefield._chart_series
+
+        def expand_spy(elt, prec, chart=None):
+            precs.append(prec)
+            return expand(elt, prec, chart)
+
+        def chart_spy(curve, prec):
+            widths.append(prec)
+            return chart(curve, prec)
+
+        monkeypatch.setattr(curvefield, "expand_at_e", expand_spy)
+        monkeypatch.setattr(curvefield, "_chart_series", chart_spy)
+        code = run_cli(tmp_path, "completion",
+                       {"curve": {"a": "-43", "b": "166"}, "params": {"k": 3}})
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == ("ellt: validation failed: coordinate has zeros or poles off the "
+                       "torsion classes validated up to order 12: factor [0, 0, 1]\n")
+        assert precs and widths and max(widths) <= max(precs) + 10
+
     def test_sections(self, tmp_path, capsys):
         rep = run_json(tmp_path, capsys, "sections",
                        {**E1, "params": {"divisor": {}, "pi": [1], "cap": 3}})
@@ -314,6 +342,18 @@ def _malformed_input_cases():
                                                 "variance": "cohomology"}),
         "coeff-cap-degree": ("coeff", {"caps": {"1": 2, "8": 1, "6": 1}}),
         "serre-cap-degree": ("serre", {"divisor": {"1": 1}, "caps": {"1": 1, "8": 10}}),
+        # divisors of size above 96: degree with multiplicities counted
+        # positive, plus the cap on every removed class
+        "basis-size": ("basis", {"divisor": {"3": 20}}),
+        "basis-class-size": ("basis", {"divisor": {"8": 3}}),
+        "basis-signed-size": ("basis", {"divisor": {"8": 2, "1": -1}}),
+        "basis-degree-zero-size": ("basis", {"divisor": {"8": 3, "7": -3}}),
+        "sections-size": ("sections", {"divisor": {"3": 13}, "pi": [1]}),
+        "sections-cap-size": ("sections", {"divisor": {}, "pi": [8], "cap": 3}),
+        "glue-size": ("glue", {"divisor": {"8": 2, "1": 1}, "left": [1], "right": [2]}),
+        "glue-cap-size": ("glue", {"divisor": {}, "left": [8], "right": [7], "cap": 10}),
+        "roundtrip-W-size": ("roundtrip", {"W": {"8": 2}}),
+        "roundtrip-dual-W-size": ("roundtrip", {"W": {"8": -1, "7": -1}}),
     }
     for name, (command, params) in above_ceiling.items():
         config = {"params": params} if command == "kmodel" else {**E1, "params": params}
@@ -351,6 +391,19 @@ def test_ceilings_are_inclusive(tmp_path, capsys):
     assert len(rep["rows"]) == 100_001
     rep = run_json(tmp_path, capsys, "serre", {**E1, "params": {"divisor": {"2": 2}}})
     assert rep["dim"] == rep["rank"] == 6
+    # divisors of size 96, the cheap way
+    rep = run_json(tmp_path, capsys, "basis", {**E1, "params": {"divisor": {"1": 96}}})
+    assert rep["dim"] == 96
+    rep = run_json(tmp_path, capsys, "sections",
+                   {**E1, "params": {"divisor": {"1": 86}, "pi": [1], "cap": 10}})
+    assert rep["dim"] == 96
+    rep = run_json(tmp_path, capsys, "glue",
+                   {**E1, "params": {"divisor": {"1": 56}, "left": [1], "right": [2],
+                                     "cap": 10}})
+    assert rep["dims"]["intersection"] == 96
+    rep = run_json(tmp_path, capsys, "roundtrip",
+                   {**E1, "params": {"W": {"4": 6}, "caps": [0]}})
+    assert rep["D"] == {"1": 6, "2": 6, "4": 6}
     caps = {"1": 1, "8": 1, "6": 1}  # cap divisor degree 1 + 48 + 24 = 73
     rep = run_json(tmp_path, capsys, "dims",
                    {"curve": {"a": "0", "b": "1"}, "params": {"W": {"1": 1}, "caps": caps}})

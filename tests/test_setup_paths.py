@@ -1,0 +1,171 @@
+"""Theory set-up fast paths against the paths they replaced.
+
+`expand_at_e` evaluates u, v, d in relative precision, as x^n q(1/x);
+the reference below is the Horner evaluation over a chart widened by
+twice the degree.  `CycCache.ord_along` reads the valuation along a class
+from multiplicities when u or v is zero; the reference is the loop of
+`membership` tests it short-cuts, which still serves mixed elements.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellt.curvefield import (
+    Coordinate,
+    CycCache,
+    FuncElt,
+    TorsionDivisor,
+    WeierstrassCurve,
+    _eval_rel,
+    exact_order_count,
+    expand_at_e,
+    single_class,
+)
+from ellt.errors import PrecisionExhausted, UnsupportedPoles
+from ellt.exactcore import LaurentSeries, Poly, Q, QZERO, series_reciprocal
+
+# the curves of the cli_jobs benchmark pools
+CURVES = [WeierstrassCurve(a, b) for a, b in
+          ((-1, 0), (0, 1), (1, 0), (-4, 0), (0, -2), (0, Q(1, 4)))]
+# one cache per curve: the reference shares its chart memo, and ord_along
+# its class polynomials, across examples
+CACHES = [CycCache(curve) for curve in CURVES]
+MAX_PREC = 12
+
+
+def horner(p, x):
+    acc = None
+    for c in reversed(p.coeffs):
+        if acc is None:
+            acc = LaurentSeries(0, (Q(c),) + (QZERO,) * (x.precision - 1))
+        else:
+            acc = acc * x + c
+    return acc
+
+
+def reference_expand(elt, prec, chart):
+    """Horner evaluation of u, v, d over the x, y series to
+    `prec + 2 + 2 * degree` terms."""
+    work = prec + 2
+    width = work + 2 * max(elt.u.degree, elt.v.degree, elt.d.degree, 1)
+    x, y = chart(width)
+    num = None
+    if not elt.u.is_zero():
+        num = horner(elt.u, x)
+    if not elt.v.is_zero():
+        vy = horner(elt.v, x) * y
+        num = vy if num is None else num + vy
+    series = num * series_reciprocal(horner(elt.d, x))
+    if series.exact_valuation() != elt.ord_e():
+        raise PrecisionExhausted("expansion valuation disagrees with ord_e")
+    return series.truncate(prec)
+
+
+def assert_expansions_agree(cache, elt):
+    # the reference is exact through its window, so one expansion at the
+    # top precision, truncated, stands for it at every lower precision
+    ref = reference_expand(elt, MAX_PREC, cache.chart)
+    for prec in range(1, MAX_PREC + 1):
+        assert expand_at_e(elt, prec, cache.chart) == ref.truncate(prec), (elt, prec)
+
+
+_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def _poly(max_degree):
+    return st.lists(_coeff, max_size=max_degree + 1).map(Poly)
+
+
+_monic = st.lists(_coeff, max_size=4).map(lambda cs: Poly(cs + [Q(1)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(CURVES) - 1), _poly(60), _poly(6), _monic)
+def test_relative_expansion_matches_wide_window(ci, u, v, d):
+    cache = CACHES[ci]
+    elt = FuncElt(cache.curve, u, v, d)
+    if elt.is_zero():
+        return
+    assert_expansions_agree(cache, elt)
+    # each polynomial is exact to all `prec + 2` terms of the chart, not
+    # only to the `prec` that the expansion keeps
+    x = cache.chart(MAX_PREC + 2)[0]
+    for p in (elt.u, elt.v, elt.d):
+        if not p.is_zero():
+            wide = horner(p, cache.chart(MAX_PREC + 2 + 2 * p.degree)[0])
+            assert _eval_rel(p, x, series_reciprocal(x)) == wide.truncate(MAX_PREC + 2), p
+
+
+def test_expansion_of_degree_sixty_and_coordinates():
+    # t_11 has degree 60 in x; the scaled x/y coordinate and a custom
+    # coordinate with u, v != 0 expand as bases and inside products
+    cache = CACHES[0]
+    curve = cache.curve
+    x, y = curve.x(), curve.y()
+    scaled = Coordinate(curve, scale=Q(-3, 2)).base
+    custom = x / y + x.inverse()
+    assert not custom.u.is_zero() and not custom.v.is_zero()
+    elements = [cache.t(11).inverse() * y, scaled, scaled.inverse(),
+                custom, custom ** 3, custom.inverse() * cache.t(5),
+                FuncElt(curve, Poly.x_power(60, Q(2)) + Poly((1, 0, -3)),
+                        Poly.x_power(59, Q(-1, 3)), Poly((1, 1)))]
+    for elt in elements:
+        assert_expansions_agree(cache, elt)
+
+
+def reference_ord_along(cache, elt, s):
+    """The `membership` loop: raise the order on the class until the
+    element leaves the space."""
+    support = cache.pole_support(elt)
+    enclosing = {r: n for r, n in support.items() if r != s}
+    num_deg = max(2 * elt.u.degree, 3 + 2 * elt.v.degree)
+    zero_cap = (num_deg + 2 * elt.d.degree) // exact_order_count(s) + 1
+    m = -(support.get(s, 0) + 1)
+    if not cache.membership(elt, TorsionDivisor(enclosing) + single_class(s, -m)):
+        raise UnsupportedPoles("cannot enclose poles")
+    while m < zero_cap and cache.membership(
+        elt, TorsionDivisor(enclosing) + single_class(s, -(m + 1))
+    ):
+        m += 1
+    return m
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnsupportedPoles:
+        return UnsupportedPoles
+
+
+CLASSES = (2, 3, 4)
+
+
+_depth = st.tuples(st.sampled_from(CLASSES), st.integers(0, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(CURVES) - 1), st.sampled_from(["u", "v", "mixed"]),
+       _poly(2), _depth, _depth, st.sampled_from([False, False, False, True]),
+       st.sampled_from(CLASSES))
+def test_ord_along_matches_membership_loop(ci, kind, unit, zero, pole, stray, s):
+    # a zero and a pole of chosen depth on the classes 2, 3, 4 (the
+    # same class cancels down), and now and then a pole off the torsion
+    # classes, which both paths refuse; mixed elements run the same loop
+    # on both sides, so they stay shallow
+    cache = CACHES[ci]
+    (zc, zd), (pc, pd) = zero, pole
+    if kind == "mixed":
+        zd, pd = min(zd, 1), min(pd, 1)
+    num = (unit if not unit.is_zero() else Poly.const(1)) * cache.class_poly(zc).pow(zd)
+    den = cache.class_poly(pc).pow(pd)
+    if stray:
+        den = den * Poly((-5, 1))
+    blank = Poly()
+    if kind == "u":
+        elt = FuncElt(cache.curve, num, blank, den)
+    elif kind == "v":
+        elt = FuncElt(cache.curve, blank, num, den)
+    else:
+        elt = FuncElt(cache.curve, num, Poly((1, 2)), den)
+    expected = _outcome(reference_ord_along, cache, elt, s)
+    assert _outcome(cache.ord_along, elt, s) == expected, (elt, s)
