@@ -74,15 +74,19 @@ def _integer(value, where: str, minimum: int | None = None,
 
 
 # largest class label, `cap` or `caps` value, cap divisor degree,
-# section divisor degree, completion stage `k`, `products_upto`, `coeff`
-# span and `serre` divisor degree a request may name: past them one small
-# config can run for minutes (README.md)
+# section divisor degree, `roundtrip` `opens` and `caps` length, completion
+# stage `k`, `localcoh` level `a`, `products_upto`, `kmodel` Euler class
+# degree, `coeff` span and `serre` divisor degree a request may name: past
+# them one small config can run for minutes (README.md)
 CLASS_CEILING = 8
 CAP_CEILING = 10
 CAP_DEGREE_CEILING = 73
 DIVISOR_CEILING = 96
+LIST_CEILING = 6
 STAGE_CEILING = 16
+LEVEL_CEILING = 16
 PRODUCTS_CEILING = 140
+EULER_DEGREE_CEILING = 256
 SPAN_CEILING = 100_000
 DEGREE_CEILING = 6
 
@@ -316,6 +320,9 @@ def _run_dims(config: JobConfig, cache_path) -> dict:
     weight = _coerce_weight(weights)
     exp = (weight if variance == "homology" else -weight).exponent_map()
     caps = _caps(config.params, EllipticGroupData.default_caps(exp))
+    # W's size bounds the window depths, which the default caps of a
+    # cohomology request do not
+    _divisor(rep_to_divisor(weights).coeffs, "params.W divisor")
     theory = _make_theory(config, cache_path)
     run = sphere_homology if variance == "homology" else sphere_cohomology
     hom = run(theory, weights, caps=caps)
@@ -389,16 +396,23 @@ def _run_kmodel(config: JobConfig, cache_path) -> dict:
     kind = config.params.get("group")
     if kind not in ("multiplicative", "additive"):
         raise ConfigError("params.group must be multiplicative or additive")
-    group = AffineGroup(kind)
-    report = {"command": config.command, "group": kind}
+    sign = _integer(config.params.get("sign", 1), "params.sign")
+    if sign not in (1, -1):
+        raise ConfigError("params.sign must be 1 or -1")
+    weights = upto = None
     if "W" in config.params:
         weights = _weight_dict(config.params["W"], "params.W")
         if any(a < 1 for a in weights.values()):
             raise ConfigError("params.W multiplicities must be >= 1; dual "
                               "spheres are selected with params.sign = -1")
-        sign = _integer(config.params.get("sign", 1), "params.sign")
-        if sign not in (1, -1):
-            raise ConfigError("params.sign must be 1 or -1")
+        _integer(sum(n * a for n, a in weights.items()), "params.W Euler class degree",
+                 maximum=EULER_DEGREE_CEILING)
+    if "products_upto" in config.params:
+        upto = _integer(config.params["products_upto"], "params.products_upto", 1,
+                        PRODUCTS_CEILING)
+    group = AffineGroup(kind)
+    report = {"command": config.command, "group": kind}
+    if weights is not None:
         module = affine_sphere_module(group, weights, sign)
         report["W"] = {str(s): a for s, a in sorted(weights.items()) if a}
         report["sign"] = sign
@@ -406,9 +420,7 @@ def _run_kmodel(config: JobConfig, cache_path) -> dict:
         report["odd_dim"] = module.odd_dim
         report["generator"] = module.generator.text()
         report["euler"] = group.euler_class(weights).text()
-    upto = config.params.get("products_upto")
     if upto is not None:
-        upto = _integer(upto, "params.products_upto", 1, PRODUCTS_CEILING)
         for n in range(1, upto + 1):
             product = None
             for d in divisors_of(n):
@@ -449,7 +461,7 @@ def _run_localcoh(config: JobConfig, cache_path) -> dict:
     pi = _class_list(config.params["pi"], "params.pi")
     if not pi:
         raise ConfigError("params.pi must name at least one class")
-    a = _integer(config.params.get("a", 1), "params.a", 1)
+    a = _integer(config.params.get("a", 1), "params.a", 1, LEVEL_CEILING)
     theory = _make_theory(config, cache_path)
     return {**_echo(config, theory), **local_cohomology(theory, pi, a).report()}
 
@@ -509,16 +521,22 @@ def _run_roundtrip(config: JobConfig, cache_path) -> dict:
     if "W" not in config.params:
         raise ConfigError("roundtrip needs params.W")
     weights = _weight_dict(config.params["W"], "params.W")
-    _divisor(rep_to_divisor(weights).coeffs, "params.W divisor")
+    divisor = _divisor(rep_to_divisor(weights).coeffs, "params.W divisor")
     opens = DEFAULT_OPENS
     if "opens" in config.params:
         raw = config.params["opens"]
         if not isinstance(raw, list):
             raise ConfigError("params.opens must be a list of class lists")
+        _integer(len(raw), "params.opens length", maximum=LIST_CEILING)
         opens = tuple(OpenSet(_class_list(p, "params.opens")) for p in raw)
     caps = (0, 1, 2, 3)
     if "caps" in config.params:
         caps = tuple(_class_list(config.params["caps"], "params.caps", 0, CAP_CEILING))
+        _integer(len(caps), "params.caps length", maximum=LIST_CEILING)
+    cap = max(caps, default=0)
+    for piece in opens:  # the largest divisor each open fattens W's to
+        _divisor(divisor, f"params.W divisor with cap {cap} on classes {list(piece.pi)}",
+                 cap, piece.pi)
     theory = _make_theory(config, cache_path)
     return {**_echo(config, theory), **roundtrip(theory, weights, opens, caps)}
 
@@ -528,6 +546,7 @@ def _run_cache_admin(config: JobConfig, cache_path) -> dict:
     action = config.params.get("action")
     if action not in ("warm", "verify", "clear"):
         raise ConfigError("params.action must be warm, verify, or clear")
+    upto = _integer(config.params.get("upto", 6), "params.upto", 1, PSI_CEILING)
     if cache_path is None:
         raise ConfigError("cache admin needs a cache path (--cache, ELLT_CACHE, "
                           "or cache_path in the config)")
@@ -545,7 +564,6 @@ def _run_cache_admin(config: JobConfig, cache_path) -> dict:
 
     cache = _make_cache(config)
     if action == "warm":
-        upto = _integer(config.params.get("upto", 6), "params.upto", 1, PSI_CEILING)
         cache.warm(upto)
         payload = {**_cache_identity(cache), "upto": upto,
                    "psi": cache.psi_cache_payload()}

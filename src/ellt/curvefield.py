@@ -11,6 +11,7 @@ monomials over a single t-product denominator.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import (
     DepthExceeded,
@@ -638,10 +639,13 @@ class CycCache:
     # -- chart series and differentials ----------------------------------
 
     def chart(self, prec: int) -> tuple[LaurentSeries, LaurentSeries]:
+        """x and y to `prec` terms, cut from the stored chart; a wider
+        request at least triples its width, so one theory's widths (4,
+        then up to 10 for residues) cost two `_chart_series` runs."""
         if self._chart is None or self._chart[0] < prec:
-            x, y = _chart_series(self.curve, prec)
-            self._chart = (prec, x, y)
-        stored_prec, x, y = self._chart
+            width = prec if self._chart is None else max(prec, 3 * self._chart[0])
+            self._chart = (width, *_chart_series(self.curve, width))
+        _, x, y = self._chart
         return x.truncate(prec), y.truncate(prec)
 
     def expand(self, elt: FuncElt, prec: int) -> LaurentSeries:
@@ -1023,34 +1027,68 @@ def frame_coords(elt: FuncElt, dim: int) -> list[Q]:
 
 
 def ladder_frames(h: FuncElt, count: int, dim: int) -> list[list[Q]]:
-    """Frame vectors of m_k * h for k < count, each truncated to `dim`.
+    """Frame vectors of m_k * h for k < count, each truncated to `dim`:
+    copies of three coefficient tuples placed by `_rungs`, with no
+    product in the function field."""
+    return _frames(_ladder_parts(h, count), count, dim, QZERO)
 
-    For pure h = u + v y, x^a h puts u and v a rungs up the ladder (x^j
-    at slot 2j - 1, or 0 for j = 0, and x^j y at slot 2j + 2), and
-    x^a y h puts v * rhs and u there.  Every vector is a copy of those
-    three coefficient tuples: no product in the function field.
-    """
+
+def _ladder_parts(h: FuncElt, count: int) -> tuple[tuple, tuple, tuple]:
+    """u, v and v * rhs of a pure h = u + v y; v * rhs is needed only
+    when some rung is x^a y, that is when count > 2."""
     if not h.is_pure():
         raise ValueError("frame coordinates need a pure element")
-    u, v = h.u.coeffs, h.v.coeffs
-    vr = (h.v * h.curve.rhs).coeffs if count > 2 else ()
-    out = []
+    return h.u.coeffs, h.v.coeffs, (h.v * h.curve.rhs).coeffs if count > 2 else ()
+
+
+def _over_one_den(parts) -> tuple[int, tuple]:
+    """(den, tuples of ints): the rational tuples `parts` scaled by
+    their common denominator den."""
+    den = lcm(*[c.denominator for part in parts for c in part])
+    return den, tuple(tuple(c.numerator * (den // c.denominator) for c in part)
+                      for part in parts)
+
+
+def _rungs(u: tuple, v: tuple, vr: tuple, count: int, dim: int):
+    """(top, lead, a, xs, ys) for m_k * h, k < count, h = u + v y: the
+    ladder core shared by frame vectors, block columns and reducers.
+
+    x^a h puts u and v a rungs up the ladder (x^j at slot 2j - 1, or 0
+    for j = 0, and x^j y at slot 2j + 2), and x^a y h puts v * rhs and u
+    there, so xs and ys are two of the three tuples, never copies.  `top`
+    is the highest slot filled and `lead` its coefficient (-1 and 0 for
+    h = 0); a term at slot `dim` or above raises ValueError.
+    """
     for k in range(count):
         a, xs, ys = (k // 2 - 1, vr, u) if k and not k % 2 else ((k + 1) // 2, u, v)
-        vec = [QZERO] * dim
+        top, lead = -1, 0
         if xs:  # the leading x power sits at slot 2(a + len) - 3, or 0
-            if max(2 * (a + len(xs)) - 3, 0) >= dim:
+            top, lead = max(2 * (a + len(xs)) - 3, 0), xs[-1]
+            if top >= dim:
                 j = next(j for j, c in enumerate(xs, a) if c and max(2 * j - 1, 0) >= dim)
                 raise ValueError(f"x^{j} overflows a frame of dimension {dim}")
+        if ys:
+            if 2 * (a + len(ys)) >= dim:
+                j = next(j for j, c in enumerate(ys, a) if c and 2 * j + 2 >= dim)
+                raise ValueError(f"x^{j} y overflows a frame of dimension {dim}")
+            if 2 * (a + len(ys)) > top:
+                top, lead = 2 * (a + len(ys)), ys[-1]
+        yield top, lead, a, xs, ys
+
+
+def _frames(parts: tuple, count: int, dim: int, zero) -> list[list]:
+    """The `_rungs` of parts = (u, v, v * rhs) written into frame vectors
+    of `dim` entries, each starting from `zero`."""
+    out = []
+    for _, _, a, xs, ys in _rungs(*parts, count, dim):
+        vec = [zero] * dim
+        if xs:
             if a:
                 vec[2 * a - 1:2 * (a + len(xs)) - 1:2] = xs
             else:
                 vec[0] = xs[0]
                 vec[1:2 * len(xs) - 1:2] = xs[1:]
         if ys:
-            if 2 * (a + len(ys)) >= dim:
-                j = next(j for j, c in enumerate(ys, a) if c and 2 * j + 2 >= dim)
-                raise ValueError(f"x^{j} y overflows a frame of dimension {dim}")
             vec[2 * a + 2:2 * (a + len(ys)) + 1:2] = ys
         out.append(vec)
     return out
@@ -1068,6 +1106,12 @@ class QuotientWindow:
     vectors: write the shifted element in the monomial frame, sweep out
     the subspace (whose basis is triangular by pole order), and read the
     surviving complement coordinates.
+
+    The subspace is spanned by m_k * t_s^depth, k < residual_dim.  The
+    u, v and v * rhs of t_s^depth (memoised by `CycCache.t_star`) are
+    scaled to integer tuples over one denominator, and each reducer is
+    its `_rungs` tuple (top, lead, a, xs, ys), with xs and ys pointing at
+    those shared tuples; sweeps run on Python ints (`_sweep_ints`).
 
     When base = 0 and `others` has degree zero an auxiliary class is
     added, keeping the residual divisor G' of positive degree; this pads
@@ -1098,18 +1142,15 @@ class QuotientWindow:
         self.frame_dim = self.residual_dim + self.block_size
         self.divisor = others + single_class(s, base + depth)
         self._shift_inv = None  # built by the first rep()
-        # frame vectors spanning H^0(O(G')); each has a distinct top slot
-        # (strictly increasing pole orders) and is kept as the nonzero
-        # (slot, c / lead) pairs below it, since the sweep never reads a top
-        sub_shift = cache.t(s) ** depth if s >= 2 else cache.curve.one()
-        reducers: dict[int, list[tuple[int, Q]]] = {}
-        for vec in ladder_frames(sub_shift, self.residual_dim, self.frame_dim):
-            top = max(k for k, c in enumerate(vec) if c != 0)
-            if top in reducers:
+        # t_star ignores the class 1, so s = 1 shifts by the constant 1
+        _, parts = _over_one_den(
+            _ladder_parts(cache.t_star(single_class(s, depth)), self.residual_dim))
+        reducers = {}
+        for rung in _rungs(*parts, self.residual_dim, self.frame_dim):
+            if rung[0] in reducers:
                 raise ValidationFailed("sub-basis tops collide")
-            lead = vec[top]
-            reducers[top] = [(k, vec[k] / lead) for k in range(top) if vec[k]]
-        self._sweep = sorted(reducers.items(), reverse=True)
+            reducers[rung[0]] = rung
+        self._sweep = sorted(reducers.values(), reverse=True)  # distinct tops
         self.complement = sorted(set(range(self.frame_dim)) - set(reducers))
         if len(self.complement) != self.block_size:
             raise ValidationFailed("complement size differs from the block size")
@@ -1132,20 +1173,45 @@ class QuotientWindow:
         return self.coords_of_frame(vec)
 
     def coords_of_frame(self, vec: list[Q]) -> list[Q]:
-        """Sweep half of `coords`: takes the frame vector of an element
-        already multiplied by the window shift.  Callers that assemble
-        many columns against one window can form those products once and
-        skip the division hidden in `coords`.
-        """
+        """Sweep half of `coords`: takes the rational frame vector of an
+        element already multiplied by the window shift, and sweeps it as
+        integers over their common denominator (`_sweep_ints`)."""
         if len(vec) != self.frame_dim:
             raise ValueError("frame vector does not match the window frame")
-        vec = list(vec)
-        for top, pairs in self._sweep:
+        den, (ints,) = _over_one_den((vec,))
+        col, den = self._sweep_ints(list(ints), den)
+        return [Q(c, den) for c in col]
+
+    def ladder_columns(self, h: FuncElt, count: int) -> list[list]:
+        """Coordinates of m_k * h for k < count, for a pure h already
+        multiplied by the window shift: h is scaled to integers once,
+        each ladder vector is swept as integers, and an entry is a
+        rational only where its column's scale is not 1."""
+        den, parts = _over_one_den(_ladder_parts(h, count))
+        out = []
+        for vec in _frames(parts, count, self.frame_dim, 0):
+            col, scale = self._sweep_ints(vec, den)
+            out.append(col if scale == 1 else [Q(c, scale) for c in col])
+        return out
+
+    def _sweep_ints(self, vec: list[int], den: int) -> tuple[list[int], int]:
+        """(integers, their denominator): the complement coordinates of
+        vec / den.  A reducer with c = vec[top] != 0 is swept out as
+        vec = (lead / g) vec - (c / g) reducer for g = gcd(lead, c), and
+        den grows by the factor lead / g where that is not 1."""
+        for top, lead, a, xs, ys in self._sweep:
             c = vec[top]
             if c:
-                for k, r in pairs:
-                    vec[k] -= c * r
-        return [vec[k] for k in self.complement]
+                g = gcd(lead, c)
+                if g != lead:
+                    vec = [lead // g * x for x in vec]
+                    den *= lead // g
+                c //= g
+                for j, r in enumerate(xs, a):
+                    vec[2 * j - 1 if j else 0] -= c * r
+                for j, r in enumerate(ys, a):
+                    vec[2 * j + 2] -= c * r
+        return [vec[k] for k in self.complement], den
 
     def rep(self, i: int) -> FuncElt:
         """Representative of the i-th basis class; coords(rep(i)) = e_i."""

@@ -24,7 +24,6 @@ from .curvefield import (
     WeierstrassCurve,
     exact_order_count,
     h_dims,
-    ladder_frames,
     monomial,
     principal_part,
     residue_along,
@@ -306,9 +305,7 @@ class _EllipticAssembly:
 
     def block_matrix(self, s: int) -> tuple[tuple, ...]:
         win, mult = self._block(s)
-        columns = [win.coords_of_frame(vec)
-                   for vec in ladder_frames(mult, self.source_dim, win.frame_dim)]
-        return tuple(zip(*columns))
+        return tuple(zip(*win.ladder_columns(mult, self.source_dim)))
 
     def torsion_rep(self, s: int, i: int) -> FuncElt:
         """Representative of the i-th window class pulled back through the

@@ -301,7 +301,8 @@ class QWindow:
           source_dim, source_element(k),
           blocks: ordered (s, depth, rows) triples,
           block_matrix(s)    -> tuple of `rows` row tuples of length
-                                source_dim, entries rational,
+                                source_dim, entries exact rationals
+                                (Python ints allowed),
           torsion_rep(s, i),
           certified: bool
 

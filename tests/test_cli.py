@@ -354,6 +354,26 @@ def _malformed_input_cases():
         "glue-cap-size": ("glue", {"divisor": {}, "left": [8], "right": [7], "cap": 10}),
         "roundtrip-W-size": ("roundtrip", {"W": {"8": 2}}),
         "roundtrip-dual-W-size": ("roundtrip", {"W": {"8": -1, "7": -1}}),
+        # roundtrip divisors fattened by the largest cap on each open (size
+        # 961 and 481 ran 5.2 s and 1.35 s), and the default opens and caps
+        # fattening a size-96 W to 108
+        "roundtrip-opens-size": ("roundtrip", {"W": {"1": 1}, "opens": [[8, 7]],
+                                               "caps": [10]}),
+        "roundtrip-open-size": ("roundtrip", {"W": {"1": 1}, "opens": [[8]], "caps": [10]}),
+        "roundtrip-default-opens-size": ("roundtrip", {"W": {"8": 1, "4": 2}}),
+        # opens and caps lists longer than 6, a localcoh level above 16, a
+        # kmodel Euler class of degree above 256 (additive {"8": 10000}
+        # used to print a traceback) and kmodel params checked without W
+        "roundtrip-opens-length": ("roundtrip", {"W": {"1": 1}, "opens": [[1]] * 7}),
+        "roundtrip-caps-length": ("roundtrip", {"W": {"1": 1}, "caps": [0] * 7}),
+        "localcoh-level": ("localcoh", {"pi": [8], "a": 17}),
+        "kmodel-euler-degree": ("kmodel", {"group": "multiplicative", "W": {"1": 257}}),
+        "kmodel-euler-digits": ("kmodel", {"group": "additive", "W": {"8": 10000}}),
+        "kmodel-sign-without-W": ("kmodel", {"group": "additive", "sign": 2}),
+        "kmodel-null-products": ("kmodel", {"group": "additive", "products_upto": None}),
+        # a dims W of size above 96, whose window depth the default caps
+        # of a cohomology request do not bound ({"1": 10^6} ran out of memory)
+        "dims-W-size": ("dims", {"W": {"1": 97}, "variance": "cohomology"}),
     }
     for name, (command, params) in above_ceiling.items():
         config = {"params": params} if command == "kmodel" else {**E1, "params": params}
@@ -404,6 +424,15 @@ def test_ceilings_are_inclusive(tmp_path, capsys):
     rep = run_json(tmp_path, capsys, "roundtrip",
                    {**E1, "params": {"W": {"4": 6}, "caps": [0]}})
     assert rep["D"] == {"1": 6, "2": 6, "4": 6}
+    # six opens and six caps, W {"1": 6} fattened by cap 10 on [1, 3] to 96
+    opens, caps = [[1, 3], [1], [3], [], [2], [1, 2]], [0, 1, 2, 3, 4, 10]
+    rep = run_json(tmp_path, capsys, "roundtrip",
+                   {**E1, "params": {"W": {"1": 6}, "opens": opens, "caps": caps}})
+    assert rep["caps"] == caps and [row["pi"] for row in rep["opens"]] == opens
+    rep = run_json(tmp_path, capsys, "localcoh", {**E1, "params": {"pi": [1], "a": 16}})
+    assert rep["dim"] == 16
+    rep = run_json(tmp_path, capsys, "kmodel", {"params": {"group": "additive", "W": {"8": 32}}})
+    assert rep["euler"] == "[" + "0, " * 32 + f"{8 ** 32}] / [1]"  # (8x)^32
     caps = {"1": 1, "8": 1, "6": 1}  # cap divisor degree 1 + 48 + 24 = 73
     rep = run_json(tmp_path, capsys, "dims",
                    {"curve": {"a": "0", "b": "1"}, "params": {"W": {"1": 1}, "caps": caps}})

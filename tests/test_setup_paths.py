@@ -5,11 +5,18 @@ the reference below is the Horner evaluation over a chart widened by
 twice the degree.  `CycCache.ord_along` reads the valuation along a class
 from multiplicities when u or v is zero; the reference is the loop of
 `membership` tests it short-cuts, which still serves mixed elements.
+`CycCache.chart` grows its stored chart at least threefold, so a fresh
+theory reruns `_chart_series` at most once.
 """
+
+import contextlib
+import io
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellt import cli, curvefield
 from ellt.curvefield import (
     Coordinate,
     CycCache,
@@ -169,3 +176,42 @@ def test_ord_along_matches_membership_loop(ci, kind, unit, zero, pole, stray, s)
         elt = FuncElt(cache.curve, num, Poly((1, 2)), den)
     expected = _outcome(reference_ord_along, cache, elt, s)
     assert _outcome(cache.ord_along, elt, s) == expected, (elt, s)
+
+
+def _count_chart_runs(monkeypatch):
+    """(widths of every `_chart_series` run from now on, the unpatched
+    function)."""
+    widths = []
+    original = curvefield._chart_series
+
+    def spy(curve, prec):
+        widths.append(prec)
+        return original(curve, prec)
+
+    monkeypatch.setattr(curvefield, "_chart_series", spy)
+    return widths, original
+
+
+def test_wider_charts_at_least_triple(monkeypatch):
+    widths, chart_series = _count_chart_runs(monkeypatch)
+    cache = CycCache(CURVES[5])
+    for prec in (4, 3, 5, 7, 8, 10, 12, 13, 2):
+        # a cut of the wider chart is the chart of exactly that width
+        assert cache.chart(prec) == chart_series(cache.curve, prec)
+    assert widths == [4, 12, 36]
+
+
+def test_a_fresh_theory_runs_the_chart_at_most_twice(tmp_path, monkeypatch):
+    widths, _ = _count_chart_runs(monkeypatch)
+    path = tmp_path / "job.json"
+    runs = []
+    for command, params in (("serre", {"divisor": {"1": 2}}), ("completion", {"k": 6}),
+                            ("dims", {"W": {"1": 1, "2": -1}}), ("serre", {"divisor": {"1": 2}})):
+        path.write_text(json.dumps({"curve": {"a": "0", "b": "1/4"}, "params": params}))
+        before = len(widths)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main([command, "--config", str(path)]) == 0
+        runs.append(len(widths) - before)
+    # serre asks for widths 4, then 5, 7, 8 and 10; completion up to k + 2;
+    # the second serre pays again, since nothing outlives a cli.main call
+    assert runs == [2, 2, 1, 2]
