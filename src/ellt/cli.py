@@ -76,8 +76,9 @@ def _integer(value, where: str, minimum: int | None = None,
 # largest class label, `cap` or `caps` value, cap divisor degree,
 # section divisor degree, `roundtrip` `opens` and `caps` length, completion
 # stage `k`, `localcoh` level `a`, `products_upto`, `kmodel` Euler class
-# degree, `coeff` span and `serre` divisor degree a request may name: past
-# them one small config can run for minutes (README.md)
+# degree, `coeff` span, `serre` divisor degree and digits of a curve
+# coefficient's numerator or denominator a request may name: past them
+# one small config can run for minutes (README.md)
 CLASS_CEILING = 8
 CAP_CEILING = 10
 CAP_DEGREE_CEILING = 73
@@ -89,6 +90,7 @@ PRODUCTS_CEILING = 140
 EULER_DEGREE_CEILING = 256
 SPAN_CEILING = 100_000
 DEGREE_CEILING = 6
+CURVE_DIGITS_CEILING = 8
 
 
 def _weight_dict(value, where: str, minimum: int | None = None,
@@ -161,8 +163,11 @@ class JobConfig:
             _check_keys(block, ("a", "b"), "curve")
             if "a" not in block or "b" not in block:
                 raise ConfigError("curve needs both a and b")
-            self.curve = (_rational(block["a"], "curve.a"),
-                          _rational(block["b"], "curve.b"))
+            self.curve = tuple(_rational(block[key], f"curve.{key}") for key in ("a", "b"))
+            for key, value in zip("ab", self.curve):
+                if max(abs(value.numerator), value.denominator) >= 10 ** CURVE_DIGITS_CEILING:
+                    raise ConfigError(f"curve.{key} must have at most {CURVE_DIGITS_CEILING} "
+                                      "digits in its numerator and denominator")
 
         self.scale = Q(1)
         if "coordinate" in raw:
@@ -268,31 +273,25 @@ def _read_cache_file(path: str) -> dict:
     return payload
 
 
-def _load_cache_into(cache: CycCache, path: str | None) -> None:
-    """Seed the in-memory cache from disk, verifying every entry.
+def _make_cache(config: JobConfig, cache_path: str | None) -> CycCache:
+    """The configured curve's cache, seeded from the file at cache_path
+    when there is one (cache admin passes None), every entry verified.
 
     A file for a different curve or coordinate scale is ignored rather
     than rejected: one path may serve a batch over several curves.
     """
-    if path is None or not os.path.exists(path):
-        return
-    payload = _read_cache_file(path)
-    identity = _cache_identity(cache)
-    if payload.get("curve") != identity["curve"] or payload.get("scale") != identity["scale"]:
-        return
-    cache.load_psi_payload(payload["psi"])
-
-
-def _make_cache(config: JobConfig) -> CycCache:
     a, b = config.require_curve()
     curve = WeierstrassCurve(a, b)
-    return CycCache(curve, Coordinate(curve, scale=config.scale))
+    cache = CycCache(curve, Coordinate(curve, scale=config.scale))
+    if cache_path is not None and os.path.exists(cache_path):
+        payload = _read_cache_file(cache_path)
+        if all(payload.get(key) == value for key, value in _cache_identity(cache).items()):
+            cache.load_psi_payload(payload["psi"])
+    return cache
 
 
 def _make_theory(config: JobConfig, cache_path: str | None) -> EATheory:
-    cache = _make_cache(config)
-    _load_cache_into(cache, cache_path)
-    return EATheory(cache)
+    return EATheory(_make_cache(config, cache_path))
 
 
 # ----------------------------------------------------------------------
@@ -343,8 +342,7 @@ def _run_basis(config: JobConfig, cache_path) -> dict:
         raise ConfigError("basis needs params.divisor")
     coeffs = _divisor(_weight_dict(config.params["divisor"], "params.divisor"),
                       "params.divisor")
-    cache = _make_cache(config)
-    _load_cache_into(cache, cache_path)
+    cache = _make_cache(config, cache_path)
     basis = cache.rr_basis(TorsionDivisor(coeffs))
     return {
         **_echo(config, cache),
@@ -358,7 +356,8 @@ def _run_coeff(config: JobConfig, cache_path) -> dict:
     _check_keys(config.params, ("d_min", "d_max", "caps"), "params")
     d_min = _integer(config.params.get("d_min", -4), "params.d_min")
     d_max = _integer(config.params.get("d_max", 4), "params.d_max")
-    _integer(d_max - d_min, "params.d_max - params.d_min", maximum=SPAN_CEILING)
+    _integer(d_max - d_min, "params.d_max - params.d_min", minimum=0,
+             maximum=SPAN_CEILING)
     caps = _caps(config.params)
     theory = _make_theory(config, cache_path)
     rows = coefficient_ring(theory, d_min, d_max, caps=caps)
@@ -370,8 +369,7 @@ def _run_divpoly(config: JobConfig, cache_path) -> dict:
     if "n" not in config.params:
         raise ConfigError("divpoly needs params.n")
     n = _integer(config.params["n"], "params.n", 1, PSI_CEILING)
-    cache = _make_cache(config)
-    _load_cache_into(cache, cache_path)
+    cache = _make_cache(config, cache_path)
     psi = cache.psi(n)
     factors = {s: cache.t(s) for s in divisors_of(n) if s > 1}
     product = None
@@ -495,8 +493,7 @@ def _run_sections(config: JobConfig, cache_path) -> dict:
     pi = _class_list(config.params["pi"], "params.pi")
     cap = _integer(config.params.get("cap", 0), "params.cap", 0, CAP_CEILING)
     _divisor(coeffs, "params.divisor", cap, pi)
-    cache = _make_cache(config)
-    _load_cache_into(cache, cache_path)
+    cache = _make_cache(config, cache_path)
     window = sections(cache, coeffs, OpenSet(pi), cap)
     return {**_echo(config, cache), **window.report()}
 
@@ -511,8 +508,7 @@ def _run_glue(config: JobConfig, cache_path) -> dict:
     right = OpenSet(_class_list(config.params["right"], "params.right"))
     cap = _integer(config.params.get("cap", 0), "params.cap", 0, CAP_CEILING)
     _divisor(coeffs, "params.divisor", cap, set(left.pi) | set(right.pi))
-    cache = _make_cache(config)
-    _load_cache_into(cache, cache_path)
+    cache = _make_cache(config, cache_path)
     return {**_echo(config, cache), **glue_check(cache, coeffs, left, right, cap)}
 
 
@@ -562,7 +558,7 @@ def _run_cache_admin(config: JobConfig, cache_path) -> dict:
         report["removed"] = removed
         return report
 
-    cache = _make_cache(config)
+    cache = _make_cache(config, None)
     if action == "warm":
         cache.warm(upto)
         payload = {**_cache_identity(cache), "upto": upto,

@@ -1016,42 +1016,21 @@ def residue_along(omega: MeromorphicDifferential, s: int) -> Q:
 # quotient windows in the monomial frame
 
 
-def frame_coords(elt: FuncElt, dim: int) -> list[Q]:
-    """Coordinates of a pure element against the monomial ladder
-    1, x, y, x^2, xy, ... truncated to the first `dim` entries.
-
-    The ladder spans exactly the elements with poles only at e, so this
-    fails loudly when the element is not pure or overflows the window.
-    """
-    return ladder_frames(elt, 1, dim)[0]
-
-
-def ladder_frames(h: FuncElt, count: int, dim: int) -> list[list[Q]]:
-    """Frame vectors of m_k * h for k < count, each truncated to `dim`:
-    copies of three coefficient tuples placed by `_rungs`, with no
-    product in the function field."""
-    return _frames(_ladder_parts(h, count), count, dim, QZERO)
-
-
-def _ladder_parts(h: FuncElt, count: int) -> tuple[tuple, tuple, tuple]:
-    """u, v and v * rhs of a pure h = u + v y; v * rhs is needed only
-    when some rung is x^a y, that is when count > 2."""
+def _ladder_ints(h: FuncElt, count: int) -> tuple[int, tuple, tuple, tuple]:
+    """(den, u, v, v * rhs) of a pure h = u + v y, the three coefficient
+    tuples scaled to ints by their common denominator den; v * rhs is
+    needed only when some rung is x^a y, that is when count > 2."""
     if not h.is_pure():
         raise ValueError("frame coordinates need a pure element")
-    return h.u.coeffs, h.v.coeffs, (h.v * h.curve.rhs).coeffs if count > 2 else ()
-
-
-def _over_one_den(parts) -> tuple[int, tuple]:
-    """(den, tuples of ints): the rational tuples `parts` scaled by
-    their common denominator den."""
+    parts = (h.u.coeffs, h.v.coeffs, (h.v * h.curve.rhs).coeffs if count > 2 else ())
     den = lcm(*[c.denominator for part in parts for c in part])
-    return den, tuple(tuple(c.numerator * (den // c.denominator) for c in part)
-                      for part in parts)
+    return den, *(tuple(c.numerator * (den // c.denominator) for c in part)
+                  for part in parts)
 
 
 def _rungs(u: tuple, v: tuple, vr: tuple, count: int, dim: int):
     """(top, lead, a, xs, ys) for m_k * h, k < count, h = u + v y: the
-    ladder core shared by frame vectors, block columns and reducers.
+    ladder core shared by `ladder_frames` and the window reducers.
 
     x^a h puts u and v a rungs up the ladder (x^j at slot 2j - 1, or 0
     for j = 0, and x^j y at slot 2j + 2), and x^a y h puts v * rhs and u
@@ -1076,12 +1055,17 @@ def _rungs(u: tuple, v: tuple, vr: tuple, count: int, dim: int):
         yield top, lead, a, xs, ys
 
 
-def _frames(parts: tuple, count: int, dim: int, zero) -> list[list]:
-    """The `_rungs` of parts = (u, v, v * rhs) written into frame vectors
-    of `dim` entries, each starting from `zero`."""
-    out = []
+def ladder_frames(h: FuncElt, count: int, dim: int) -> tuple[int, list[list[int]]]:
+    """(den, rows): row k is den times the frame vector of m_k * h against
+    the monomial ladder 1, x, y, x^2, xy, ..., for k < count, truncated
+    to `dim` entries.  Each row is slice copies of the integer tuples of
+    `_ladder_ints` placed by `_rungs`, with no product in the function
+    field; an impure h or a term at slot `dim` or above raises
+    ValueError."""
+    den, *parts = _ladder_ints(h, count)
+    rows = []
     for _, _, a, xs, ys in _rungs(*parts, count, dim):
-        vec = [zero] * dim
+        vec = [0] * dim
         if xs:
             if a:
                 vec[2 * a - 1:2 * (a + len(xs)) - 1:2] = xs
@@ -1090,8 +1074,8 @@ def _frames(parts: tuple, count: int, dim: int, zero) -> list[list]:
                 vec[1:2 * len(xs) - 1:2] = xs[1:]
         if ys:
             vec[2 * a + 2:2 * (a + len(ys)) + 1:2] = ys
-        out.append(vec)
-    return out
+        rows.append(vec)
+    return den, rows
 
 
 class QuotientWindow:
@@ -1143,8 +1127,7 @@ class QuotientWindow:
         self.divisor = others + single_class(s, base + depth)
         self._shift_inv = None  # built by the first rep()
         # t_star ignores the class 1, so s = 1 shifts by the constant 1
-        _, parts = _over_one_den(
-            _ladder_parts(cache.t_star(single_class(s, depth)), self.residual_dim))
+        _, *parts = _ladder_ints(cache.t_star(single_class(s, depth)), self.residual_dim)
         reducers = {}
         for rung in _rungs(*parts, self.residual_dim, self.frame_dim):
             if rung[0] in reducers:
@@ -1161,35 +1144,25 @@ class QuotientWindow:
         stays in the frame and never builds it."""
         return self.cache.t_star(self.divisor)
 
-    def coords(self, f: FuncElt) -> list[Q]:
-        """Coordinate vector of the class of f, length block_size."""
+    def coords(self, f: FuncElt) -> list:
+        """Coordinate vector of the class of f, length block_size: exact
+        rationals, ints where the sweep needed no scale."""
         shifted = f * self.shift
         if not shifted.is_pure():
             raise UnsupportedPoles("element carries poles beyond the window divisor")
         try:
-            vec = frame_coords(shifted, self.frame_dim)
+            return self.ladder_columns(shifted, 1)[0]
         except ValueError as exc:
             raise UnsupportedPoles(str(exc)) from None
-        return self.coords_of_frame(vec)
-
-    def coords_of_frame(self, vec: list[Q]) -> list[Q]:
-        """Sweep half of `coords`: takes the rational frame vector of an
-        element already multiplied by the window shift, and sweeps it as
-        integers over their common denominator (`_sweep_ints`)."""
-        if len(vec) != self.frame_dim:
-            raise ValueError("frame vector does not match the window frame")
-        den, (ints,) = _over_one_den((vec,))
-        col, den = self._sweep_ints(list(ints), den)
-        return [Q(c, den) for c in col]
 
     def ladder_columns(self, h: FuncElt, count: int) -> list[list]:
         """Coordinates of m_k * h for k < count, for a pure h already
-        multiplied by the window shift: h is scaled to integers once,
-        each ladder vector is swept as integers, and an entry is a
-        rational only where its column's scale is not 1."""
-        den, parts = _over_one_den(_ladder_parts(h, count))
+        multiplied by the window shift: each integer `ladder_frames` row
+        is swept as integers, and an entry is a rational only where its
+        column's scale is not 1."""
+        den, rows = ladder_frames(h, count, self.frame_dim)
         out = []
-        for vec in _frames(parts, count, self.frame_dim, 0):
+        for vec in rows:
             col, scale = self._sweep_ints(vec, den)
             out.append(col if scale == 1 else [Q(c, scale) for c in col])
         return out

@@ -199,12 +199,11 @@ class EllipticGroupData:
             caps = {1: 1}
         return caps
 
-    def window(self, s: int, depth: int, others: TorsionDivisor,
-               base: int = 0) -> QuotientWindow:
-        key = (s, depth, tuple(sorted(others.coeffs.items())), base)
+    def window(self, s: int, depth: int, others: TorsionDivisor) -> QuotientWindow:
+        key = (s, depth, tuple(sorted(others.coeffs.items())))
         win = self._windows.get(key)
         if win is None:
-            win = QuotientWindow(self.cache, s, depth, others, base)
+            win = QuotientWindow(self.cache, s, depth, others)
             self._windows[key] = win
         return win
 
@@ -363,8 +362,7 @@ class EATheory:
         w = symbol.exponent(s)
         g = fn
         if w:
-            tw = self.cache.coordinate.base if s == 1 else self.cache.t(s)
-            g = fn * tw ** w
+            g = fn * self.cache.t(s) ** w
         vec = principal_part(self.cache, g, s, depth)
         return TorsionClass(s, depth, weight - w, vec)
 

@@ -95,7 +95,8 @@ class SectionWindow:
 
     def frame_rows(self, target) -> list[tuple]:
         """Coordinate rows of the basis inside H^0(O(target)), for a target
-        at least `allowed` on every class.
+        at least `allowed` on every class, all scaled by one positive
+        integer (the `ladder_frames` denominator), which keeps every rank.
 
         Row k is m_k * t*(target - allowed), a pure element, so no inverse
         and no gcd is needed.  A target below `allowed` on some class does
@@ -107,9 +108,8 @@ class SectionWindow:
                 f"frame of {target!r} does not contain the sections of "
                 f"{self.allowed!r}"
             )
-        shift = self.cache.t_star(gap)
-        return [tuple(vec) for vec in
-                ladder_frames(shift, self.dim, h_dims(target)[0])]
+        _, rows = ladder_frames(self.cache.t_star(gap), self.dim, h_dims(target)[0])
+        return [tuple(vec) for vec in rows]
 
     def report(self) -> dict:
         return {

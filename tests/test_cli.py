@@ -313,6 +313,13 @@ def _malformed_input_cases():
     yield pytest.param("divpoly", {**E1, "params": {"n": 33}}, None, id="divpoly-above-ceiling")
     yield pytest.param("kmodel", {"params": {"group": "multiplicative", "W": {"1": 1},
                                              "sign": True}}, None, id="kmodel-sign-true")
+    # d_min past d_max used to print an empty table and exit 0
+    yield pytest.param("coeff", {**E1, "params": {"d_min": 5, "d_max": 2}}, None,
+                       id="coeff-d_min-above-d_max")
+    # a curve coefficient of 4000 digits used to end in a traceback while
+    # printing psi_8, past Python's 4300-digit integer conversion limit
+    yield pytest.param("divpoly", {"curve": {"a": -1, "b": 10 ** 3999}, "params": {"n": 8}},
+                       None, id="divpoly-curve-digits-above-ceiling")
     # class labels above CLASS_CEILING = 8 and caps above CAP_CEILING = 10
     above_ceiling = {
         "dims-label": ("dims", {"W": {"9": 1}}),
@@ -437,6 +444,10 @@ def test_ceilings_are_inclusive(tmp_path, capsys):
     rep = run_json(tmp_path, capsys, "dims",
                    {"curve": {"a": "0", "b": "1"}, "params": {"W": {"1": 1}, "caps": caps}})
     assert rep["certified_caps"] == caps
+    # curve coefficients of 8 digits above and below the fraction bar
+    curve = {"a": "-99999999/99999997", "b": "0"}
+    rep = run_json(tmp_path, capsys, "divpoly", {"curve": curve, "params": {"n": 4}})
+    assert rep["curve"] == curve
 
 
 class TestCacheAdmin:

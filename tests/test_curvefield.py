@@ -20,7 +20,6 @@ from ellt.curvefield import (
     divisors_of,
     exact_order_count,
     expand_at_e,
-    frame_coords,
     h_dims,
     ladder_frames,
     monomial,
@@ -31,6 +30,12 @@ from ellt.curvefield import (
     residue_at_e,
     single_class,
     trace_residues,
+)
+from ladder_reference import (
+    frame_element,
+    outcome as _outcome,
+    reference_ladder_frames,
+    scaled_rows,
 )
 
 E1 = WeierstrassCurve(-1, 0)  # y^2 = x^3 - x
@@ -472,21 +477,14 @@ class TestQuotientWindows:
         with pytest.raises(UnsupportedPoles):
             win.coords(cache1.t(3).inverse())
 
-    def test_frame_coords_ladder(self):
+    def test_ladder_frames_of_a_pure_element(self):
         x, y = E1.x(), E1.y()
         f = x * x + y * 5 - 2
-        assert frame_coords(f, 4) == [Q(-2), Q(0), Q(5), Q(1)]
+        assert ladder_frames(f, 1, 4) == (1, [[-2, 0, 5, 1]])
+        assert ladder_frames(f * Q(1, 6), 1, 4) == (6, [[-2, 0, 5, 1]])
         assert monomial_pole(0) == 0
         assert [monomial_pole(k) for k in (1, 2, 3, 4)] == [2, 3, 4, 5]
         assert monomial(E1, 4) == x * y
-
-
-def _outcome(compute):
-    """The value, or the ValueError message, so refusals compare too."""
-    try:
-        return "value", compute()
-    except ValueError as exc:
-        return "ValueError", str(exc)
 
 
 def _dense_sweep(win, vec):
@@ -496,7 +494,7 @@ def _dense_sweep(win, vec):
     sub_shift = win.cache.t(win.s) ** win.depth if win.s >= 2 else curve.one()
     reducers = {}
     for j in range(win.residual_dim):
-        red = frame_coords(monomial(curve, j) * sub_shift, win.frame_dim)
+        red = reference_ladder_frames(monomial(curve, j) * sub_shift, 1, win.frame_dim)[0]
         top = max(k for k, c in enumerate(red) if c != 0)
         reducers[top] = [c / red[top] for c in red]
     vec = list(vec)
@@ -508,7 +506,8 @@ def _dense_sweep(win, vec):
 
 class TestFrameFastPath:
     """`ladder_frames` and the sparse reducers against the canonical
-    `FuncElt` products they replace."""
+    `FuncElt` products they replace, read by the rational reference
+    ladder."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([E1, E2, E3]), small_poly, small_poly,
@@ -516,8 +515,8 @@ class TestFrameFastPath:
            st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=20))
     def test_ladder_matches_the_product_path(self, curve, u, v, d, count, dim):
         h = FuncElt(curve, u, v, d)
-        expected = _outcome(
-            lambda: [frame_coords(monomial(curve, k) * h, dim) for k in range(count)])
+        expected = _outcome(lambda: scaled_rows(
+            [reference_ladder_frames(monomial(curve, k) * h, 1, dim)[0] for k in range(count)]))
         assert _outcome(lambda: ladder_frames(h, count, dim)) == expected
 
     def test_ladder_refusals_name_the_overflowing_term(self):
@@ -545,7 +544,7 @@ class TestFrameFastPath:
         vec = data.draw(st.lists(
             st.fractions(min_value=-4, max_value=4, max_denominator=3),
             min_size=win.frame_dim, max_size=win.frame_dim))
-        assert win.coords_of_frame(vec) == _dense_sweep(win, vec)
+        assert win.coords(frame_element(win, vec)) == _dense_sweep(win, vec)
 
 
 class TestPrincipalParts:

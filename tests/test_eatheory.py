@@ -10,7 +10,6 @@ from ellt.curvefield import (
     FuncElt,
     TorsionDivisor,
     WeierstrassCurve,
-    frame_coords,
     h_dims,
     monomial,
 )
@@ -35,6 +34,7 @@ from ellt.errors import CapTooSmall, UnsupportedPoles, ValidationFailed
 from ellt.exactcore import Matrix, Q, matrix_rank
 from ellt.sheafside import OpenSet, sections
 from ellt.tmodel import EulerClassSymbol, Representation, dim_fn, suspend
+from ladder_reference import reference_ladder_frames, reference_reducers, reference_sweep
 
 
 @pytest.fixture(scope="module")
@@ -539,7 +539,8 @@ def e1_scaled():
 
 
 class TestFrameAssembly:
-    """Blocks assembled in the monomial frame against canonical products."""
+    """Blocks assembled in the monomial frame against canonical products,
+    read by the rational reference ladder and sweep."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -556,8 +557,10 @@ class TestFrameAssembly:
         for s, _, rows in ctx.blocks:
             win, mult = ctx._block(s)
             assert mult == _product_multiplier(ctx, s, win)
+            reference = reference_reducers(win)
             columns = [
-                win.coords_of_frame(frame_coords(monomial(curve, k) * mult, win.frame_dim))
+                reference_sweep(reference, reference_ladder_frames(
+                    monomial(curve, k) * mult, 1, win.frame_dim)[0])
                 for k in range(ctx.source_dim)
             ]
             assert ctx.block_matrix(s) == Matrix(tuple(zip(*columns))).entries

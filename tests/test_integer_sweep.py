@@ -1,12 +1,13 @@
 """The integer window sweep against the Fraction sweep it replaced.
 
-The references below copy the rational assembly path: frame vectors
-placed slot by slot, reducers built from t_s ** depth and kept as the
-(slot, c / lead) Fraction pairs below a distinct top, and a sweep that
-subtracts c times those pairs.  The library scales t_s^depth and each
-block multiplier to integers over one denominator and sweeps them
-fraction-free; every coordinate, block row, kernel, rank and uncovered
-row must agree with the references, and so must every refusal.
+The references in `ladder_reference` copy the rational path: frame
+vectors placed slot by slot, reducers built from t_s ** depth and kept as
+the (slot, c / lead) Fraction pairs below a distinct top, and a sweep
+that subtracts c times those pairs.  The library scales t_s^depth, each
+block multiplier and each shifted element to integers over one
+denominator and sweeps them fraction-free; every coordinate, block row,
+kernel, rank and uncovered row must agree with the references, and so
+must every refusal.
 """
 
 from fractions import Fraction
@@ -25,9 +26,18 @@ from ellt.curvefield import (
     exact_order_count,
 )
 from ellt.eatheory import EATheory
-from ellt.errors import EllTError, UnsupportedPoles, ValidationFailed
+from ellt.errors import ValidationFailed
 from ellt.exactcore import Matrix, Poly, QZERO, kernel_and_image, rref
 from ellt.tmodel import QWindow
+from ladder_reference import (
+    frame_element,
+    outcome as _outcome,
+    pure_element,
+    reference_coords,
+    reference_ladder_frames,
+    reference_reducers,
+    reference_sweep,
+)
 
 # the six curves of the cli_jobs pools, then (-1, 0) with a scaled coordinate
 CURVES = [(-1, 0), (0, 1), (1, 0), (-4, 0), (0, -2), (0, Fraction(1, 4))]
@@ -67,91 +77,16 @@ def window_of(caches):
     return window_of
 
 
-def reference_ladder_frames(h, count, dim):
-    """The rational frame vectors of m_k * h, k < count, as placed before
-    the integer core: x^a h puts u and v a rungs up the ladder and x^a y h
-    puts v * rhs and u there."""
-    if not h.is_pure():
-        raise ValueError("frame coordinates need a pure element")
-    u, v = h.u.coeffs, h.v.coeffs
-    vr = (h.v * h.curve.rhs).coeffs if count > 2 else ()
-    out = []
-    for k in range(count):
-        a, xs, ys = (k // 2 - 1, vr, u) if k and not k % 2 else ((k + 1) // 2, u, v)
-        vec = [QZERO] * dim
-        if xs:
-            if max(2 * (a + len(xs)) - 3, 0) >= dim:
-                j = next(j for j, c in enumerate(xs, a) if c and max(2 * j - 1, 0) >= dim)
-                raise ValueError(f"x^{j} overflows a frame of dimension {dim}")
-            if a:
-                vec[2 * a - 1:2 * (a + len(xs)) - 1:2] = xs
-            else:
-                vec[0] = xs[0]
-                vec[1:2 * len(xs) - 1:2] = xs[1:]
-        if ys:
-            if 2 * (a + len(ys)) >= dim:
-                j = next(j for j, c in enumerate(ys, a) if c and 2 * j + 2 >= dim)
-                raise ValueError(f"x^{j} y overflows a frame of dimension {dim}")
-            vec[2 * a + 2:2 * (a + len(ys)) + 1:2] = ys
-        out.append(vec)
-    return out
-
-
-def reference_reducers(win):
-    """(sweep, complement): the Fraction reducers of a window, built from
-    t_s ** depth, each the nonzero (slot, c / lead) pairs below its top."""
-    cache = win.cache
-    sub_shift = cache.t(win.s) ** win.depth if win.s >= 2 else cache.curve.one()
-    reducers = {}
-    for vec in reference_ladder_frames(sub_shift, win.residual_dim, win.frame_dim):
-        top = max(k for k, c in enumerate(vec) if c != 0)
-        assert top not in reducers
-        lead = vec[top]
-        reducers[top] = [(k, vec[k] / lead) for k in range(top) if vec[k]]
-    complement = sorted(set(range(win.frame_dim)) - set(reducers))
-    return sorted(reducers.items(), reverse=True), complement
-
-
-def reference_sweep(reference, vec):
-    sweep, complement = reference
-    vec = [Fraction(c) for c in vec]
-    for top, pairs in sweep:
-        c = vec[top]
-        if c:
-            for k, r in pairs:
-                vec[k] -= c * r
-    return [vec[k] for k in complement]
-
-
-def reference_coords(win, reference, f):
-    shifted = f * win.shift
-    if not shifted.is_pure():
-        raise UnsupportedPoles("element carries poles beyond the window divisor")
-    try:
-        vec = reference_ladder_frames(shifted, 1, win.frame_dim)[0]
-    except ValueError as exc:
-        raise UnsupportedPoles(str(exc)) from None
-    return reference_sweep(reference, vec)
-
-
-def _outcome(compute):
-    """The value, or the error type and message, so refusals compare too."""
-    try:
-        return "value", compute()
-    except (ValueError, EllTError) as exc:
-        return type(exc).__name__, str(exc)
-
-
 @st.composite
-def windows(draw):
+def windows(draw, max_frame=MAX_FRAME):
     """(cache index, s, depth, base, enclosure) with a frame of at most
-    MAX_FRAME slots: s = 1-6, depth 1-4, base 0-2, mixed enclosures."""
+    max_frame slots: s = 1-6, depth 1-4, base 0-2, mixed enclosures."""
     i = draw(st.integers(0, SCALED))
     s = draw(st.integers(1, 6))
     m = exact_order_count(s)
-    depth = draw(st.integers(1, max(1, min(4, 48 // m))))
-    base = draw(st.integers(0, max(0, min(2, (MAX_FRAME - 16 - depth * m) // m))))
-    budget = MAX_FRAME - (base + depth) * m
+    depth = draw(st.integers(1, max(1, min(4, (max_frame - 32) // m))))
+    base = draw(st.integers(0, max(0, min(2, (max_frame - 16 - depth * m) // m))))
+    budget = max_frame - (base + depth) * m
     others = {}
     for r in draw(st.lists(st.integers(1, 6), max_size=3, unique=True)):
         n = draw(st.integers(0, 2))
@@ -171,17 +106,31 @@ _coefficient = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 class TestWindowSweep:
     @settings(max_examples=40, deadline=None)
     @given(windows(), st.data())
-    def test_coords_of_frame_matches_the_fraction_sweep(self, window_of, window, data):
+    def test_frame_vectors_sweep_like_the_fraction_sweep(self, caches, window_of, window,
+                                                         data):
         i, s, depth, base, others = window
         win, reference = window_of(i, s, depth, others, base)
         assert win.complement == reference[1]
         vec = data.draw(st.lists(_coefficient, min_size=win.frame_dim, max_size=win.frame_dim))
-        assert win.coords_of_frame(vec) == reference_sweep(reference, vec)
+        g = pure_element(caches[i].curve, vec)
+        assert win.ladder_columns(g, 1) == [reference_sweep(reference, vec)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(windows(40), st.data())
+    def test_coords_of_frame_elements_match_the_fraction_sweep(self, window_of, window, data):
+        # frames up to 40 slots: building t*(divisor) and the elements
+        # over it costs seconds for the largest windows() frames
+        i, s, depth, base, others = window
+        win, reference = window_of(i, s, depth, others, base)
+        vec = data.draw(st.lists(_coefficient, min_size=win.frame_dim, max_size=win.frame_dim))
+        f = frame_element(win, vec)
+        assert win.coords(f) == reference_sweep(reference, vec) == reference_coords(
+            win, reference, f)
         # one scaled unit vector at a swept slot, which always needs a reducer
         top = data.draw(st.sampled_from([top for top, _ in reference[0]]))
         unit = [QZERO] * win.frame_dim
         unit[top] = Fraction(7, 3)
-        assert win.coords_of_frame(unit) == reference_sweep(reference, unit)
+        assert win.coords(frame_element(win, unit)) == reference_sweep(reference, unit)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, SCALED), st.integers(1, 4), st.integers(1, 2),
@@ -204,7 +153,7 @@ class TestWindowSweep:
             win, reference = window_of(i, s, 1, _enclosure(s), 1)
             assert {rung[1] for rung in win._sweep} == {lead}
             vec = [Fraction(k % 5 - 2, k % 3 + 1) for k in range(win.frame_dim)]
-            assert win.coords_of_frame(vec) == reference_sweep(reference, vec)
+            assert win.coords(frame_element(win, vec)) == reference_sweep(reference, vec)
 
 
 class TestBlockColumns:

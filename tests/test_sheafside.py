@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ellt.curvefield
-from ellt.curvefield import CycCache, TorsionDivisor, frame_coords
+from ellt.curvefield import CycCache, TorsionDivisor
 from ellt.eatheory import build_ea, rep_to_divisor
 from ellt.errors import CapTooSmall, ValidationFailed
 from ellt.exactcore import Matrix, matrix_rank
@@ -20,6 +20,7 @@ from ellt.sheafside import (
     sections,
 )
 from ellt.tmodel import QWindow, dim_fn, suspend
+from ladder_reference import reference_ladder_frames, scaled_rows
 
 EA = build_ea((-1, 0))
 CACHE = EA.cache
@@ -27,9 +28,10 @@ EA2 = build_ea((0, 1))
 
 
 def _frame_of(allowed, elements, cache=CACHE):
-    """Reference rows of canonical elements inside H^0(O(allowed))."""
+    """Reference rows of canonical elements inside H^0(O(allowed)), in
+    rationals."""
     dim, shift = max(allowed.degree, 1), cache.t_star(allowed)
-    return [tuple(frame_coords(g * shift, dim)) for g in elements]
+    return [tuple(reference_ladder_frames(g * shift, 1, dim)[0]) for g in elements]
 
 U_ALL = OpenSet()
 U_E = OpenSet({1})
@@ -149,7 +151,9 @@ class TestSymbolicSections:
         assert window.dim == len(reference)
         assert window.basis == reference
         target = window.allowed + TorsionDivisor(extra)
-        assert window.frame_rows(target) == _frame_of(target, reference)
+        # the same rows, scaled by the lcm of their denominators
+        rows = scaled_rows(_frame_of(target, reference))[1]
+        assert window.frame_rows(target) == [tuple(row) for row in rows]
 
     @settings(max_examples=30, deadline=None)
     @given(coeffs=st.dictionaries(CLASSES, st.integers(min_value=-2, max_value=3), max_size=3))
@@ -243,8 +247,8 @@ class TestMaEval:
 
 class TestSpanRows:
     """The vertex-frame span check of `roundtrip` against the path it
-    replaces: kernel elements times t*(allowed), read by `frame_coords`,
-    beside the section basis in its own frame."""
+    replaces: kernel elements times t*(allowed), read by the rational
+    reference ladder, beside the section basis in its own frame."""
 
     @settings(max_examples=30, deadline=None)
     @given(
