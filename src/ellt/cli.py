@@ -62,6 +62,16 @@ def _rational(value, where: str) -> Q:
     raise ConfigError(f"{where} must be an integer or a 'p/q' string, got {value!r}")
 
 
+def _short_rational(value, where: str) -> Q:
+    """`_rational`, refused past CURVE_DIGITS_CEILING digits above or below
+    the fraction bar."""
+    value = _rational(value, where)
+    if max(abs(value.numerator), value.denominator) >= 10 ** CURVE_DIGITS_CEILING:
+        raise ConfigError(f"{where} must have at most {CURVE_DIGITS_CEILING} "
+                          "digits in its numerator and denominator")
+    return value
+
+
 def _integer(value, where: str, minimum: int | None = None,
              maximum: int | None = None) -> int:
     if type(value) is not int:
@@ -76,9 +86,9 @@ def _integer(value, where: str, minimum: int | None = None,
 # largest class label, `cap` or `caps` value, cap divisor degree,
 # section divisor degree, `roundtrip` `opens` and `caps` length, completion
 # stage `k`, `localcoh` level `a`, `products_upto`, `kmodel` Euler class
-# degree, `coeff` span, `serre` divisor degree and digits of a curve
-# coefficient's numerator or denominator a request may name: past them
-# one small config can run for minutes (README.md)
+# degree, `coeff` span, `serre` divisor degree and digits of the numerator
+# or denominator of a curve coefficient or the coordinate scale a request
+# may name: past them one small config can run for minutes (README.md)
 CLASS_CEILING = 8
 CAP_CEILING = 10
 CAP_DEGREE_CEILING = 73
@@ -163,11 +173,7 @@ class JobConfig:
             _check_keys(block, ("a", "b"), "curve")
             if "a" not in block or "b" not in block:
                 raise ConfigError("curve needs both a and b")
-            self.curve = tuple(_rational(block[key], f"curve.{key}") for key in ("a", "b"))
-            for key, value in zip("ab", self.curve):
-                if max(abs(value.numerator), value.denominator) >= 10 ** CURVE_DIGITS_CEILING:
-                    raise ConfigError(f"curve.{key} must have at most {CURVE_DIGITS_CEILING} "
-                                      "digits in its numerator and denominator")
+            self.curve = tuple(_short_rational(block[key], f"curve.{key}") for key in ("a", "b"))
 
         self.scale = Q(1)
         if "coordinate" in raw:
@@ -179,7 +185,7 @@ class JobConfig:
             if form != "x/y":
                 raise ConfigError(f"only the x/y coordinate form is supported, got {form!r}")
             if "scale" in block:
-                self.scale = _rational(block["scale"], "coordinate.scale")
+                self.scale = _short_rational(block["scale"], "coordinate.scale")
                 if self.scale == 0:
                     raise ConfigError("coordinate.scale must be nonzero")
 
@@ -231,6 +237,11 @@ def load_config(command: str, path: str) -> JobConfig:
 # largest psi index a request may compute or a cache file may hold:
 # psi_n costs about four times as much for every 8 added to n
 PSI_CEILING = 32
+# bits of the larger of the numerator and denominator of the coordinate
+# scale, times n^2 - 1: `divpoly` reports n * scale^(n^2 - 1), and each t_s
+# carries scale^|A<s>|, so past this the text nears Python's 4300-digit
+# conversion limit (README.md)
+SCALE_POWER_CEILING = 4096
 
 
 def _cache_identity(cache: CycCache) -> dict:
@@ -369,13 +380,20 @@ def _run_divpoly(config: JobConfig, cache_path) -> dict:
     if "n" not in config.params:
         raise ConfigError("divpoly needs params.n")
     n = _integer(config.params["n"], "params.n", 1, PSI_CEILING)
+    scale = config.scale
+    _integer((n * n - 1) * max(abs(scale.numerator), scale.denominator).bit_length(),
+             "params.n with coordinate.scale: bits of scale^(n^2 - 1)",
+             maximum=SCALE_POWER_CEILING)
     cache = _make_cache(config, cache_path)
     psi = cache.psi(n)
     factors = {s: cache.t(s) for s in divisors_of(n) if s > 1}
+    # each t_s is normalised against the coordinate c x/y, and the
+    # factors have n^2 - 1 poles at e, so psi_n = n c^(n^2 - 1) prod t_s
+    scalar = n * scale ** (n * n - 1)
     product = None
     for f in factors.values():
         product = f if product is None else product * f
-    recombined = product * n if product is not None else psi
+    recombined = product * scalar if product is not None else psi
     if recombined != psi:
         raise EllTError(f"psi_{n} does not match its cyclotomic factorization")
     return {
@@ -383,7 +401,7 @@ def _run_divpoly(config: JobConfig, cache_path) -> dict:
         "n": n,
         "psi": psi.text(),
         "ord_e": -(n * n - 1),
-        "scalar": qtext(Q(n)),
+        "scalar": qtext(scalar),
         "t_factors": {str(s): f.text() for s, f in sorted(factors.items())},
         "factorization_ok": True,
     }

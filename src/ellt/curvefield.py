@@ -10,7 +10,7 @@ monomials over a single t-product denominator.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 
 from .errors import (
@@ -162,10 +162,6 @@ class WeierstrassCurve:
     def __setattr__(self, name, value):
         raise AttributeError("WeierstrassCurve is immutable")
 
-    @property
-    def discriminant(self) -> Q:
-        return -16 * (4 * self.a**3 + 27 * self.b**2)
-
     def __eq__(self, other):
         if not isinstance(other, WeierstrassCurve):
             return NotImplemented
@@ -220,6 +216,15 @@ class FuncElt:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _canonical(cls, curve, u: Poly, v: Poly, d: Poly) -> "FuncElt":
+        """(u + v y) / d from parts already in canonical form (d monic,
+        no common factor), without the constructor's gcd."""
+        elt = object.__new__(cls)
+        for name, value in (("curve", curve), ("u", u), ("v", v), ("d", d)):
+            object.__setattr__(elt, name, value)
+        return elt
 
     def __setattr__(self, name, value):
         raise AttributeError("FuncElt is immutable")
@@ -353,26 +358,30 @@ def parse_func_elt(curve: WeierstrassCurve, text: str) -> FuncElt:
 
 
 def _chart_series(curve: WeierstrassCurve, prec: int) -> tuple[LaurentSeries, LaurentSeries]:
-    """Series for x and y in t = x/y.
+    """Series for x and y in t = x/y, `prec` terms each.
 
-    Uses the fixed point of s = t^3 + a t s^2 + b s^3 (s = 1/y), which
-    gains accuracy every pass; then x = t y.
+    s = 1/y solves s = t^3 + a t s^2 + b s^3.  Writing s = t^3 sigma(u)
+    for u = t^2 gives sigma = 1 + a u^2 sigma^2 + b u^3 sigma^3, so
+    sigma_n = [n = 0] + a (sigma^2)_{n-2} + b (sigma^3)_{n-3} reads only
+    earlier coefficients: each one is exact when computed, once, on a
+    running sigma^2.  Then y = 1/s and x = t y.
     """
     if prec < 1:
         raise ValueError("precision must be positive")
-    width = prec + 8  # room for the t^3 offset and the iteration tail
-    t = LaurentSeries(1, (QONE,) + (QZERO,) * (width - 1))
-    t3 = LaurentSeries(3, (QONE,) + (QZERO,) * (width - 1))
     a, b = curve.a, curve.b
-    s = t3
-    for _ in range(width + 2):
-        nxt = t3 + (t * (s * s)) * a + (s * (s * s)) * b
-        if nxt == s:
-            break
-        s = nxt
-    y = series_reciprocal(s)
-    x = t * y
-    return x.truncate(prec), y.truncate(prec)
+    sig, sq = [], []  # sigma and sigma^2 in u
+    for n in range((prec + 1) // 2):
+        c = QONE if n == 0 else QZERO
+        if n >= 2:
+            c += a * sq[n - 2]
+        if n >= 3:
+            c += b * sum(sig[i] * sq[n - 3 - i] for i in range(n - 2))
+        sig.append(c)
+        sq.append(sum(sig[i] * sig[n - i] for i in range(n + 1)))
+    coeffs = [QZERO] * prec
+    coeffs[::2] = sig
+    y = series_reciprocal(LaurentSeries(3, coeffs))
+    return LaurentSeries(-2, y.coeffs), y
 
 
 def expand_at_e(elt: FuncElt, prec: int, chart=None) -> LaurentSeries:
@@ -529,7 +538,8 @@ class Coordinate:
 
 class CycCache:
     """Per-(curve, coordinate) memo of division polynomials, cyclotomic
-    functions t_s, class polynomials, and chart series.
+    functions t_s and their products, class polynomials, chart series and
+    expansions of the coordinate.
 
     Single-threaded: entries are stored in place, and a t_s is stored
     only after it has been validated, so a stored entry is always a
@@ -544,6 +554,8 @@ class CycCache:
         self._t_raw: dict[int, FuncElt] = {}
         self._class_poly: dict[int, Poly] = {}
         self._t_star: dict[tuple, FuncElt] = {}
+        self._x_parts: dict[int, tuple[Q, tuple[int, ...]]] = {}
+        self._base_series: dict[int, LaurentSeries] = {}
         self._chart: tuple[int, LaurentSeries, LaurentSeries] | None = None
         self._diff_factor: Q | None = None
         self._coordinate_profile: dict[int, tuple[int, int]] = {}
@@ -570,7 +582,7 @@ class CycCache:
             # series product: expanding t_e^m * raw as one canonical
             # element would drag degree-50 polynomials through the
             # chart; two short expansions multiply in constant time
-            series = self.expand(self.coordinate.base, 2) ** m * self.expand(raw, 2)
+            series = self.base_series(2) ** m * self.expand(raw, 2)
             if series.exact_valuation() != 0:
                 raise ValidationFailed(
                     f"t_{s} candidate has the wrong vanishing order at e"
@@ -604,7 +616,7 @@ class CycCache:
             raise ValidationFailed(
                 f"t_{s} has e-pole order {-val.ord_e()}, expected {m}"
             )
-        series = self.expand(self.coordinate.base, 1) ** m * self.expand(val, 1)
+        series = self.base_series(1) ** m * self.expand(val, 1)
         if series.exact_valuation() != 0 or series.coeff(0) != 1:
             raise ValidationFailed(f"t_{s} normalisation failed")
         if s == 2:
@@ -627,14 +639,48 @@ class CycCache:
     def t_star(self, divisor: TorsionDivisor) -> FuncElt:
         """Product over s >= 2 of t_s^{n_s}, memoised by that part; the
         s = 1 coefficient is deliberately ignored (the e-part is tracked
-        by degrees)."""
+        by degrees).
+
+        Built by exponent arithmetic: t_2 = c y, so t_2^n is
+        (t_2^2)^(n // 2) t_2^(n % 2) with t_2^2 = c^2 rhs, and every
+        other t_s is a constant times a polynomial in x.  Those x parts
+        are pairwise coprime (their roots are the x-values of distinct
+        classes), so the numerator is the integer product of the positive
+        powers and the denominator that of the negative ones, with no gcd.
+        """
         key = tuple((s, n) for s, n in divisor.coeffs.items() if s >= 2)
-        if key not in self._t_star:
-            out = self.curve.one()
+        out = self._t_star.get(key)
+        if out is None:
+            scalar, num, den, odd = QONE, [], [], False
             for s, n in key:
-                out = out * self.t(s) ** n
+                if s == 2:
+                    n, odd = divmod(n, 2)
+                    if odd:
+                        scalar *= self.t(2).v.coeffs[0]
+                c, p = self._x_part(s)
+                scalar *= c ** n
+                (num if n > 0 else den).extend([p] * abs(n))
+            num, den = (reduce(_int_mul, f, (1,)) for f in (num, den))
+            lead = den[-1]
+            scalar /= lead
+            top = Poly(tuple(scalar * c for c in num))
+            out = FuncElt._canonical(self.curve, Poly() if odd else top,
+                                     top if odd else Poly(),
+                                     Poly(tuple(Q(c, lead) for c in den)))
             self._t_star[key] = out
-        return self._t_star[key]
+        return out
+
+    def _x_part(self, s: int) -> tuple[Q, tuple[int, ...]]:
+        """(c, p) with c * p(x) equal to t_2^2 for s = 2 and to t_s
+        otherwise, p a primitive integer tuple of positive leading
+        coefficient."""
+        part = self._x_parts.get(s)
+        if part is None:
+            t = self.t(s)
+            den, ints, _, _ = _ladder_ints(t * t if s == 2 else t, 1)
+            g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+            part = self._x_parts[s] = (Q(g, den), tuple(i // g for i in ints))
+        return part
 
     # -- chart series and differentials ----------------------------------
 
@@ -654,13 +700,21 @@ class CycCache:
             raise ValueError("element lives on a different curve")
         return expand_at_e(elt, prec, self.chart)
 
+    def base_series(self, prec: int) -> LaurentSeries:
+        """The expansion of the coordinate to `prec` terms, memoised per
+        precision: every t_s normalises and validates against it."""
+        series = self._base_series.get(prec)
+        if series is None:
+            series = self._base_series[prec] = self.expand(self.coordinate.base, prec)
+        return series
+
     def diff_factor(self) -> Q:
         """Scalar kappa with Dt = kappa * dx / y, fixed by Dt/dt_e -> 1 at e."""
         if self._diff_factor is None:
             prec = 8
             x, y = self.chart(prec)
             ratio = x.derivative() * series_reciprocal(y)
-            te = self.expand(self.coordinate.base, prec)
+            te = self.base_series(prec)
             ratio = ratio * series_reciprocal(te.derivative())
             if ratio.exact_valuation() != 0:
                 raise ValidationFailed("invariant differential normalisation failed")
@@ -845,6 +899,18 @@ class CycCache:
         self._psi.update(entries)
 
 
+def _int_mul(p: tuple, q: tuple) -> tuple:
+    """Product of two integer coefficient tuples."""
+    if p == (1,):
+        return q
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+    return tuple(out)
+
+
 def monomial(curve: WeierstrassCurve, k: int) -> FuncElt:
     """k-th element of the pole-order ladder at e: 1, x, y, x^2, xy, ...
 
@@ -859,10 +925,6 @@ def monomial(curve: WeierstrassCurve, k: int) -> FuncElt:
     if pole % 2 == 0:
         return curve.elt(Poly.x_power(pole // 2))
     return FuncElt(curve, Poly(), Poly.x_power((pole - 3) // 2), Poly.const(1))
-
-
-def monomial_pole(k: int) -> int:
-    return 0 if k == 0 else k + 1
 
 
 def h_dims(divisor: TorsionDivisor) -> tuple[int, int]:
@@ -1191,9 +1253,6 @@ class QuotientWindow:
         if self._shift_inv is None:
             self._shift_inv = self.shift.inverse()
         return monomial(self.cache.curve, self.complement[i]) * self._shift_inv
-
-    def vanishes(self, f: FuncElt) -> bool:
-        return all(c == 0 for c in self.coords(f))
 
 
 def principal_part(cache: CycCache, f: FuncElt, s: int, depth: int) -> list[Q]:

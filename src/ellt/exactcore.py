@@ -8,14 +8,10 @@ formats; sizes stay at desk scale and predictability wins.
 
 from __future__ import annotations
 
+from fractions import Fraction as Q
 from math import gcd, lcm
 
 from .errors import PrecisionExhausted, ZeroSeries
-
-try:  # gmpy2.mpq is a drop-in exact rational, much faster than Fraction
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is the optional "fast" extra
-    from fractions import Fraction as Q
 
 QZERO = Q(0)
 QONE = Q(1)
@@ -353,14 +349,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.entries))) if self.rows else Matrix(())
-
-    def mul_vector(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            sum((r[j] * vec[j] for j in range(self.cols)), QZERO)
-            for r in self.entries
-        )
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

@@ -2,11 +2,13 @@
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from ellt import curvefield
 from ellt.cli import ConfigError, JobConfig, load_config, main
+from ellt.exactcore import qtext
 
 E1 = {"curve": {"a": "-1", "b": "0"}}
 
@@ -157,6 +159,18 @@ class TestDivpoly:
         rep = run_json(tmp_path, capsys, "divpoly", {**E1, "params": {"n": 6}})
         assert sorted(rep["t_factors"]) == ["2", "3", "6"]
         assert rep["ord_e"] == -35
+
+    @pytest.mark.parametrize("scale,n", [(c, n) for c in ("2", "-1", "1/3")
+                                         for n in (2, 3, 4, 6)])
+    def test_scaled_coordinate(self, tmp_path, capsys, scale, n):
+        # each t_s is normalised against scale * x/y, so
+        # psi_n = n * scale^(n^2 - 1) * prod t_s; psi_n itself is unscaled
+        plain = run_json(tmp_path, capsys, "divpoly", {**E1, "params": {"n": n}})
+        rep = run_json(tmp_path, capsys, "divpoly",
+                       {**E1, "coordinate": {"scale": scale}, "params": {"n": n}})
+        assert rep["factorization_ok"] is True and rep["psi"] == plain["psi"]
+        assert rep["scalar"] == qtext(n * Fraction(scale) ** (n * n - 1))
+        assert rep["t_factors"] != plain["t_factors"] or scale == "-1"
 
 
 class TestKmodel:
@@ -320,6 +334,15 @@ def _malformed_input_cases():
     # printing psi_8, past Python's 4300-digit integer conversion limit
     yield pytest.param("divpoly", {"curve": {"a": -1, "b": 10 ** 3999}, "params": {"n": 8}},
                        None, id="divpoly-curve-digits-above-ceiling")
+    # so did a coordinate scale of 3991 digits while printing basis
+    # elements, which carry scale^|A<s>|; divpoly reports n * scale^(n^2 - 1)
+    # and refuses that power past 4096 bits
+    yield pytest.param("basis", {**E1, "coordinate": {"scale": str(10 ** 3990 + 1)},
+                                 "params": {"divisor": {"3": 1}}},
+                       None, id="basis-scale-digits-above-ceiling")
+    for scale, n in (("16", 32), ("-1/16", 32), ("99999999", 16)):
+        yield pytest.param("divpoly", {**E1, "coordinate": {"scale": scale}, "params": {"n": n}},
+                           None, id=f"divpoly-scale-{scale}-power-{n}-above-ceiling")
     # class labels above CLASS_CEILING = 8 and caps above CAP_CEILING = 10
     above_ceiling = {
         "dims-label": ("dims", {"W": {"9": 1}}),
@@ -444,10 +467,15 @@ def test_ceilings_are_inclusive(tmp_path, capsys):
     rep = run_json(tmp_path, capsys, "dims",
                    {"curve": {"a": "0", "b": "1"}, "params": {"W": {"1": 1}, "caps": caps}})
     assert rep["certified_caps"] == caps
-    # curve coefficients of 8 digits above and below the fraction bar
+    # curve coefficients and a coordinate scale of 8 digits above and
+    # below the fraction bar, and scale^(n^2 - 1) of 1023 * 4 bits
     curve = {"a": "-99999999/99999997", "b": "0"}
-    rep = run_json(tmp_path, capsys, "divpoly", {"curve": curve, "params": {"n": 4}})
+    scaled = {"curve": curve, "coordinate": {"scale": "-99999999/99999997"}}
+    rep = run_json(tmp_path, capsys, "divpoly", {**scaled, "params": {"n": 4}})
     assert rep["curve"] == curve
+    rep = run_json(tmp_path, capsys, "divpoly",
+                   {**E1, "coordinate": {"scale": "-1/15"}, "params": {"n": 32}})
+    assert rep["scalar"] == qtext(32 * Fraction(-1, 15) ** 1023)
 
 
 class TestCacheAdmin:

@@ -62,6 +62,9 @@ CURVES = [
     {"a": "-1", "b": "0"}, {"a": 0, "b": 1},          # smooth
     {"a": "0", "b": "0"}, {"a": "-3", "b": "2"},      # singular
 ]
+SMOOTH = CURVES[:2]
+# coordinate scales: none, or one of the scales the t_s carry a power of
+SCALES = [None, None, "2", "-1", "1/3"]
 BAD_CURVES = [{"a": 0.5, "b": "0"}, {"a": "1"}, {"a": None, "b": "0"}, "y^2",
               {"a": "1/0", "b": "0"}, {"a": "0", "b": "0", "c": "1"},
               {"a": "-1", "b": f"1/{10 ** 3999}"}]
@@ -83,12 +86,16 @@ def _shaped(key: str, command: str, value: int):
 
 @st.composite
 def cases(draw):
-    """(command, config, whether it must exit 1)."""
+    """(command, config, the exit code it must have or None): 1 for a
+    broken parameter, 0 for an untouched config on a smooth curve."""
     command = draw(st.sampled_from(sorted(BASE)))
     params = json.loads(json.dumps(BASE[command]))
     config = {"params": params}
     if command != "kmodel":
         config["curve"] = draw(st.sampled_from(CURVES))
+        scale = draw(st.sampled_from(SCALES))
+        if scale is not None:
+            config["coordinate"] = {"scale": scale}
     kind = draw(st.sampled_from(
         ["none", "wrong-type", "negative", "huge", "unknown-param", "unknown-top",
          "bad-curve"]))
@@ -98,7 +105,7 @@ def cases(draw):
     elif kind == "negative":
         key = draw(st.sampled_from(numeric))
         if key in ("d_min", "d_max"):
-            return command, config, False  # a negative degree is a degree
+            return command, config, None  # a negative degree is a degree
         params[key] = _shaped(key, command, -draw(st.integers(2, 10**6)))
     elif kind == "huge":
         key = draw(st.sampled_from(numeric))
@@ -110,8 +117,8 @@ def cases(draw):
     elif kind == "bad-curve":
         config["curve"] = draw(st.sampled_from(BAD_CURVES))
     else:
-        return command, config, False
-    return command, config, True
+        return command, config, 0 if config.get("curve", SMOOTH[0]) in SMOOTH else None
+    return command, config, 1
 
 
 def _run(directory: str, command: str, config: dict) -> tuple[int, str, bytes | None]:
@@ -144,13 +151,14 @@ def _no_cache_env(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(cases())
 def test_generated_configs_keep_the_exit_contract(case):
-    command, config, parameter_error = case
+    command, config, expected = case
     with tempfile.TemporaryDirectory() as directory:
         code, err, report = _run(directory, command, config)
         assert code in (0, 1, 2, 3), (code, err)
         assert "Traceback" not in err, err
-        if parameter_error:
-            assert code == 1, (code, err)
+        if expected is not None:
+            assert code == expected, (code, err)
+        if expected == 1:
             assert err.startswith("ellt: config error:") and "\n" not in err, err
         assert (report is not None) == (code == 0)
         assert _run(directory, command, config) == (code, err, report)

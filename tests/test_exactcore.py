@@ -174,7 +174,7 @@ class TestKernelAndImage:
         assert rank + len(kernel) == m.cols
         assert rank == matrix_rank(m)
         for v in kernel:
-            assert all(e == 0 for e in m.mul_vector(v))
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.entries)
 
 
 class TestLaurentSeries:

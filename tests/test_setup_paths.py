@@ -7,6 +7,12 @@ from multiplicities when u or v is zero; the reference is the loop of
 `membership` tests it short-cuts, which still serves mixed elements.
 `CycCache.chart` grows its stored chart at least threefold, so a fresh
 theory reruns `_chart_series` at most once.
+
+`CycCache.t_star` builds t*(E) by exponent arithmetic on integer
+coefficient tuples; the reference is the `FuncElt` product of the powers
+t_s^n_s.  `_chart_series` runs the coefficient recurrence of 1/y; the
+reference is the fixed-point iteration it replaced.  `CycCache.t` reads
+the memoised `base_series`; the reference is a cold cache.
 """
 
 import contextlib
@@ -19,6 +25,7 @@ from hypothesis import strategies as st
 from ellt import cli, curvefield
 from ellt.curvefield import (
     Coordinate,
+    _chart_series,
     CycCache,
     FuncElt,
     TorsionDivisor,
@@ -29,7 +36,7 @@ from ellt.curvefield import (
     single_class,
 )
 from ellt.errors import PrecisionExhausted, UnsupportedPoles
-from ellt.exactcore import LaurentSeries, Poly, Q, QZERO, series_reciprocal
+from ellt.exactcore import LaurentSeries, Poly, Q, QONE, QZERO, series_reciprocal
 
 # the curves of the cli_jobs benchmark pools
 CURVES = [WeierstrassCurve(a, b) for a, b in
@@ -215,3 +222,90 @@ def test_a_fresh_theory_runs_the_chart_at_most_twice(tmp_path, monkeypatch):
     # serre asks for widths 4, then 5, 7, 8 and 10; completion up to k + 2;
     # the second serre pays again, since nothing outlives a cli.main call
     assert runs == [2, 2, 1, 2]
+
+
+# curves with and without denominators, and the coordinate scales the CLI
+# accepts most often
+DEN_CURVES = CURVES + [WeierstrassCurve(Q(1, 9), Q(1, 7)), WeierstrassCurve(Q(-3, 5), Q(7, 11))]
+SCALES = (1, 2, -1, Q(1, 3))
+# one cache per (curve, scale), so t_s is built once per pair
+SCALED = {}
+
+
+def _scaled_cache(ci, scale):
+    key = (ci, scale)
+    if key not in SCALED:
+        curve = DEN_CURVES[ci]
+        SCALED[key] = CycCache(curve, Coordinate(curve, scale=scale))
+    return SCALED[key]
+
+
+def reference_t_star(cache, divisor):
+    """The `FuncElt` product of t_s ** n_s over the classes s >= 2."""
+    out = cache.curve.one()
+    for s, n in divisor.coeffs.items():
+        if s >= 2:
+            out = out * cache.t(s) ** n
+    return out
+
+
+_exponents = st.dictionaries(st.integers(1, 6), st.integers(-3, 3), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(DEN_CURVES) - 1), st.sampled_from(SCALES), _exponents,
+       st.integers(-3, 3))
+def test_t_star_matches_the_product_of_powers(ci, scale, exps, n2):
+    # n2 is drawn on its own so odd and negative powers of t_2 = c y,
+    # which fold y^2 into rhs, come up in most examples
+    cache = _scaled_cache(ci, scale)
+    divisor = TorsionDivisor({**exps, 2: n2})
+    cache._t_star.clear()  # build it, not read it from an earlier example
+    got = cache.t_star(divisor)
+    assert got == reference_t_star(cache, divisor), (cache.curve, scale, divisor)
+    # the parts are Fractions, as the constructor would leave them
+    assert all(type(c) is Q for p in (got.u, got.v, got.d) for c in p.coeffs)
+    assert cache.t_star(divisor) is got
+
+
+def fixed_point_chart(curve, prec):
+    """The chart by fixed-point passes of s = t^3 + a t s^2 + b s^3 on
+    eight extra terms, then y = 1/s and x = t y."""
+    width = prec + 8
+    t = LaurentSeries(1, (QONE,) + (QZERO,) * (width - 1))
+    t3 = LaurentSeries(3, (QONE,) + (QZERO,) * (width - 1))
+    s = t3
+    for _ in range(width + 2):
+        nxt = t3 + (t * (s * s)) * curve.a + (s * (s * s)) * curve.b
+        if nxt == s:
+            break
+        s = nxt
+    y = series_reciprocal(s)
+    return (t * y).truncate(prec), y.truncate(prec)
+
+
+def test_recurrence_chart_matches_fixed_point_chart():
+    for curve in DEN_CURVES:
+        for prec in range(1, 41):
+            assert _chart_series(curve, prec) == fixed_point_chart(curve, prec), (curve, prec)
+
+
+def test_t_is_the_same_from_a_cold_and_a_warm_cache():
+    # the warm cache has expanded its coordinate at several precisions,
+    # widened its chart and built other t_s; a cache of another scale on
+    # the same curve is warmed first, so a memo shared between caches shows
+    for ci in (0, 5, 6):
+        curve = DEN_CURVES[ci]
+        other = CycCache(curve, Coordinate(curve, scale=Q(-3, 2)))
+        warm = CycCache(curve, Coordinate(curve, scale=2))
+        for cache in (other, warm):
+            cache.diff_factor()
+            for prec in (1, 3, 2):
+                cache.base_series(prec)
+            cache.t(4)
+        for s in (2, 3, 5, 6, 4):
+            cold = CycCache(curve, Coordinate(curve, scale=2))
+            assert warm.t(s) == cold.t(s), (curve, s)
+        base = warm.coordinate.base
+        for prec in (1, 2, 3, 8):
+            assert warm.base_series(prec) == expand_at_e(base, prec), (curve, prec)
