@@ -558,7 +558,6 @@ class CycCache:
         self._base_series: dict[int, LaurentSeries] = {}
         self._chart: tuple[int, LaurentSeries, LaurentSeries] | None = None
         self._diff_factor: Q | None = None
-        self._coordinate_profile: dict[int, tuple[int, int]] = {}
 
     # -- division polynomials -------------------------------------------
 
@@ -792,7 +791,8 @@ class CycCache:
             return False
         return shifted.pole_order_at_e() <= divisor.degree
 
-    def ord_along(self, elt: FuncElt, s: int) -> int:
+    def ord_along(self, elt: FuncElt, s: int,
+                  support: dict[int, int] | None = None) -> int:
         """Minimum valuation of elt across the points of exact order s.
 
         When u or v is zero, elt is w(x) or w(x) y over d(x) with
@@ -800,13 +800,15 @@ class CycCache:
         multiplicity along `class_poly(s)`: minus the largest one of d
         where d meets the class, else how often the class divides w.  On
         A[2] a root of x - x0 is double and y adds a simple zero.  Mixed
-        elements fall back to `membership` tests.
+        elements fall back to `membership` tests.  A caller that already
+        holds `pole_support(elt)` passes it as `support`.
         """
         if elt.is_zero():
             raise ZeroDivisionError("the zero element has no valuation")
         if s == 1:
             return elt.ord_e()
-        support = self.pole_support(elt)
+        if support is None:
+            support = self.pole_support(elt)
         if elt.u.is_zero() or elt.v.is_zero():
             cp = self.class_poly(s)
             num, d, m = elt.v if elt.u.is_zero() else elt.u, elt.d, 0
@@ -841,21 +843,11 @@ class CycCache:
         inv = self.t_star(divisor).inverse()
         return [monomial(self.curve, k) * inv for k in range(dim)]
 
-    def coordinate_profile(self, s: int) -> tuple[int, int]:
-        """(pole bound of t_e, pole bound of 1/t_e) on the class of order s."""
-        if s == 1:
-            return (0, 1)
-        if s not in self._coordinate_profile:
-            base = self.coordinate.base
-            lo = self.ord_along(base, s)
-            hi = -self.ord_along(base.inverse(), s)
-            # lo = min valuation, hi = max valuation on the class
-            self._coordinate_profile[s] = (max(0, -lo), max(0, hi))
-        return self._coordinate_profile[s]
-
     def validate_coordinate(self) -> dict:
         """Check the coordinate's divisor is torsion-supported up to the
-        declared bound; returns a report of the classes touched."""
+        declared bound; returns the classes touched and, per class, the
+        pole bounds of t_e and 1/t_e there, read by `ord_along` from one
+        pole support of each."""
         base = self.coordinate.base
         bound = self.coordinate.validated_to
         touched: set[int] = set()
@@ -868,11 +860,13 @@ class CycCache:
                         f"validated up to order {bound}: factor {leftover.text()}"
                     )
                 touched.update(parts)
-        return {
-            "validated_to": bound,
-            "classes": sorted(touched),
-            "profile": {s: self.coordinate_profile(s) for s in sorted(touched)},
-        }
+        profile = {}
+        if touched:
+            supports = [(f, self.pole_support(f)) for f in (base, base.inverse())]
+            for s in sorted(touched):
+                profile[s] = tuple(max(0, -self.ord_along(f, s, support))
+                                   for f, support in supports)
+        return {"validated_to": bound, "classes": sorted(touched), "profile": profile}
 
     # -- persistence -------------------------------------------------------
 

@@ -369,7 +369,9 @@ class EATheory:
     def _construction_check(self) -> None:
         """Construction-time spot check: the base object has one function
         and one torsion class, and the structure map covers each torsion
-        window once the vertex carries enough poles."""
+        window once the vertex carries enough poles.  Only the base window
+        is a full `QWindow`: each spot check assembles the one block it
+        reads and compares its shape and rank with its row count."""
         base = QWindow(self.backend, AlmostConstant(0))
         if base.hom_dim != 1 or base.ext_dim != 1:
             raise ValidationFailed(
@@ -379,8 +381,12 @@ class EATheory:
         for s in (1, 2, 3, 4):
             for depth in (1, 2):
                 caps = {1: depth, 2: 1} if s == 1 else {1: 2, s: depth}
-                window = QWindow(self.backend, AlmostConstant(0), caps)
-                if not window.block_surjective(s):
+                ctx = self.backend.setup({}, caps)
+                rows = next(r for cls, _, r in ctx.blocks if cls == s)
+                block = ctx.block_matrix(s)
+                if (len(block) != rows
+                        or any(len(row) != ctx.source_dim for row in block)
+                        or matrix_rank(block) != rows):
                     raise ValidationFailed(
                         f"structure map misses the class-{s} window "
                         f"at depth {depth}"

@@ -220,11 +220,50 @@ def parse_poly(text: str) -> Poly:
     return Poly(tuple(rational(part) for part in inner.split(",")))
 
 
+def _primitive(values) -> list[int]:
+    """Rationals (or ints) scaled to a primitive integer list with the
+    same signs; all zeros stay zeros."""
+    den = lcm(*[e.denominator for e in values])
+    if den == 1:
+        ints = [e.numerator for e in values]
+    else:
+        ints = [e.numerator * (den // e.denominator) for e in values]
+    g = gcd(*ints)
+    return [a // g for a in ints] if g > 1 else ints
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd; gcd(0, 0) = 0 and gcd(0, b) is b made monic.
+
+    Collins' primitive remainder sequence: both inputs are scaled to
+    primitive integer lists, each pseudo-remainder step runs on Python
+    ints and its remainder is divided by its content, and the last
+    nonzero remainder is made monic once.  The monic gcd over Q is
+    unique, so this equals Euclid over Fractions coefficient for
+    coefficient; it is the gcd counterpart of the fraction-free
+    elimination in `_echelon`.
+    """
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).monic()
+    f, g = _primitive(a.coeffs), _primitive(b.coeffs)
+    while len(g) > 1:
+        r, n, lead = f, len(g) - 1, g[-1]
+        while len(r) > n:  # r <- (lead r - c x^(len r - 1 - n) g) / k, top dropped
+            c = r.pop()
+            if c:
+                k = gcd(lead, c)
+                if k != lead:
+                    r = [lead // k * x for x in r]
+                c //= k
+                off = len(r) - n
+                for j in range(n):
+                    r[off + j] -= c * g[j]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            break
+        f, g = g, _primitive(r)
+    return Poly(tuple(Q(c, g[-1]) for c in g))
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
@@ -391,16 +430,7 @@ def _echelon(rows, cols: int, reduced: bool) -> tuple[list[list[int]], list[int]
     form; without it only rows below are cleared, which is enough for
     the rank and the pivot columns.
     """
-    work = []
-    for row in rows:
-        den = lcm(*[e.denominator for e in row])
-        if den == 1:
-            ints = [e.numerator for e in row]
-        else:
-            ints = [e.numerator * (den // e.denominator) for e in row]
-        g = gcd(*ints)
-        if g:
-            work.append([a // g for a in ints] if g != 1 else ints)
+    work = [ints for ints in map(_primitive, rows) if any(ints)]
     n = len(work)
     pivots = []
     for c in range(cols):

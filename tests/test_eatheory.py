@@ -13,11 +13,13 @@ from ellt.curvefield import (
     h_dims,
     monomial,
 )
+from ellt import tmodel
 from ellt.eatheory import (
     CompletionModule,
     EATheory,
     GradedFn,
     TorsionClass,
+    _EllipticAssembly,
     build_ea,
     coefficient_ring,
     completion,
@@ -82,6 +84,49 @@ class TestConstruction:
 
     def test_base_object_name(self, e1):
         assert e1.base_object.name == "EA"
+
+    @pytest.mark.parametrize("fault", ["rank", "rows", "columns"])
+    @pytest.mark.parametrize("s, depth", [(s, d) for s in (1, 2, 3, 4) for d in (1, 2)])
+    def test_spot_check_refuses_a_faulty_block(self, monkeypatch, s, depth, fault):
+        """A class-s block at the spot caps that loses rank, or gains a row
+        or a column without losing rank, is refused with the message of
+        an uncovered window."""
+        caps = {1: depth, 2: 1} if s == 1 else {1: 2, s: depth}
+        honest = _EllipticAssembly.block_matrix
+
+        def faulty(self, cls):
+            block = honest(self, cls)
+            if cls != s or self.caps != caps:
+                return block
+            if fault == "rank":
+                return block[:-1] + ((0,) * len(block[-1]),)
+            if fault == "rows":
+                return block + block[-1:]
+            return tuple(row + (0,) for row in block)
+
+        monkeypatch.setattr(_EllipticAssembly, "block_matrix", faulty)
+        message = f"structure map misses the class-{s} window at depth {depth}"
+        with pytest.raises(ValidationFailed, match=message):
+            build_ea((0, 1))
+
+    def test_check_assembles_nine_blocks_and_one_kernel(self, monkeypatch):
+        """The base window is the one full window; each of the eight spot
+        checks assembles only the block it reads, so a build runs one
+        kernel and nine block assemblies instead of nine and seventeen."""
+        calls = {"block_matrix": 0, "kernel_and_image": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(_EllipticAssembly, "block_matrix",
+                            counted("block_matrix", _EllipticAssembly.block_matrix))
+        monkeypatch.setattr(tmodel, "kernel_and_image",
+                            counted("kernel_and_image", tmodel.kernel_and_image))
+        build_ea((0, 1))
+        assert calls == {"block_matrix": 9, "kernel_and_image": 1}
 
 
 class TestSphereHomology:

@@ -13,12 +13,16 @@ coefficient tuples; the reference is the `FuncElt` product of the powers
 t_s^n_s.  `_chart_series` runs the coefficient recurrence of 1/y; the
 reference is the fixed-point iteration it replaced.  `CycCache.t` reads
 the memoised `base_series`; the reference is a cold cache.
+`CycCache.validate_coordinate` hands one pole support each of t_e and
+1/t_e to `ord_along` for every class; the reference is the membership
+loop with fresh supports.
 """
 
 import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,6 +187,52 @@ def test_ord_along_matches_membership_loop(ci, kind, unit, zero, pole, stray, s)
         elt = FuncElt(cache.curve, num, Poly((1, 2)), den)
     expected = _outcome(reference_ord_along, cache, elt, s)
     assert _outcome(cache.ord_along, elt, s) == expected, (elt, s)
+
+
+def reference_validate(cache):
+    """The coordinate report with no shared supports: the same
+    classification, then per class the membership loop on t_e and on a
+    fresh 1/t_e, each finding its own pole support."""
+    base = cache.coordinate.base
+    touched = set()
+    for poly in (base.norm_poly(), base.d):
+        if poly.degree >= 1:
+            touched.update(cache.classify_x_poly(poly)[0])
+    profile = {s: tuple(max(0, -reference_ord_along(cache, f, s))
+                        for f in (base, base.inverse()))
+               for s in sorted(touched)}
+    return {"validated_to": cache.coordinate.validated_to,
+            "classes": sorted(touched), "profile": profile}
+
+
+@pytest.mark.parametrize("scale", [1, 2, -1, Q(1, 3)])
+@pytest.mark.parametrize("ci", range(len(CURVES)))
+def test_validate_coordinate_matches_the_reference(ci, scale):
+    curve = CURVES[ci]
+    report = CycCache(curve, Coordinate(curve, scale=scale)).validate_coordinate()
+    assert report == reference_validate(CycCache(curve, Coordinate(curve, scale=scale)))
+
+
+def test_validate_a_mixed_custom_coordinate(monkeypatch):
+    # on y^2 = x^3 + 1 the line y = x + 1 meets the curve at (0, 1),
+    # (-1, 0) and (2, 3), of orders 3, 2 and 6, so (y - x - 1) / x^2 is a
+    # coordinate with u and v both nonzero, and so is its inverse:
+    # ord_along reads both through the membership loop
+    curve = CURVES[1]
+    base = FuncElt(curve, Poly((-1, -1)), Poly((1,)), Poly((0, 0, 1)))
+    calls = []
+    membership = CycCache.membership
+
+    def spy(self, elt, divisor):
+        calls.append(elt)
+        return membership(self, elt, divisor)
+
+    monkeypatch.setattr(CycCache, "membership", spy)
+    report = CycCache(curve, Coordinate(curve, base=base)).validate_coordinate()
+    assert base in calls and base.inverse() in calls
+    assert report == {"validated_to": 12, "classes": [2, 3, 6],
+                      "profile": {2: (0, 1), 3: (2, 0), 6: (0, 1)}}
+    assert report == reference_validate(CycCache(curve, Coordinate(curve, base=base)))
 
 
 def _count_chart_runs(monkeypatch):
