@@ -235,7 +235,7 @@ def load_config(command: str, path: str) -> JobConfig:
 # cache file handling
 
 # largest psi index a request may compute or a cache file may hold:
-# psi_n costs about four times as much for every 8 added to n
+# psi_n costs four to ten times as much from n = 24 to n = 32 (README.md)
 PSI_CEILING = 32
 # bits of the larger of the numerator and denominator of the coordinate
 # scale, times n^2 - 1: `divpoly` reports n * scale^(n^2 - 1), and each t_s

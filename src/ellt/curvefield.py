@@ -11,6 +11,7 @@ monomials over a single t-product denominator.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import (
@@ -26,6 +27,7 @@ from .exactcore import (
     QONE,
     QZERO,
     _label,
+    _primitive,
     _whole,
     divisors_of,
     parse_poly,
@@ -437,58 +439,92 @@ def _eval_rel(p: Poly, x: LaurentSeries, z: LaurentSeries) -> LaurentSeries:
 # division polynomials
 
 
-def division_psi_raw(curve: WeierstrassCurve, n: int, memo=None) -> FuncElt:
-    """n-th division polynomial as a field element (poles only at e).
+class _IntegralModel:
+    """Division polynomials of y^2 = x^3 + a x + b on integer tuples.
 
-    psi_1 = 1, psi_2 = 2y, psi_3 and psi_4 explicit, then the standard
-    doubling recurrences.  div(psi_n) counts the nonzero n-torsion once
-    each against (n^2 - 1)(e).
+    With u the lcm of the denominators of a and b, X = u^2 x and
+    Y = u^3 y put the curve on Y^2 = F(X) = X^3 + A X + B for the
+    integers A = u^4 a, B = u^6 b.  There psi_n is g_n(X) for odd n and
+    Y g_n(X) for even n, with g_n in Z[X]; psi_n is weighted homogeneous
+    of weight n^2 - 1, so the x^k coefficient of psi_n (or psi_n / y) is
+    g_k u^(2k + eps) / u^(n^2 - 1), eps = 3 for even n and 0 for odd n.
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    memo = {} if memo is None else memo
-    return _psi(curve, n, memo)
 
+    __slots__ = ("curve", "u", "f2", "g", "p")
 
-def _psi(curve: WeierstrassCurve, n: int, memo) -> FuncElt:
-    if n in memo:
-        return memo[n]
-    a, b = curve.a, curve.b
-    if n == 0:
-        val = curve.zero()
-    elif n == 1:
-        val = curve.one()
-    elif n == 2:
-        val = curve.y() * 2
-    elif n == 3:
-        val = curve.elt(Poly((-a * a, 12 * b, 6 * a, QZERO, Q(3))))
-    elif n == 4:
-        # psi_4 = 4y (x^6 + 5a x^4 + 20b x^3 - 5a^2 x^2 - 4ab x - 8b^2 - a^3)
-        inner = Poly(
-            (
-                -8 * b * b - a**3,
-                -4 * a * b,
-                -5 * a * a,
-                20 * b,
-                5 * a,
-                QZERO,
-                QONE,
-            )
-        )
-        val = FuncElt(curve, Poly(), inner.scale(4), Poly.const(1))
-    elif n % 2 == 1:
-        m = (n - 1) // 2
-        val = _psi(curve, m + 2, memo) * _psi(curve, m, memo) ** 3 - _psi(
-            curve, m - 1, memo
-        ) * _psi(curve, m + 1, memo) ** 3
-    else:
-        m = n // 2
-        diff = _psi(curve, m + 2, memo) * _psi(curve, m - 1, memo) ** 2 - _psi(
-            curve, m - 2, memo
-        ) * _psi(curve, m + 1, memo) ** 2
-        val = _psi(curve, m, memo) * diff / (curve.y() * 2)
-    memo[n] = val
-    return val
+    def __init__(self, curve: WeierstrassCurve):
+        a, b = curve.a, curve.b
+        self.curve = curve
+        u = self.u = lcm(a.denominator, b.denominator)
+        A = a.numerator * (u**4 // a.denominator)
+        B = b.numerator * (u**6 // b.denominator)
+        self.f2 = _int_mul((B, A, 0, 1), (B, A, 0, 1))
+        self.g = {0: (), 1: (1,), 2: (2,), 3: (-A * A, 12 * B, 6 * A, 0, 3),
+                  4: tuple(4 * c for c in (-8 * B * B - A**3, -4 * A * B, -5 * A * A,
+                                           20 * B, 5 * A, 0, 1))}
+        self.p: dict[int, tuple[int, ...]] = {}
+
+    def g_n(self, n: int) -> tuple[int, ...]:
+        """g_n by the doubling recurrences.  Y^2 = F enters as F^2 on the
+        odd-index term whose indices are even; in the even-index one it
+        cancels against the 2Y divided out, leaving an exact division by 2."""
+        out = self.g.get(n)
+        if out is None:
+            m, g = n // 2, self.g_n
+            if n % 2:
+                left = _int_mul(g(m + 2), _int_mul(g(m), _int_mul(g(m), g(m))))
+                right = _int_mul(g(m - 1), _int_mul(g(m + 1), _int_mul(g(m + 1), g(m + 1))))
+                if m % 2:
+                    right = _int_mul(self.f2, right)
+                else:
+                    left = _int_mul(self.f2, left)
+            else:
+                left = _int_mul(g(m + 2), _int_mul(g(m - 1), g(m - 1)))
+                right = _int_mul(g(m - 2), _int_mul(g(m + 1), g(m + 1)))
+            diff = [p - q for p, q in zip_longest(left, right, fillvalue=0)]
+            while diff and not diff[-1]:
+                diff.pop()
+            if n % 2 == 0:
+                diff = _int_mul(g(m), diff) if diff else ()
+                if any(c % 2 for c in diff):
+                    raise ValidationFailed(f"psi_{n} is not divisible by 2y on the integral model")
+                diff = [c // 2 for c in diff]
+            out = self.g[n] = tuple(diff)
+        return out
+
+    def psi(self, n: int) -> FuncElt:
+        """psi_n as a field element, read off g_n once: its top
+        coefficient carries no power of u, each lower one u^2 more."""
+        coeffs, den, u2 = [], 1, self.u * self.u
+        for c in reversed(self.g_n(n)):
+            coeffs.append(Q(c, den))
+            den *= u2
+        part = Poly(coeffs[::-1])
+        return FuncElt._canonical(self.curve, Poly() if n % 2 == 0 else part,
+                                  part if n % 2 == 0 else Poly(), Poly.const(1))
+
+    def primitive_part(self, n: int) -> tuple[int, ...]:
+        """P_n, n >= 3: g_n divided by P_d for each divisor 2 < d < n,
+        made primitive.  Each P_d is primitive, so by Gauss's lemma every
+        quotient is integral: an inexact step means g_n is wrong."""
+        out = self.p.get(n)
+        if out is None:
+            rem = list(self.g_n(n))
+            for div in (self.primitive_part(d) for d in divisors_of(n) if 2 < d < n):
+                top, lead, r = len(div) - 1, div[-1], 0
+                quot = [0] * max(len(rem) - top, 0)
+                for i in range(len(quot) - 1, -1, -1):
+                    q, r = divmod(rem.pop(), lead)
+                    if r:
+                        break
+                    quot[i] = q
+                    for j in range(top):
+                        rem[i + j] -= q * div[j]
+                if r or any(rem):
+                    raise ValidationFailed(f"primitive part of psi_{n} is not polynomial")
+                rem = quot
+            out = self.p[n] = tuple(_primitive(rem))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +586,8 @@ class CycCache:
         self.curve = curve
         self.coordinate = coordinate or Coordinate(curve)
         self._psi: dict[int, FuncElt] = {}
+        self._model = _IntegralModel(curve)
         self._t: dict[int, FuncElt] = {}
-        self._t_raw: dict[int, FuncElt] = {}
         self._class_poly: dict[int, Poly] = {}
         self._t_star: dict[tuple, FuncElt] = {}
         self._x_parts: dict[int, tuple[Q, tuple[int, ...]]] = {}
@@ -562,7 +598,16 @@ class CycCache:
     # -- division polynomials -------------------------------------------
 
     def psi(self, n: int) -> FuncElt:
-        return division_psi_raw(self.curve, n, self._psi)
+        """n-th division polynomial as a field element (poles only at e):
+        psi_1 = 1, psi_2 = 2y, psi_3 and psi_4 explicit, then the doubling
+        recurrences, run on the integral model.  div(psi_n) counts the
+        nonzero n-torsion once each against (n^2 - 1)(e)."""
+        if n < 0:
+            raise ValueError("index must be nonnegative")
+        val = self._psi.get(n)
+        if val is None:
+            val = self._psi[n] = self._model.psi(n)
+        return val
 
     # -- cyclotomic functions --------------------------------------------
 
@@ -571,41 +616,34 @@ class CycCache:
 
         For s = 1 this is the coordinate itself.  Otherwise it is the
         primitive factor of psi_s, normalised so t_e^{|A<s>|} t_s -> 1
-        at the identity.
+        at the identity.  A polynomial in x of degree m/2 (or y for
+        s = 2) has leading coefficient 1 in t = x/y, so with L the
+        leading coefficient of t_e that factor is P_s / (L^m lead P_s),
+        and t_2 = y / L^3, for m = |A<s>|.
         """
         if s == 1:
             return self.coordinate.base
-        if s not in self._t:
-            raw = self._primitive_part(s)
-            m = exact_order_count(s)
-            # series product: expanding t_e^m * raw as one canonical
-            # element would drag degree-50 polynomials through the
-            # chart; two short expansions multiply in constant time
-            series = self.base_series(2) ** m * self.expand(raw, 2)
-            if series.exact_valuation() != 0:
-                raise ValidationFailed(
-                    f"t_{s} candidate has the wrong vanishing order at e"
-                )
-            const = series.coeff(0)
-            val = raw * (QONE / const)
-            self._validate_t(s, val)
-            self._t[s] = val
-        return self._t[s]
-
-    def _primitive_part(self, s: int) -> FuncElt:
-        if s not in self._t_raw:
+        val = self._t.get(s)
+        if val is None:
             if s < 2:
                 raise ValueError("cyclotomic functions start at order 2")
-            val = self.psi(s)
-            for d in divisors_of(s):
-                if 1 < d < s:
-                    val = val / self._primitive_part(d)
-            if not val.is_pure():
-                raise ValidationFailed(
-                    f"primitive part of psi_{s} is not polynomial"
-                )
-            self._t_raw[s] = val
-        return self._t_raw[s]
+            # base_series(2) before _validate_t's (1): the first chart is
+            # then wide enough for both, and a fresh theory builds two
+            scale = self.base_series(2).coeff(1) ** -exact_order_count(s)
+            if s == 2:
+                p = tuple(_primitive(self.curve.rhs.coeffs))
+                c = scale * scale / p[-1]
+                val = FuncElt._canonical(self.curve, Poly(), Poly((scale,)), Poly.const(1))
+            else:  # P_s(X) at X = u^2 x, made primitive again
+                u2 = self._model.u ** 2
+                p = tuple(_primitive([k * u2**i for i, k in
+                                      enumerate(self._model.primitive_part(s))]))
+                c = scale / p[-1]
+                val = FuncElt._canonical(self.curve, Poly(tuple(c * k for k in p)),
+                                         Poly(), Poly.const(1))
+            self._validate_t(s, val)
+            self._t[s], self._x_parts[s] = val, (c, p)
+        return val
 
     def _validate_t(self, s: int, val: FuncElt) -> None:
         m = exact_order_count(s)
@@ -626,12 +664,13 @@ class CycCache:
 
     def class_poly(self, s: int) -> Poly:
         """Monic squarefree polynomial in x whose roots are the x-values
-        of the class of exact order s (s >= 2)."""
+        of the class of exact order s (s >= 2): P_s made monic."""
         if s not in self._class_poly:
             if s == 2:
                 val = self.curve.rhs.monic()
             else:
-                val = self.t(s).u.monic()
+                p = self._x_part(s)[1]
+                val = Poly(tuple(Q(c, p[-1]) for c in p))
             self._class_poly[s] = val
         return self._class_poly[s]
 
@@ -672,14 +711,9 @@ class CycCache:
     def _x_part(self, s: int) -> tuple[Q, tuple[int, ...]]:
         """(c, p) with c * p(x) equal to t_2^2 for s = 2 and to t_s
         otherwise, p a primitive integer tuple of positive leading
-        coefficient."""
-        part = self._x_parts.get(s)
-        if part is None:
-            t = self.t(s)
-            den, ints, _, _ = _ladder_ints(t * t if s == 2 else t, 1)
-            g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
-            part = self._x_parts[s] = (Q(g, den), tuple(i // g for i in ints))
-        return part
+        coefficient; stored by `t` with the t_s it checked."""
+        self.t(s)
+        return self._x_parts[s]
 
     # -- chart series and differentials ----------------------------------
 
@@ -774,15 +808,18 @@ class CycCache:
 
     # -- divisor-window primitives ----------------------------------------
 
-    def membership(self, elt: FuncElt, divisor: TorsionDivisor) -> bool:
+    def membership(self, elt: FuncElt, divisor: TorsionDivisor,
+                   support: dict[int, int] | None = None) -> bool:
         """Exact test: does elt lie in H^0(O(divisor))?
 
         Shifting by t*(divisor) moves every allowed pole to e, where the
-        answer is a degree check on the canonical form.
+        answer is a degree check on the canonical form.  A caller that
+        already holds `pole_support(elt)` passes it as `support`.
         """
         if elt.is_zero():
             return True
-        self.pole_support(elt)  # raises UnsupportedPoles for off-class poles
+        if support is None:
+            self.pole_support(elt)  # raises UnsupportedPoles for off-class poles
         for s in divisor.support:
             if s >= 2:
                 self.t(s)  # make sure shifts exist before multiplying
@@ -822,10 +859,10 @@ class CycCache:
         num_deg = max(2 * elt.u.degree, 3 + 2 * elt.v.degree)
         zero_cap = (num_deg + 2 * elt.d.degree) // exact_order_count(s) + 1
         m = -(support.get(s, 0) + 1)
-        if not self.membership(elt, TorsionDivisor(enclosing) + single_class(s, -m)):
+        if not self.membership(elt, TorsionDivisor(enclosing) + single_class(s, -m), support):
             raise UnsupportedPoles(f"cannot enclose poles of {elt!r}")
         while m < zero_cap and self.membership(
-            elt, TorsionDivisor(enclosing) + single_class(s, -(m + 1))
+            elt, TorsionDivisor(enclosing) + single_class(s, -(m + 1)), support
         ):
             m += 1
         return m
@@ -882,15 +919,12 @@ class CycCache:
             self.psi(n)
 
     def load_psi_payload(self, payload: dict) -> None:
-        entries = {}
+        """Take a stored psi table after checking every entry against the
+        integer recurrence."""
         for key, (u, v, d) in payload.items():
             n = int(key)
-            elt = FuncElt(self.curve, parse_poly(u), parse_poly(v), parse_poly(d))
-            fresh = division_psi_raw(self.curve, n, dict(entries))
-            if fresh != elt:
+            if FuncElt(self.curve, parse_poly(u), parse_poly(v), parse_poly(d)) != self.psi(n):
                 raise ValidationFailed(f"cached psi_{n} disagrees with recomputation")
-            entries[n] = elt
-        self._psi.update(entries)
 
 
 def _int_mul(p: tuple, q: tuple) -> tuple:

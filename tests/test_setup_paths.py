@@ -223,9 +223,9 @@ def test_validate_a_mixed_custom_coordinate(monkeypatch):
     calls = []
     membership = CycCache.membership
 
-    def spy(self, elt, divisor):
+    def spy(self, elt, divisor, support=None):
         calls.append(elt)
-        return membership(self, elt, divisor)
+        return membership(self, elt, divisor, support)
 
     monkeypatch.setattr(CycCache, "membership", spy)
     report = CycCache(curve, Coordinate(curve, base=base)).validate_coordinate()
@@ -233,6 +233,42 @@ def test_validate_a_mixed_custom_coordinate(monkeypatch):
     assert report == {"validated_to": 12, "classes": [2, 3, 6],
                       "profile": {2: (0, 1), 3: (2, 0), 6: (0, 1)}}
     assert report == reference_validate(CycCache(curve, Coordinate(curve, base=base)))
+
+
+def test_a_mixed_coordinate_classifies_each_element_once(monkeypatch):
+    # ord_along hands its pole support to every membership test of the
+    # loop, so validating (y - x - 1) / x^2 finds the support of each of
+    # t_e and 1/t_e once, not once per depth step
+    curve = CURVES[1]
+    base = FuncElt(curve, Poly((-1, -1)), Poly((1,)), Poly((0, 0, 1)))
+    counts = {"membership": 0, "classify_x_poly": 0}
+    supported = []
+    for name in counts:
+        original = getattr(CycCache, name)
+
+        def spy(self, *args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CycCache, name, spy)
+    pole_support = CycCache.pole_support
+    monkeypatch.setattr(CycCache, "pole_support",
+                        lambda self, elt, bound=None: supported.append(elt)
+                        or pole_support(self, elt, bound))
+    cache = CycCache(curve, Coordinate(curve, base=base))
+    report = cache.validate_coordinate()
+    assert report["profile"] == {2: (0, 1), 3: (2, 0), 6: (0, 1)}
+    assert supported == [base, base.inverse()]
+    # the two norm and denominator classifications, then one per support
+    assert counts["classify_x_poly"] == 4
+    assert counts["membership"] >= 6
+    # an element with a pole off the torsion classes is still refused,
+    # by ord_along's own support and by a bare membership test
+    stray = FuncElt(curve, Poly((1,)), Poly((1,)), Poly((-5, 1)))
+    for call in (lambda: cache.ord_along(stray, 3),
+                 lambda: cache.membership(stray, single_class(3, 1))):
+        with pytest.raises(UnsupportedPoles, match="not supported on torsion classes"):
+            call()
 
 
 def _count_chart_runs(monkeypatch):
