@@ -18,7 +18,8 @@ and one residue window per cyclotomic factor of positive degree.
 from __future__ import annotations
 
 from .errors import ValidationFailed
-from .exactcore import Poly, Q, QONE, divisors_of, poly_gcd, poly_inverse_mod
+from .exactcore import (Poly, Q, QONE, _Frozen, _label, _whole, divisors_of, poly_gcd,
+                        poly_inverse_mod, power)
 from .tmodel import Representation
 
 MULTIPLICATIVE = "multiplicative"
@@ -27,7 +28,7 @@ ADDITIVE = "additive"
 _ONE = Poly([1])
 
 
-class LaurentFn:
+class LaurentFn(_Frozen):
     """Rational function in one variable, kept in lowest terms.
 
     The denominator is monic, the fraction is gcd-reduced, and zero is
@@ -59,9 +60,6 @@ class LaurentFn:
                 den = den.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentFn is immutable")
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -116,15 +114,7 @@ class LaurentFn:
             raise ValueError("rational function powers take integer exponents")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = LaurentFn(_ONE)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, exponent, LaurentFn(_ONE))
 
     def __eq__(self, other):
         other = _coerce_fn(other)
@@ -163,7 +153,7 @@ def parse_laurent_fn(text: str) -> LaurentFn:
     return LaurentFn(parse_poly(text.strip()))
 
 
-class AffineGroup:
+class AffineGroup(_Frozen):
     """A one-dimensional affine group law with its cyclotomic factors."""
 
     __slots__ = ("kind", "_phi")
@@ -173,9 +163,6 @@ class AffineGroup:
             raise ValueError(f"unknown affine group kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "_phi", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineGroup is immutable")
 
     def __repr__(self):
         return f"AffineGroup({self.kind})"
@@ -228,10 +215,10 @@ class AffineGroup:
             return LaurentFn(Poly())
         num, den = _ONE, _ONE
         for n in sorted(weights):
-            a = int(weights[n])
+            a = _whole(weights[n])
             if a == 0:
                 continue
-            p = self.n_series(int(n))
+            p = self.n_series(_label(n))
             if a > 0:
                 num = num * p.pow(a)
             else:
@@ -313,8 +300,8 @@ class _AffineAssembly:
 
     def torsion_rep(self, s: int, i: int) -> LaurentFn:
         # honest representative, untwisted back by phi^w: pole depth cap(s)
-        power = self._depth[s] + self.exp.get(s, 0)
-        return LaurentFn(Poly.x_power(i), self.group.phi(s).pow(power))
+        cap = self._depth[s] + self.exp.get(s, 0)
+        return LaurentFn(Poly.x_power(i), self.group.phi(s).pow(cap))
 
 
 def multiplicative_group() -> AffineGroup:

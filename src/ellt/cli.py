@@ -320,9 +320,6 @@ def _echo(config: JobConfig, theory_or_cache) -> dict:
 
 
 def _run_dims(config: JobConfig, cache_path) -> dict:
-    _check_keys(config.params, ("W", "variance", "caps"), "params")
-    if "W" not in config.params:
-        raise ConfigError("dims needs params.W")
     weights = _weight_dict(config.params["W"], "params.W")
     variance = config.params.get("variance", "homology")
     if variance not in ("homology", "cohomology"):
@@ -348,9 +345,6 @@ def _run_dims(config: JobConfig, cache_path) -> dict:
 
 
 def _run_basis(config: JobConfig, cache_path) -> dict:
-    _check_keys(config.params, ("divisor",), "params")
-    if "divisor" not in config.params:
-        raise ConfigError("basis needs params.divisor")
     coeffs = _divisor(_weight_dict(config.params["divisor"], "params.divisor"),
                       "params.divisor")
     cache = _make_cache(config, cache_path)
@@ -364,7 +358,6 @@ def _run_basis(config: JobConfig, cache_path) -> dict:
 
 
 def _run_coeff(config: JobConfig, cache_path) -> dict:
-    _check_keys(config.params, ("d_min", "d_max", "caps"), "params")
     d_min = _integer(config.params.get("d_min", -4), "params.d_min")
     d_max = _integer(config.params.get("d_max", 4), "params.d_max")
     _integer(d_max - d_min, "params.d_max - params.d_min", minimum=0,
@@ -376,9 +369,6 @@ def _run_coeff(config: JobConfig, cache_path) -> dict:
 
 
 def _run_divpoly(config: JobConfig, cache_path) -> dict:
-    _check_keys(config.params, ("n",), "params")
-    if "n" not in config.params:
-        raise ConfigError("divpoly needs params.n")
     n = _integer(config.params["n"], "params.n", 1, PSI_CEILING)
     scale = config.scale
     _integer((n * n - 1) * max(abs(scale.numerator), scale.denominator).bit_length(),
@@ -408,7 +398,6 @@ def _run_divpoly(config: JobConfig, cache_path) -> dict:
 
 
 def _run_kmodel(config: JobConfig, cache_path) -> dict:
-    _check_keys(config.params, ("group", "W", "sign", "products_upto"), "params")
     kind = config.params.get("group")
     if kind not in ("multiplicative", "additive"):
         raise ConfigError("params.group must be multiplicative or additive")
@@ -450,9 +439,6 @@ def _run_kmodel(config: JobConfig, cache_path) -> dict:
 
 
 def _run_completion(config: JobConfig, cache_path) -> dict:
-    _check_keys(config.params, ("k",), "params")
-    if "k" not in config.params:
-        raise ConfigError("completion needs params.k")
     k = _integer(config.params["k"], "params.k", 1, STAGE_CEILING)
     theory = _make_theory(config, cache_path)
     module = completion(theory, k)
@@ -471,9 +457,6 @@ def _run_completion(config: JobConfig, cache_path) -> dict:
 
 
 def _run_localcoh(config: JobConfig, cache_path) -> dict:
-    _check_keys(config.params, ("pi", "a"), "params")
-    if "pi" not in config.params:
-        raise ConfigError("localcoh needs params.pi")
     pi = _class_list(config.params["pi"], "params.pi")
     if not pi:
         raise ConfigError("params.pi must name at least one class")
@@ -483,9 +466,6 @@ def _run_localcoh(config: JobConfig, cache_path) -> dict:
 
 
 def _run_serre(config: JobConfig, cache_path) -> dict:
-    _check_keys(config.params, ("divisor", "caps"), "params")
-    if "divisor" not in config.params:
-        raise ConfigError("serre needs params.divisor")
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
     _integer(TorsionDivisor(coeffs).degree, "params.divisor degree",
              maximum=DEGREE_CEILING)
@@ -503,10 +483,6 @@ def _run_serre(config: JobConfig, cache_path) -> dict:
 
 
 def _run_sections(config: JobConfig, cache_path) -> dict:
-    _check_keys(config.params, ("divisor", "pi", "cap"), "params")
-    for key in ("divisor", "pi"):
-        if key not in config.params:
-            raise ConfigError(f"sections needs params.{key}")
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
     pi = _class_list(config.params["pi"], "params.pi")
     cap = _integer(config.params.get("cap", 0), "params.cap", 0, CAP_CEILING)
@@ -517,10 +493,6 @@ def _run_sections(config: JobConfig, cache_path) -> dict:
 
 
 def _run_glue(config: JobConfig, cache_path) -> dict:
-    _check_keys(config.params, ("divisor", "left", "right", "cap"), "params")
-    for key in ("divisor", "left", "right"):
-        if key not in config.params:
-            raise ConfigError(f"glue needs params.{key}")
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
     left = OpenSet(_class_list(config.params["left"], "params.left"))
     right = OpenSet(_class_list(config.params["right"], "params.right"))
@@ -531,9 +503,6 @@ def _run_glue(config: JobConfig, cache_path) -> dict:
 
 
 def _run_roundtrip(config: JobConfig, cache_path) -> dict:
-    _check_keys(config.params, ("W", "opens", "caps"), "params")
-    if "W" not in config.params:
-        raise ConfigError("roundtrip needs params.W")
     weights = _weight_dict(config.params["W"], "params.W")
     divisor = _divisor(rep_to_divisor(weights).coeffs, "params.W divisor")
     opens = DEFAULT_OPENS
@@ -556,7 +525,6 @@ def _run_roundtrip(config: JobConfig, cache_path) -> dict:
 
 
 def _run_cache_admin(config: JobConfig, cache_path) -> dict:
-    _check_keys(config.params, ("action", "upto"), "params")
     action = config.params.get("action")
     if action not in ("warm", "verify", "clear"):
         raise ConfigError("params.action must be warm, verify, or clear")
@@ -602,19 +570,20 @@ def _run_cache_admin(config: JobConfig, cache_path) -> dict:
     return report
 
 
+# command -> (handler, accepted params, required params), checked by `run`
 _HANDLERS = {
-    "dims": _run_dims,
-    "basis": _run_basis,
-    "coeff": _run_coeff,
-    "divpoly": _run_divpoly,
-    "kmodel": _run_kmodel,
-    "completion": _run_completion,
-    "localcoh": _run_localcoh,
-    "serre": _run_serre,
-    "sections": _run_sections,
-    "glue": _run_glue,
-    "roundtrip": _run_roundtrip,
-    "cache": _run_cache_admin,
+    "dims": (_run_dims, ("W", "variance", "caps"), ("W",)),
+    "basis": (_run_basis, ("divisor",), ("divisor",)),
+    "coeff": (_run_coeff, ("d_min", "d_max", "caps"), ()),
+    "divpoly": (_run_divpoly, ("n",), ("n",)),
+    "kmodel": (_run_kmodel, ("group", "W", "sign", "products_upto"), ()),
+    "completion": (_run_completion, ("k",), ("k",)),
+    "localcoh": (_run_localcoh, ("pi", "a"), ("pi",)),
+    "serre": (_run_serre, ("divisor", "caps"), ("divisor",)),
+    "sections": (_run_sections, ("divisor", "pi", "cap"), ("divisor", "pi")),
+    "glue": (_run_glue, ("divisor", "left", "right", "cap"), ("divisor", "left", "right")),
+    "roundtrip": (_run_roundtrip, ("W", "opens", "caps"), ("W",)),
+    "cache": (_run_cache_admin, ("action", "upto"), ()),
 }
 
 
@@ -657,7 +626,12 @@ def _write_output(path: str, data: bytes) -> None:
 
 
 def run(config: JobConfig, cache_path: str | None) -> dict:
-    return _HANDLERS[config.command](config, cache_path)
+    handler, accepted, required = _HANDLERS[config.command]
+    _check_keys(config.params, accepted, "params")
+    for key in required:
+        if key not in config.params:
+            raise ConfigError(f"{config.command} needs params.{key}")
+    return handler(config, cache_path)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .exactcore import (
     Q,
     QONE,
     QZERO,
+    _Frozen,
     _label,
     _primitive,
     _whole,
@@ -33,6 +34,7 @@ from .exactcore import (
     parse_poly,
     poly_gcd,
     poly_inverse_mod,
+    power,
     qtext,
     series_reciprocal,
     squarefree_decomposition,
@@ -73,7 +75,7 @@ def _moebius(n: int) -> int:
     return result
 
 
-class TorsionDivisor:
+class TorsionDivisor(_Frozen):
     """Formal sum of full torsion-order classes: map s -> n_s.
 
     The class of order 1 is the identity point itself, so the s = 1
@@ -91,9 +93,6 @@ class TorsionDivisor:
             if n:
                 clean[s] = n
         object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorsionDivisor is immutable")
 
     def coefficient(self, s: int) -> int:
         return self.coeffs.get(s, 0)
@@ -147,7 +146,7 @@ def single_class(s: int, n: int = 1) -> TorsionDivisor:
 # the curve and its function field
 
 
-class WeierstrassCurve:
+class WeierstrassCurve(_Frozen):
     """Smooth curve y^2 = x^3 + a x + b over Q."""
 
     __slots__ = ("a", "b", "rhs")
@@ -160,9 +159,6 @@ class WeierstrassCurve:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "rhs", Poly((b, a, QZERO, QONE)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeierstrassCurve is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, WeierstrassCurve):
@@ -194,7 +190,7 @@ class WeierstrassCurve:
         return self.elt(Poly.const(1))
 
 
-class FuncElt:
+class FuncElt(_Frozen):
     """Element (u(x) + v(x) y) / d(x) of the function field.
 
     Canonical form: d monic, gcd(gcd(u, v), d) = 1, and no y^2 anywhere
@@ -227,9 +223,6 @@ class FuncElt:
         for name, value in (("curve", curve), ("u", u), ("v", v), ("d", d)):
             object.__setattr__(elt, name, value)
         return elt
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FuncElt is immutable")
 
     def is_zero(self) -> bool:
         return self.u.is_zero() and self.v.is_zero()
@@ -288,9 +281,8 @@ class FuncElt:
         """1/f by rationalising with the y-conjugate."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        norm = self.u * self.u - (self.v * self.v) * self.curve.rhs
-        # (u + vy)(u - vy) = norm, a poly in x alone and nonzero for f != 0
-        return FuncElt(self.curve, self.d * self.u, -(self.d * self.v), norm)
+        # (u + vy)(u - vy) is a poly in x alone and nonzero for f != 0
+        return FuncElt(self.curve, self.d * self.u, -(self.d * self.v), self.norm_poly())
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -298,14 +290,7 @@ class FuncElt:
     def __pow__(self, n: int) -> "FuncElt":
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.curve.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.curve.one())
 
     def norm_poly(self) -> Poly:
         """(u + vy)(u - vy) as a polynomial in x (denominator ignored)."""
@@ -531,7 +516,7 @@ class _IntegralModel:
 # coordinate data
 
 
-class Coordinate:
+class Coordinate(_Frozen):
     """Choice of uniformiser t_e at the identity.
 
     The default is x/y times an optional scalar.  A custom element may be
@@ -560,9 +545,6 @@ class Coordinate:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "validated_to", int(validated_to))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Coordinate is immutable")
 
     def describe(self) -> dict:
         return {"form": self.form, "scale": qtext(self.scale)}
@@ -759,14 +741,13 @@ class CycCache:
 
     # -- structural pole analysis ----------------------------------------
 
-    def classify_x_poly(self, poly: Poly, bound: int | None = None):
+    def classify_x_poly(self, poly: Poly):
         """Split a polynomial in x into per-class parts against the class
-        polynomials up to `bound`.  Returns (parts: {s: multiplicity-poly},
-        leftover)."""
-        bound = bound or self.coordinate.validated_to
+        polynomials up to the coordinate's validated order.  Returns
+        (parts: {s: multiplicity-poly}, leftover)."""
         poly = poly.monic() if not poly.is_zero() else poly
         parts: dict[int, Poly] = {}
-        for s in range(2, bound + 1):
+        for s in range(2, self.coordinate.validated_to + 1):
             if poly.degree < 1:
                 break
             if exact_order_count(s) == 0:
@@ -782,21 +763,21 @@ class CycCache:
                 parts[s] = acc
         return parts, poly
 
-    def pole_support(self, elt: FuncElt, bound: int | None = None) -> dict[int, int]:
+    def pole_support(self, elt: FuncElt) -> dict[int, int]:
         """Upper bounds for the pole order of `elt` on each torsion class.
 
         Raises UnsupportedPoles when the denominator has a root that is
-        not recognised as torsion of order <= bound.
+        not recognised as torsion of the coordinate's validated order.
         """
         bounds: dict[int, int] = {}
         if elt.is_zero():
             return bounds
         if elt.d.degree >= 1:
-            parts, leftover = self.classify_x_poly(elt.d, bound)
+            parts, leftover = self.classify_x_poly(elt.d)
             if leftover.degree >= 1:
                 raise UnsupportedPoles(
                     f"denominator factor {leftover.text()} is not supported on "
-                    f"torsion classes up to {bound or self.coordinate.validated_to}"
+                    f"torsion classes up to {self.coordinate.validated_to}"
                 )
             for s, part in parts.items():
                 mult = part.degree  # total x-multiplicity on the class
@@ -890,7 +871,7 @@ class CycCache:
         touched: set[int] = set()
         for poly in (base.norm_poly(), base.d):
             if poly.degree >= 1:
-                parts, leftover = self.classify_x_poly(poly, bound)
+                parts, leftover = self.classify_x_poly(poly)
                 if leftover.degree >= 1:
                     raise ValidationFailed(
                         "coordinate has zeros or poles off the torsion classes "
@@ -1026,7 +1007,7 @@ def trace_residues(num: Poly, den: Poly, marker: Poly) -> Q:
     return total
 
 
-class MeromorphicDifferential:
+class MeromorphicDifferential(_Frozen):
     """f * Dt for the invariant differential Dt, normalised so that
     Dt agrees with dt_e at the identity (Dt = kappa dx/y for the scalar
     kappa = cache.diff_factor())."""
@@ -1038,9 +1019,6 @@ class MeromorphicDifferential:
             f = cache.curve.one() * f
         object.__setattr__(self, "cache", cache)
         object.__setattr__(self, "f", f)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MeromorphicDifferential is immutable")
 
     def __mul__(self, other):
         return MeromorphicDifferential(self.cache, self.f * other)
@@ -1066,12 +1044,12 @@ class MeromorphicDifferential:
         return f"MeromorphicDifferential({self.text()})"
 
 
-def residue_at_e(omega: MeromorphicDifferential, prec: int | None = None) -> Q:
+def residue_at_e(omega: MeromorphicDifferential) -> Q:
     """Residue of omega at the identity."""
     f = omega.f
     if f.is_zero() or f.ord_e() >= 0:
         return QZERO
-    work = prec if prec is not None else f.pole_order_at_e() + 2
+    work = f.pole_order_at_e() + 2
     cache = omega.cache
     fs = cache.expand(f, work)
     x, y = cache.chart(work + 4)

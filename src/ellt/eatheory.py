@@ -29,7 +29,7 @@ from .curvefield import (
     residue_along,
 )
 from .errors import CapTooSmall, UnsupportedPoles, ValidationFailed
-from .exactcore import Matrix, Q, QZERO, _label, _whole, divisors_of, matrix_rank, qtext
+from .exactcore import Matrix, Q, QZERO, _Frozen, _label, _whole, divisors_of, matrix_rank, qtext
 from .tmodel import (
     ASObject,
     AlmostConstant,
@@ -56,7 +56,7 @@ def _weights_payload(weights) -> dict:
     return {"0": int(weights)}
 
 
-class GradedFn:
+class GradedFn(_Frozen):
     """A curve function carrying a differential weight: f * Dt^n.
 
     The weight is bookkeeping for the grading; arithmetic acts on the
@@ -71,9 +71,6 @@ class GradedFn:
             raise TypeError("graded functions wrap curve elements")
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "weight", int(weight))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedFn is immutable")
 
     def is_zero(self) -> bool:
         return self.fn.is_zero()
@@ -130,7 +127,7 @@ def _dt_text(n: int) -> str:
     return "Dt" if n == 1 else f"Dt^{n}"
 
 
-class TorsionClass:
+class TorsionClass(_Frozen):
     """Principal-part class along one isogeny class, tagged with a weight."""
 
     __slots__ = ("s", "depth", "weight", "vector")
@@ -140,9 +137,6 @@ class TorsionClass:
         object.__setattr__(self, "depth", int(depth))
         object.__setattr__(self, "weight", int(weight))
         object.__setattr__(self, "vector", tuple(Q(c) for c in vector))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorsionClass is immutable")
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.vector)
@@ -331,12 +325,11 @@ class EATheory:
     an explicit stability certificate.
     """
 
-    def __init__(self, cache: CycCache, check: bool = True):
+    def __init__(self, cache: CycCache):
         self.cache = cache
         self.backend = EllipticGroupData(cache)
         self.base_object = ASObject(self.backend, 0, name="EA")
-        if check:
-            self._construction_check()
+        self._construction_check()
 
     @property
     def curve(self) -> WeierstrassCurve:
@@ -393,8 +386,7 @@ class EATheory:
                     )
 
 
-def build_ea(curve, coordinate: Coordinate | None = None,
-             check: bool = True) -> EATheory:
+def build_ea(curve, coordinate: Coordinate | None = None) -> EATheory:
     """Assemble the theory for a curve, validating the coordinate first.
 
     `curve` is a WeierstrassCurve or an (a, b) pair of rationals.
@@ -403,7 +395,7 @@ def build_ea(curve, coordinate: Coordinate | None = None,
         a, b = curve
         curve = WeierstrassCurve(a, b)
     cache = CycCache(curve, coordinate)
-    return EATheory(cache, check=check)
+    return EATheory(cache)
 
 
 def rep_to_divisor(weights) -> TorsionDivisor:

@@ -60,11 +60,37 @@ def divisors_of(n: int) -> list[int]:
     return small + large[::-1]
 
 
+class _Frozen:
+    """Base of the immutable value types: constructors set their slots
+    with `object.__setattr__`, and every later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def power(base, n: int, one):
+    """base ** n for n >= 0 by binary powering, `one` when n is 0.
+
+    The base is squared only while higher bits remain, so base ** 1 makes
+    no product and base ** 5 makes three.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return one if result is None else result
+        base = base * base
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
 
-class Poly:
+class Poly(_Frozen):
     """Dense univariate polynomial over Q, coefficients ascending.
 
     The coefficient tuple never has a trailing zero; the zero polynomial
@@ -78,9 +104,6 @@ class Poly:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @staticmethod
     def const(value) -> "Poly":
@@ -193,14 +216,7 @@ class Poly:
     def pow(self, n) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Poly.const(1))
 
     def text(self) -> str:
         return "[" + ", ".join(qtext(c) for c in self.coeffs) + "]"
@@ -354,7 +370,7 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 # matrices
 
 
-class Matrix:
+class Matrix(_Frozen):
     """Dense matrix over Q, stored as a tuple of row tuples."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -368,9 +384,6 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -503,7 +516,7 @@ def kernel_and_image(matrix) -> tuple[list[tuple], int]:
 # truncated Laurent series
 
 
-class LaurentSeries:
+class LaurentSeries(_Frozen):
     """Truncated Laurent series sum(c_i t**(valuation+i)) + O(t**end).
 
     `coeffs` has one entry per retained exponent, so precision is
@@ -530,9 +543,6 @@ class LaurentSeries:
             coeffs = (QZERO,) * len(coeffs)
         object.__setattr__(self, "valuation", valuation)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSeries is immutable")
 
     @property
     def precision(self) -> int:
@@ -619,18 +629,7 @@ class LaurentSeries:
     def __pow__(self, exponent: int) -> "LaurentSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series powers take a nonnegative integer exponent")
-        if exponent == 0:
-            return series_one(self.precision)
-        result = None
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, exponent, series_one(self.precision))
 
     def truncate(self, precision) -> "LaurentSeries":
         if precision > self.precision:
@@ -657,21 +656,21 @@ def series_one(precision: int) -> LaurentSeries:
     return LaurentSeries(0, (QONE,) + (QZERO,) * (precision - 1))
 
 
-def series_reciprocal(series: LaurentSeries, precision=None) -> LaurentSeries:
+def series_reciprocal(series: LaurentSeries) -> LaurentSeries:
     """Multiplicative inverse, computed by the standard recurrence.
 
     The input must have a nonzero leading coefficient within its window.
     """
     if series.is_zero_to_precision():
         raise ZeroSeries("cannot invert a series with no visible leading term")
-    prec = series.precision if precision is None else min(precision, series.precision)
+    prec = series.precision
     c = series.coeffs
     lead_inv = QONE / c[0]
     out = [lead_inv] + [QZERO] * (prec - 1)
     for n in range(1, prec):
         acc = QZERO
         for k in range(1, n + 1):
-            if k < len(c) and c[k] != 0:
+            if c[k] != 0:
                 acc += c[k] * out[n - k]
         out[n] = -acc * lead_inv
     return LaurentSeries(-series.valuation, out)

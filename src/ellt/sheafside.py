@@ -15,11 +15,11 @@ from __future__ import annotations
 from .curvefield import TorsionDivisor, h_dims, ladder_frames
 from .eatheory import EATheory, _weights_payload, rep_to_divisor
 from .errors import CapTooSmall, ValidationFailed
-from .exactcore import Matrix, _label, _whole, matrix_rank
+from .exactcore import Matrix, _Frozen, _label, _whole, matrix_rank
 from .tmodel import ASObject, AlmostConstant, QWindow, _coerce_weight, suspend
 
 
-class OpenSet:
+class OpenSet(_Frozen):
     """Complement of the union of finitely many isogeny classes.
 
     `pi` records the excluded classes by their exact orders.  Note the
@@ -34,9 +34,6 @@ class OpenSet:
         if classes and classes[0] < 1:
             raise ValidationFailed("isogeny classes are labelled by orders >= 1")
         object.__setattr__(self, "pi", tuple(classes))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OpenSet is immutable")
 
     def is_everything(self) -> bool:
         return not self.pi

@@ -21,6 +21,7 @@ from .exactcore import (
     QONE,
     QZERO,
     _echelon,
+    _Frozen,
     _label,
     _whole,
     divisors_of,
@@ -29,7 +30,7 @@ from .exactcore import (
 )
 
 
-class AlmostConstant:
+class AlmostConstant(_Frozen):
     """Integer function on isogeny classes s >= 1, constant off a finite set.
 
     Stored as the eventual value `tail` plus the finitely many deviating
@@ -50,9 +51,6 @@ class AlmostConstant:
                 clean[s] = v
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "dev", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlmostConstant is immutable")
 
     def __call__(self, s: int) -> int:
         if s < 1:
@@ -117,7 +115,7 @@ class AlmostConstant:
         }
 
 
-class Representation:
+class Representation(_Frozen):
     """Finite-dimensional representation of the circle.
 
     Recorded as multiplicities of the weight spaces z^n for n >= 1 plus
@@ -144,9 +142,6 @@ class Representation:
             clean[n] = a
         object.__setattr__(self, "weights", clean)
         object.__setattr__(self, "fixed_part", fixed_part)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Representation is immutable")
 
     def dim(self) -> int:
         return sum(self.weights.values()) + self.fixed_part
@@ -205,7 +200,7 @@ def dim_fn(weights=None, fixed_part=0) -> AlmostConstant:
     return AlmostConstant(fixed_part, dev)
 
 
-class EulerClassSymbol:
+class EulerClassSymbol(_Frozen):
     """Formal Euler class c^w, indexed by a finitely supported exponent >= 0.
 
     These label the honest maps between sphere objects; multiplying
@@ -222,9 +217,6 @@ class EulerClassSymbol:
         if any(v < 0 for v in exponent.dev.values()):
             raise ValueError("Euler class exponents are nonnegative")
         object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EulerClassSymbol is immutable")
 
     @classmethod
     def from_weights(cls, weights) -> "EulerClassSymbol":

@@ -150,6 +150,16 @@ class TestEulerClasses:
     def test_fixed_part_kills_the_class(self, gm):
         assert gm.euler_class(Representation({1: 1}, fixed_part=1)).is_zero()
 
+    def test_floats_are_refused_not_truncated(self, gm, ga):
+        # {1: 1.9} once read as z and {2.7: 1} as z^2
+        for group in (gm, ga):
+            for weights in ({1: 1.9}, {2.7: 1}, {1: Q(3, 2)}):
+                with pytest.raises(TypeError):
+                    group.euler_class(weights)
+            with pytest.raises(TypeError):
+                affine_sphere_module(group, {1: 1.9})
+        assert gm.euler_class({"2": 1}) == gm.euler_class({2: 1})
+
 
 class TestSphereModules:
     def test_generators_are_inverse_euler_classes(self, gm):

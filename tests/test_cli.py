@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ellt import curvefield
-from ellt.cli import ConfigError, JobConfig, load_config, main
+from ellt.cli import _HANDLERS, ConfigError, JobConfig, load_config, main
 from ellt.exactcore import qtext
 
 E1 = {"curve": {"a": "-1", "b": "0"}}
@@ -577,3 +577,43 @@ class TestOutput:
 
     def test_unknown_command_exits_one(self, capsys):
         assert main(["transmogrify", "--config", "x.json"]) == 1
+
+
+# a valid value for every required param of every command
+REQUIRED = {
+    "dims": {"W": {"1": 1}},
+    "basis": {"divisor": {"1": 2}},
+    "coeff": {},
+    "divpoly": {"n": 2},
+    "kmodel": {},
+    "completion": {"k": 1},
+    "localcoh": {"pi": [2]},
+    "serre": {"divisor": {"1": 1}},
+    "sections": {"divisor": {"1": 1}, "pi": [2]},
+    "glue": {"divisor": {"1": 1}, "left": [2], "right": [3]},
+    "roundtrip": {"W": {"1": 1}},
+    "cache": {},
+}
+
+
+class TestParameterContract:
+    def test_the_command_table_names_every_command(self):
+        assert sorted(_HANDLERS) == sorted(REQUIRED)
+        for command, (_, accepted, required) in _HANDLERS.items():
+            assert list(required) == list(REQUIRED[command]), command
+            assert set(required) <= set(accepted), command
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, params in REQUIRED.items() for key in params
+    ])
+    def test_each_missing_required_key(self, tmp_path, capsys, command, key):
+        params = {k: v for k, v in REQUIRED[command].items() if k != key}
+        assert run_cli(tmp_path, command, {**E1, "params": params}) == 1
+        assert capsys.readouterr().err == f"ellt: config error: {command} needs params.{key}\n"
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_unknown_key_wins_over_a_missing_one(self, tmp_path, capsys, command):
+        for params in ({**REQUIRED[command], "bogus": 1}, {"bogus": 1}):
+            assert run_cli(tmp_path, command, {**E1, "params": params}) == 1
+            assert capsys.readouterr().err == (
+                "ellt: config error: unknown keys in params: ['bogus']\n")

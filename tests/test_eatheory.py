@@ -70,7 +70,7 @@ def _mat_pow(m, n):
 
 class TestConstruction:
     def test_accepts_curve_object(self):
-        th = build_ea(WeierstrassCurve(-1, 0), check=False)
+        th = build_ea(WeierstrassCurve(-1, 0))
         assert th.curve.a == Q(-1)
 
     def test_default_coordinate_touches_the_two_torsion(self, e1):
@@ -262,7 +262,7 @@ _THEORY = None
 def _shared_theory():
     global _THEORY
     if _THEORY is None:
-        _THEORY = build_ea((-1, 0), check=False)
+        _THEORY = build_ea((-1, 0))
     return _THEORY
 
 
@@ -412,7 +412,7 @@ class TestCompletion:
 
     def test_scaled_coordinate_stays_triangular(self):
         curve = WeierstrassCurve(-1, 0)
-        th = build_ea(curve, Coordinate(curve, scale=Q(1, 3)), check=False)
+        th = build_ea(curve, Coordinate(curve, scale=Q(1, 3)))
         action = completion(th, 3).action_matrix()
         assert action.entries == (
             (Q(0), Q(0), Q(0)),
@@ -580,7 +580,7 @@ def _product_multiplier(ctx, s, win):
 @pytest.fixture(scope="module")
 def e1_scaled():
     curve = WeierstrassCurve(-1, 0)
-    return build_ea(curve, Coordinate(curve, scale=Q(2)), check=False)
+    return build_ea(curve, Coordinate(curve, scale=Q(2)))
 
 
 class TestFrameAssembly:
@@ -611,7 +611,7 @@ class TestFrameAssembly:
             assert ctx.block_matrix(s) == Matrix(tuple(zip(*columns))).entries
 
     def test_warm_assembly_makes_no_function_field_products(self, monkeypatch):
-        theory = build_ea((-1, 0), check=False)
+        theory = build_ea((-1, 0))
         weights, caps = {1: 1, 2: -1, 3: 1}, {1: 2, 2: 1, 3: 2, 4: 1}
         theory.window(weights, caps)
         ctx = theory.window(weights, caps).ctx  # window memo and t* warm
@@ -631,7 +631,7 @@ class TestFrameAssembly:
         assert len(section.frame_rows(target)) == section.dim and products == []
 
     def test_warm_window_builds_no_public_matrix(self, monkeypatch):
-        theory = build_ea((-1, 0), check=False)
+        theory = build_ea((-1, 0))
         weights, caps = {1: 1, 2: -1, 3: 1}, {1: 2, 2: 1, 3: 2, 4: 1}
         theory.window(weights, caps)  # window memo and t* warm
         built = []

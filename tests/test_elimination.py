@@ -108,9 +108,9 @@ class TestIntegerCore:
 def theories():
     scaled = WeierstrassCurve(-1, 0)
     return {
-        "e1": build_ea((-1, 0), check=False),
-        "e2": build_ea((0, 1), check=False),
-        "scaled": build_ea(scaled, Coordinate(scaled, scale=Q(2)), check=False),
+        "e1": build_ea((-1, 0)),
+        "e2": build_ea((0, 1)),
+        "scaled": build_ea(scaled, Coordinate(scaled, scale=Q(2))),
     }
 
 

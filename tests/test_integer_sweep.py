@@ -58,7 +58,7 @@ def caches():
 
 @pytest.fixture(scope="module")
 def theories(caches):
-    return [EATheory(cache, check=False) for cache in caches]
+    return [EATheory(cache) for cache in caches]
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,55 @@
+"""Three rules each have one home in the library: the immutability guard
+(`exactcore._Frozen.__setattr__`), binary powering (`exactcore.power`)
+and the CLI parameter contract (`cli.run`, from the command table).  A
+second copy drifts from the first; this walks the same source as
+`test_no_asserts.py` and names every copy it finds."""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ellt").glob("*.py"))
+
+
+def _homes(matches):
+    """'file:Scope.name' for each node `matches` accepts, named by the
+    innermost class or function around it."""
+    found = []
+
+    def visit(node, path, scope):
+        if matches(node):
+            found.append(f"{path.name}:{'.'.join(scope)}")
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path, ())
+    return found
+
+
+def _is_bit_test(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+            and isinstance(node.right, ast.Constant) and node.right.value == 1)
+
+
+def test_one_immutability_guard():
+    assert any(path.name == "exactcore.py" for path in SOURCES)
+    guards = _homes(lambda node: isinstance(node, ast.FunctionDef)
+                    and node.name == "__setattr__")
+    assert guards == ["exactcore.py:_Frozen"]
+
+
+def test_one_powering_loop():
+    loops = _homes(lambda node: isinstance(node, ast.While)
+                   and any(_is_bit_test(inner) for inner in ast.walk(node)))
+    assert loops == ["exactcore.py:power"]
+
+
+def test_one_parameter_contract_check():
+    def checks_params(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_check_keys" and node.args
+                and ast.unparse(node.args[0]) == "config.params")
+
+    assert _homes(checks_params) == ["cli.py:run"]

@@ -253,8 +253,8 @@ def test_a_mixed_coordinate_classifies_each_element_once(monkeypatch):
         monkeypatch.setattr(CycCache, name, spy)
     pole_support = CycCache.pole_support
     monkeypatch.setattr(CycCache, "pole_support",
-                        lambda self, elt, bound=None: supported.append(elt)
-                        or pole_support(self, elt, bound))
+                        lambda self, elt: supported.append(elt)
+                        or pole_support(self, elt))
     cache = CycCache(curve, Coordinate(curve, base=base))
     report = cache.validate_coordinate()
     assert report["profile"] == {2: (0, 1), 3: (2, 0), 6: (0, 1)}

@@ -42,6 +42,6 @@ def test_target_resolves(module_name, path):
 def test_hooks_find_their_attributes():
     # _hook_tmodel_qwindow reads QWindow.matrix, _hook_curvefield_rr_basis
     # reads the divisor's coeffs
-    window = build_ea((-1, 0), check=False).window({})
+    window = build_ea((-1, 0)).window({})
     assert window.matrix.rows * window.matrix.cols > 0
     assert TorsionDivisor({1: 2}).coeffs == {1: 2}
