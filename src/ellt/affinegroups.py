@@ -279,8 +279,8 @@ class _AffineAssembly:
             )
         )
 
-    def source_element(self, k: int) -> LaurentFn:
-        return LaurentFn(Poly.x_power(k), self.denominator)
+    def element(self, vec) -> LaurentFn:
+        return LaurentFn(Poly(vec), self.denominator)
 
     def block_matrix(self, s: int) -> tuple[tuple, ...]:
         depth = self._depth[s]

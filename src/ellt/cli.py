@@ -31,7 +31,7 @@ from .eatheory import (
     sphere_homology,
 )
 from .errors import CapTooSmall, EllTError
-from .exactcore import Q, divisors_of, parse_poly, qtext
+from .exactcore import Q, _label, divisors_of, parse_poly, qtext
 from .sheafside import DEFAULT_OPENS, OpenSet, glue_check, roundtrip, sections
 from .tmodel import _coerce_weight
 
@@ -110,9 +110,9 @@ def _weight_dict(value, where: str, minimum: int | None = None,
     out = {}
     for key, count in value.items():
         try:
-            s = int(key)
+            s = _label(key)
         except (TypeError, ValueError):
-            raise ConfigError(f"{where} has a non-integer class label {key!r}")
+            raise ConfigError(f"{where} class label {key!r} is not canonical integer text")
         if s < 1:
             raise ConfigError(f"{where} classes are labelled by integers >= 1")
         _integer(s, f"{where} class label", maximum=CLASS_CEILING)
@@ -380,11 +380,7 @@ def _run_divpoly(config: JobConfig, cache_path) -> dict:
     # each t_s is normalised against the coordinate c x/y, and the
     # factors have n^2 - 1 poles at e, so psi_n = n c^(n^2 - 1) prod t_s
     scalar = n * scale ** (n * n - 1)
-    product = None
-    for f in factors.values():
-        product = f if product is None else product * f
-    recombined = product * scalar if product is not None else psi
-    if recombined != psi:
+    if cache.t_star(TorsionDivisor(dict.fromkeys(factors, 1))) * scalar != psi:
         raise EllTError(f"psi_{n} does not match its cyclotomic factorization")
     return {
         **_echo(config, cache),

@@ -801,9 +801,6 @@ class CycCache:
             return True
         if support is None:
             self.pole_support(elt)  # raises UnsupportedPoles for off-class poles
-        for s in divisor.support:
-            if s >= 2:
-                self.t(s)  # make sure shifts exist before multiplying
         shifted = elt * self.t_star(divisor)
         if not shifted.is_pure():
             return False
@@ -854,11 +851,12 @@ class CycCache:
         Ordering is by ascending pole order at e: 1, x, y, x^2, xy, ...
         Degree zero gives the single element 1/t* (every full-class sum
         of torsion points adds to e, so such divisors are principal).
+        Dividing by t*(divisor) is multiplying by t*(-divisor).
         """
         dim = h_dims(divisor)[0]
         if not dim:
             return []
-        inv = self.t_star(divisor).inverse()
+        inv = self.t_star(divisor.scale(-1))
         return [monomial(self.curve, k) * inv for k in range(dim)]
 
     def validate_coordinate(self) -> dict:
@@ -1193,7 +1191,6 @@ class QuotientWindow:
         self.residual_dim = base * m + others.degree
         self.frame_dim = self.residual_dim + self.block_size
         self.divisor = others + single_class(s, base + depth)
-        self._shift_inv = None  # built by the first rep()
         # t_star ignores the class 1, so s = 1 shifts by the constant 1
         _, *parts = _ladder_ints(cache.t_star(single_class(s, depth)), self.residual_dim)
         reducers = {}
@@ -1208,8 +1205,8 @@ class QuotientWindow:
 
     @property
     def shift(self) -> FuncElt:
-        """t*(divisor), which only `coords` and `rep` need; block assembly
-        stays in the frame and never builds it."""
+        """t*(divisor), which only `coords` needs (`rep` divides by it as
+        t*(-divisor)); block assembly stays in the frame and never builds it."""
         return self.cache.t_star(self.divisor)
 
     def coords(self, f: FuncElt) -> list:
@@ -1256,9 +1253,8 @@ class QuotientWindow:
 
     def rep(self, i: int) -> FuncElt:
         """Representative of the i-th basis class; coords(rep(i)) = e_i."""
-        if self._shift_inv is None:
-            self._shift_inv = self.shift.inverse()
-        return monomial(self.cache.curve, self.complement[i]) * self._shift_inv
+        return (monomial(self.cache.curve, self.complement[i])
+                * self.cache.t_star(self.divisor.scale(-1)))
 
 
 def principal_part(cache: CycCache, f: FuncElt, s: int, depth: int) -> list[Q]:
@@ -1277,7 +1273,7 @@ def principal_part(cache: CycCache, f: FuncElt, s: int, depth: int) -> list[Q]:
     others = TorsionDivisor({r: n for r, n in support.items() if r != s and n > 0})
     if f.is_zero():
         return [QZERO] * (depth * exact_order_count(s))
-    excess = max(0, -cache.ord_along(f, s))
+    excess = max(0, -cache.ord_along(f, s, support))
     g = f
     for level in range(excess, depth, -1):
         top_slice = QuotientWindow(cache, s, 1, others, base=level - 1)

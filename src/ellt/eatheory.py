@@ -24,12 +24,12 @@ from .curvefield import (
     WeierstrassCurve,
     exact_order_count,
     h_dims,
-    monomial,
     principal_part,
     residue_along,
+    single_class,
 )
 from .errors import CapTooSmall, UnsupportedPoles, ValidationFailed
-from .exactcore import Matrix, Q, QZERO, _Frozen, _label, _whole, divisors_of, matrix_rank, qtext
+from .exactcore import Matrix, Poly, Q, QZERO, _Frozen, _label, _whole, divisors_of, matrix_rank, qtext
 from .tmodel import (
     ASObject,
     AlmostConstant,
@@ -201,9 +201,11 @@ class EllipticGroupData:
             self._windows[key] = win
         return win
 
-    def base_power(self, w: int) -> FuncElt:
-        """coordinate.base ** w, memoised per w: it depends on nothing else,
-        and every assembly twisting class 1 by w needs it."""
+    def twist(self, s: int, w: int) -> FuncElt:
+        """t_s ** w: t*(w A<s>), or for s = 1, which t_star ignores, the
+        coordinate's power, memoised per w for every assembly that needs it."""
+        if s != 1:
+            return self.cache.t_star(single_class(s, w))
         power = self._base_powers.get(w)
         if power is None:
             power = self._base_powers[w] = self.cache.coordinate.base ** w
@@ -238,18 +240,17 @@ class _EllipticAssembly:
         self.certified = self.cap_divisor.degree >= 1 and all(
             self.caps.get(s, 0) >= w for s, w in self.exp.items()
         )
-        self._shift_inv = None
         self._built: dict = {}
 
-    def _vertex_shift_inv(self) -> FuncElt:
-        if self._shift_inv is None:
-            self._shift_inv = self.cache.t_star(self.cap_divisor).inverse()
-        return self._shift_inv
-
-    def source_element(self, k: int) -> FuncElt:
-        if not 0 <= k < self.source_dim:
-            raise IndexError("vertex index out of range")
-        return monomial(self.cache.curve, k) * self._vertex_shift_inv()
+    def element(self, vec) -> FuncElt:
+        """sum_k vec[k] m_k / t*(E): the pure sum of monomials (m_k is 1
+        at slot 0, x^j at slot 2j - 1 and x^j y at slot 2j + 2) times
+        t*(-E), one product."""
+        if len(vec) != self.source_dim:
+            raise ValueError(f"vertex vectors have length {self.source_dim}, got {len(vec)}")
+        pure = FuncElt(self.cache.curve, Poly((*vec[:1], *vec[1::2])), Poly(vec[2::2]),
+                       Poly.const(1))
+        return pure * self.cache.t_star(self.cap_divisor.scale(-1))
 
     def _block(self, s: int) -> tuple[QuotientWindow, FuncElt]:
         built = self._built.get(s)
@@ -291,7 +292,7 @@ class _EllipticAssembly:
                 for r, c in win.divisor.coeffs.items() if r >= 2}
         out = cache.t_star(TorsionDivisor(exps))
         if s == 1 and w:
-            out = self.backend.base_power(w) * out
+            out = self.backend.twist(1, w) * out
         if not out.is_pure():
             raise ValidationFailed("block multiplier must have poles only at e")
         return out
@@ -308,9 +309,7 @@ class _EllipticAssembly:
         w = self.exp.get(s, 0)
         if not w:
             return rep
-        if s == 1:
-            return rep * self.backend.base_power(-w)
-        return rep * self.cache.t(s) ** (-w)
+        return rep * self.backend.twist(s, -w)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +354,7 @@ class EATheory:
         w = symbol.exponent(s)
         g = fn
         if w:
-            g = fn * self.cache.t(s) ** w
+            g = fn * self.backend.twist(s, w)
         vec = principal_part(self.cache, g, s, depth)
         return TorsionClass(s, depth, weight - w, vec)
 

@@ -42,9 +42,14 @@ def _whole(n, what: str = "multiplicities") -> int:
 
 
 def _label(s) -> int:
-    """A class label: an int, or its decimal text as payload keys carry
-    it; a float or fraction is a TypeError instead of being truncated."""
-    return int(s) if type(s) is str else _whole(s, "class labels")
+    """A class label: an int, or its canonical decimal text as payload
+    keys carry it ("01" or " 1" would name class 1 twice: ValueError); a
+    float or fraction is a TypeError instead of being truncated."""
+    if type(s) is not str:
+        return _whole(s, "class labels")
+    if str(int(s)) != s:
+        raise ValueError(f"class label {s!r} is not canonical decimal text")
+    return int(s)
 
 
 def divisors_of(n: int) -> list[int]:

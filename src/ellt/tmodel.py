@@ -290,7 +290,8 @@ class QWindow:
 
       default_caps(exp)      -> caps dict for a weight exponent dict
       setup(exp, caps)       -> assembly context with
-          source_dim, source_element(k),
+          source_dim,
+          element(vec)       -> vertex element of coordinate vector vec,
           blocks: ordered (s, depth, rows) triples,
           block_matrix(s)    -> tuple of `rows` row tuples of length
                                 source_dim, entries exact rationals
@@ -298,7 +299,7 @@ class QWindow:
           torsion_rep(s, i),
           certified: bool
 
-    Elements only need Q-linear arithmetic; nothing here inspects them.
+    Nothing here inspects or combines elements; the backend builds them.
     """
 
     def __init__(self, group, weight, caps=None):
@@ -392,16 +393,7 @@ class QWindow:
 
     def kernel_element(self, k: int):
         """Materialise the k-th kernel vector as a backend element."""
-        vec = self.kernel[k]
-        total = None
-        for j, c in enumerate(vec):
-            if c == 0:
-                continue
-            term = self.ctx.source_element(j) * c
-            total = term if total is None else total + term
-        if total is None:
-            raise ValueError("kernel vector is zero, which should not happen")
-        return total
+        return self.ctx.element(self.kernel[k])
 
     def report(self) -> dict:
         return {

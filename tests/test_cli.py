@@ -290,6 +290,22 @@ def test_out_of_range_parameters_are_config_errors(tmp_path, capsys, command, pa
     assert "Traceback" not in err and err.startswith("ellt: config error:")
 
 
+@pytest.mark.parametrize("text", ["01", " 1", "+1", "0_1", "\uff11"])
+@pytest.mark.parametrize("command,params", [
+    ("dims", lambda t: {"W": {"1": 1, t: 1}}),
+    ("dims", lambda t: {"W": {"1": 1}, "caps": {"1": 2, t: 1}}),
+    ("basis", lambda t: {"divisor": {t: 2}}),
+    ("kmodel", lambda t: {"group": "additive", "W": {t: 1}}),
+])
+def test_label_text_must_be_canonical(tmp_path, capsys, command, params, text):
+    # int() reads each of these as class 1: {"1": 1, "01": 1} used to run
+    # as W = {"1": 1} and exit 0
+    config = {"params": params(text)} if command == "kmodel" else {**E1, "params": params(text)}
+    assert run_cli(tmp_path, command, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ellt: config error:") and "canonical" in err and err.count("\n") == 1
+
+
 MISSING_DIR = "missing-dir"
 
 

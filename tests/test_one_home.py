@@ -1,8 +1,11 @@
-"""Three rules each have one home in the library: the immutability guard
-(`exactcore._Frozen.__setattr__`), binary powering (`exactcore.power`)
-and the CLI parameter contract (`cli.run`, from the command table).  A
-second copy drifts from the first; this walks the same source as
-`test_no_asserts.py` and names every copy it finds."""
+"""Rules with one home in the library: the immutability guard
+(`exactcore._Frozen.__setattr__`), binary powering (`exactcore.power`),
+the CLI parameter contract (`cli.run`, from the command table) and
+products, powers and quotients of cyclotomic functions
+(`curvefield.CycCache.t_star`, which a window backend's `element(vec)`
+uses for a whole vertex vector).  A second copy drifts from the first;
+this walks the same source as `test_no_asserts.py` and names every copy
+it finds."""
 
 import ast
 from pathlib import Path
@@ -53,3 +56,35 @@ def test_one_parameter_contract_check():
                 and ast.unparse(node.args[0]) == "config.params")
 
     assert _homes(checks_params) == ["cli.py:run"]
+
+
+def _is_call_of(node, name):
+    """A call of `name(...)` or of `anything.name(...)`."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == name
+        or isinstance(node.func, ast.Attribute) and node.func.attr == name)
+
+
+def test_quotients_by_t_star_are_t_star_of_the_negative():
+    # 1/t*(E) is t*(-E): no inverse of a t* result or of a window shift
+    def inverts_a_shift(node):
+        if not (_is_call_of(node, "inverse") and isinstance(node.func, ast.Attribute)):
+            return False
+        inner = node.func.value
+        return (_is_call_of(inner, "t_star")
+                or isinstance(inner, ast.Attribute) and inner.attr == "shift")
+
+    assert _homes(inverts_a_shift) == []
+
+
+def test_powers_of_t_s_come_from_t_star():
+    # t_s^w is t*(w A<s>), built by exponent arithmetic
+    assert _homes(lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                  and _is_call_of(node.left, "t")
+                  and isinstance(node.left.func, ast.Attribute)) == []
+
+
+def test_vertex_vectors_become_elements_whole():
+    # backends build an element from a whole vertex vector, element(vec)
+    assert _homes(lambda node: isinstance(node, ast.FunctionDef)
+                  and node.name == "source_element") == []

@@ -271,6 +271,23 @@ def test_a_mixed_coordinate_classifies_each_element_once(monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("s,depth", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_principal_part_finds_one_pole_support(monkeypatch, s, depth):
+    # x + y has u and v both nonzero, so ord_along takes the membership
+    # loop, which reads the support that principal_part already found
+    curve = CURVES[0]
+    cache = CycCache(curve)
+    f = curve.x() + curve.y()
+    expected = curvefield.principal_part(cache, f, s, depth)
+    supported = []
+    pole_support = CycCache.pole_support
+    monkeypatch.setattr(CycCache, "pole_support",
+                        lambda self, elt: supported.append(elt)
+                        or pole_support(self, elt))
+    assert curvefield.principal_part(cache, f, s, depth) == expected
+    assert supported == [f]
+
+
 def _count_chart_runs(monkeypatch):
     """(widths of every `_chart_series` run from now on, the unpatched
     function)."""

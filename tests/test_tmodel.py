@@ -55,6 +55,27 @@ def test_non_integer_class_labels_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize("text", ["01", " 1", "+1", "1 ", "1_0", "\uff11", "-0"])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda text: TorsionDivisor({"1": 1, text: 2}), id="divisor"),
+    pytest.param(lambda text: dim_fn({"1": 1, text: 2}), id="dim-fn"),
+    pytest.param(lambda text: AlmostConstant(0, {text: 1}), id="almost-constant"),
+    pytest.param(lambda text: Representation({text: 1}), id="representation"),
+    pytest.param(lambda text: _coerce_caps({text: 1}), id="caps"),
+    pytest.param(lambda text: OpenSet([text]), id="open-set"),
+])
+def test_label_text_must_be_canonical(build, text):
+    # int() reads each of these as 1, 10 or 0, so "1" and "01" would name
+    # one class twice and the later multiplicity would win or add up
+    with pytest.raises(ValueError, match="canonical"):
+        build(text)
+
+
+def test_canonical_label_text_names_its_class():
+    assert TorsionDivisor({"1": 1, "10": 2}) == TorsionDivisor({1: 1, 10: 2})
+    assert dim_fn({"2": 1}) == dim_fn({2: 1})
+
+
 class TestAlmostConstant:
     def test_tail_entries_are_dropped(self):
         w = AlmostConstant(2, {3: 2, 5: 1})
@@ -234,8 +255,8 @@ class _FakeContext:
         self.blocks = backend.blocks
         self.certified = backend.certified_flag
 
-    def source_element(self, k):
-        return Poly.x_power(k)
+    def element(self, vec):
+        return Poly(vec)
 
     def block_matrix(self, s):
         return self.backend.matrices[s].entries
