@@ -255,19 +255,21 @@ def _cache_identity(cache: CycCache) -> dict:
 def _read_cache_file(path: str) -> dict:
     """The cache file, refused unless it has the shape `cache warm`
     writes: an `upto` in 1..PSI_CEILING and a psi table {"n": [u, v, d]}
-    with 1 <= n <= upto and three polynomial texts.  Whether the entries
-    are right is checked later, against recomputation, so the ceiling
-    bounds that work too."""
+    with n canonical decimal text in 1..upto and three polynomial texts.
+    The table comes back parsed, as {n: (u, v, d)} polynomials; whether
+    the entries are right is checked later, against recomputation, so the
+    ceiling bounds that work too."""
     payload = _read_json(path, "cache")
     if not isinstance(payload, dict) or not isinstance(payload.get("psi"), dict):
         raise ConfigError(f"cache {path} is not a division-polynomial cache")
     upto = payload.get("upto")
     if type(upto) is not int or not 1 <= upto <= PSI_CEILING:
         raise ConfigError(f"cache {path} has no upto in 1..{PSI_CEILING}")
+    table = {}
     for key, entry in payload["psi"].items():
         try:
-            index = int(key) if key.isdecimal() else 0
-        except ValueError:  # more digits than int() will read
+            index = _label(key)
+        except (TypeError, ValueError):  # "01", " 1", a fullwidth digit, no integer
             index = 0
         if not 1 <= index <= upto:
             raise ConfigError(f"cache {path} has a psi index {key!r} that is not "
@@ -276,12 +278,12 @@ def _read_cache_file(path: str) -> dict:
                 and all(isinstance(text, str) for text in entry)):
             raise ConfigError(f"cache {path} entry {key} is not three polynomial texts")
         try:
-            polys = [parse_poly(text) for text in entry]
+            table[index] = tuple(parse_poly(text) for text in entry)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"cache {path} entry {key} has a malformed polynomial")
-        if polys[2].is_zero():
+        if table[index][2].is_zero():
             raise ConfigError(f"cache {path} entry {key} has a zero denominator")
-    return payload
+    return {**payload, "psi": table}
 
 
 def _make_cache(config: JobConfig, cache_path: str | None) -> CycCache:

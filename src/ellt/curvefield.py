@@ -142,6 +142,11 @@ def single_class(s: int, n: int = 1) -> TorsionDivisor:
     return TorsionDivisor({s: n})
 
 
+def _as_divisor(divisor) -> TorsionDivisor:
+    """A divisor as given, or one built from an {s: n} map."""
+    return divisor if isinstance(divisor, TorsionDivisor) else TorsionDivisor(divisor)
+
+
 # ---------------------------------------------------------------------------
 # the curve and its function field
 
@@ -736,9 +741,6 @@ class CycCache:
             self._diff_factor = QONE / ratio.coeff(0)
         return self._diff_factor
 
-    def differential(self, f) -> "MeromorphicDifferential":
-        return MeromorphicDifferential(self, f)
-
     # -- structural pole analysis ----------------------------------------
 
     def classify_x_poly(self, poly: Poly):
@@ -898,11 +900,11 @@ class CycCache:
             self.psi(n)
 
     def load_psi_payload(self, payload: dict) -> None:
-        """Take a stored psi table after checking every entry against the
-        integer recurrence."""
-        for key, (u, v, d) in payload.items():
-            n = int(key)
-            if FuncElt(self.curve, parse_poly(u), parse_poly(v), parse_poly(d)) != self.psi(n):
+        """Take a stored psi table, {n: (u, v, d)} with the polynomials
+        parsed from the texts of `psi_cache_payload`, after checking every
+        entry against the integer recurrence."""
+        for n, (u, v, d) in payload.items():
+            if FuncElt(self.curve, u, v, d) != self.psi(n):
                 raise ValidationFailed(f"cached psi_{n} disagrees with recomputation")
 
 
@@ -1005,50 +1007,13 @@ def trace_residues(num: Poly, den: Poly, marker: Poly) -> Q:
     return total
 
 
-class MeromorphicDifferential(_Frozen):
-    """f * Dt for the invariant differential Dt, normalised so that
-    Dt agrees with dt_e at the identity (Dt = kappa dx/y for the scalar
-    kappa = cache.diff_factor())."""
-
-    __slots__ = ("cache", "f")
-
-    def __init__(self, cache: CycCache, f):
-        if not isinstance(f, FuncElt):
-            f = cache.curve.one() * f
-        object.__setattr__(self, "cache", cache)
-        object.__setattr__(self, "f", f)
-
-    def __mul__(self, other):
-        return MeromorphicDifferential(self.cache, self.f * other)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __neg__(self):
-        return MeromorphicDifferential(self.cache, -self.f)
-
-    def __add__(self, other):
-        if not isinstance(other, MeromorphicDifferential):
-            return NotImplemented
-        return MeromorphicDifferential(self.cache, self.f + other.f)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def text(self) -> str:
-        return f"{self.f.text()} * Dt"
-
-    def __repr__(self):
-        return f"MeromorphicDifferential({self.text()})"
-
-
-def residue_at_e(omega: MeromorphicDifferential) -> Q:
-    """Residue of omega at the identity."""
-    f = omega.f
+def residue_at_e(cache: CycCache, f: FuncElt) -> Q:
+    """Residue of f * Dt at the identity, for the invariant differential
+    Dt = kappa dx / y normalised to agree with dt_e there (kappa =
+    cache.diff_factor())."""
     if f.is_zero() or f.ord_e() >= 0:
         return QZERO
     work = f.pole_order_at_e() + 2
-    cache = omega.cache
     fs = cache.expand(f, work)
     x, y = cache.chart(work + 4)
     # Dt = kappa dx/y, so res_e(f Dt) is the t^-1 coefficient of
@@ -1058,8 +1023,8 @@ def residue_at_e(omega: MeromorphicDifferential) -> Q:
     return series.coeff(-1)
 
 
-def residue_along(omega: MeromorphicDifferential, s: int) -> Q:
-    """Sum of residues of omega over the points of exact order s.
+def residue_along(cache: CycCache, f: FuncElt, s: int) -> Q:
+    """Sum of residues of f * Dt over the points of exact order s.
 
     Writing f = (u + v y)/d, the summand f * kappa dx / y splits into
     u/(dy) (odd under y -> -y) plus v/d (even).  A class is stable under
@@ -1070,12 +1035,10 @@ def residue_along(omega: MeromorphicDifferential, s: int) -> Q:
     polynomial.
     """
     if s == 1:
-        return residue_at_e(omega)
-    f = omega.f
+        return residue_at_e(cache, f)
     if f.is_zero() or f.v.is_zero():
         return QZERO
-    marker = omega.cache.class_poly(s)
-    return 2 * omega.cache.diff_factor() * trace_residues(f.v, f.d, marker)
+    return 2 * cache.diff_factor() * trace_residues(f.v, f.d, cache.class_poly(s))
 
 
 # ---------------------------------------------------------------------------

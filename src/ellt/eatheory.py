@@ -22,6 +22,7 @@ from .curvefield import (
     QuotientWindow,
     TorsionDivisor,
     WeierstrassCurve,
+    _as_divisor,
     exact_order_count,
     h_dims,
     principal_part,
@@ -29,7 +30,8 @@ from .curvefield import (
     single_class,
 )
 from .errors import CapTooSmall, UnsupportedPoles, ValidationFailed
-from .exactcore import Matrix, Poly, Q, QZERO, _Frozen, _label, _whole, divisors_of, matrix_rank, qtext
+from .exactcore import (Matrix, Poly, Q, QZERO, _Frozen, _label, _whole, divisors_of, matrix_rank,
+                        qtext, series_one)
 from .tmodel import (
     ASObject,
     AlmostConstant,
@@ -621,8 +623,7 @@ def serre_pairing(theory: EATheory, divisor, caps=None) -> SerrePairing:
     The matrix entry at (i, j) is the residue along the j-th class of
     f_i h_j Dt; duality says its rank is deg D.
     """
-    if not isinstance(divisor, TorsionDivisor):
-        divisor = TorsionDivisor(divisor)
+    divisor = _as_divisor(divisor)
     if not divisor.is_effective() or divisor.degree < 1:
         raise ValidationFailed(
             "duality needs an effective divisor of positive degree"
@@ -645,7 +646,7 @@ def serre_pairing(theory: EATheory, divisor, caps=None) -> SerrePairing:
     cache = theory.cache
     entries = tuple(
         tuple(
-            residue_along(cache.differential(f * h), s)
+            residue_along(cache, f * h, s)
             for h, s in zip(reps, classes)
         )
         for f in sections
@@ -662,17 +663,24 @@ class CompletionModule:
     t_e^k in the basis 1, t_e, ..., t_e^{k-1}, with multiplication by
     t_e as the shift action."""
 
-    __slots__ = ("cache", "k", "basis", "_expansions")
+    __slots__ = ("cache", "k", "_expansions")
 
     def __init__(self, cache: CycCache, k: int):
         if _whole(k, "completion stages") < 1:
             raise ValueError("completion stages start at k = 1")
         self.cache = cache
         self.k = k
-        base = cache.coordinate.base
-        self.basis = [base ** j for j in range(self.k)]
-        # triangular by valuation: base^j starts at t^j with a unit lead
-        self._expansions = [cache.expand(b, self.k) for b in self.basis]
+        # triangular by valuation: t_e^j starts at t^j with a unit lead
+        te = cache.base_series(k)
+        self._expansions = [series_one(k)]
+        for _ in range(1, k):
+            self._expansions.append(self._expansions[-1] * te)
+
+    @property
+    def basis(self) -> list[FuncElt]:
+        """1, t_e, ..., t_e^{k-1} as functions, built on each read."""
+        base = self.cache.coordinate.base
+        return [base ** j for j in range(self.k)]
 
     @property
     def dim(self) -> int:
@@ -701,9 +709,12 @@ class CompletionModule:
         return out
 
     def matrix_of(self, f) -> Matrix:
-        """Matrix of multiplication by f (regular at e) on the stage."""
-        columns = [self.coords(f * b) for b in self.basis]
-        return Matrix(tuple(zip(*columns)))
+        """Matrix of multiplication by f (regular at e) on the stage:
+        lower-triangular Toeplitz, since modulo t_e^k the product
+        f t_e^j has the coordinates of f moved down j places."""
+        c = self.coords(f)
+        return Matrix(tuple(tuple(c[i - j] if j <= i else QZERO for j in range(self.k))
+                            for i in range(self.k)))
 
     def action_matrix(self) -> Matrix:
         """The shift: multiplication by the coordinate itself."""

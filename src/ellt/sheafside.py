@@ -12,7 +12,7 @@ space, both placed in the frame of the window's cap divisor, while
 
 from __future__ import annotations
 
-from .curvefield import TorsionDivisor, h_dims, ladder_frames
+from .curvefield import TorsionDivisor, _as_divisor, h_dims, ladder_frames
 from .eatheory import EATheory, _weights_payload, rep_to_divisor
 from .errors import CapTooSmall, ValidationFailed
 from .exactcore import Matrix, _Frozen, _label, _whole, matrix_rank
@@ -116,12 +116,6 @@ class SectionWindow:
             "dim": self.dim,
             "basis": [f.text() for f in self.basis],
         }
-
-
-def _as_divisor(divisor) -> TorsionDivisor:
-    if isinstance(divisor, TorsionDivisor):
-        return divisor
-    return TorsionDivisor(divisor)
 
 
 def sections(cache, divisor, open_set: OpenSet, cap: int = 0) -> SectionWindow:

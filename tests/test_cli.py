@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellt import curvefield
+from ellt import cli, curvefield
 from ellt.cli import _HANDLERS, ConfigError, JobConfig, load_config, main
 from ellt.exactcore import qtext
 
@@ -527,6 +527,37 @@ class TestCacheAdmin:
         json.dump(blob, open(cache, "w"))
         assert run_cli(tmp_path, "cache", {**cfg, "params": {"action": "verify"}}) == 3
         assert run_cli(tmp_path, "divpoly", {**cfg, "params": {"n": 2}}) == 3
+
+    @pytest.mark.parametrize("key,index", [("01", "1"), ("\uff12", "2"), (" 1", "1")],
+                             ids=["leading-zero", "fullwidth-two", "leading-space"])
+    def test_noncanonical_psi_index_is_a_config_error(self, tmp_path, capsys, key, index):
+        # int() reads each of these keys as a psi index; class labels and
+        # cache indices both take canonical decimal text only
+        cache = str(tmp_path / "psi.json")
+        cfg = {**E1, "cache_path": cache}
+        run_json(tmp_path, capsys, "cache", {**cfg, "params": {"action": "warm", "upto": 2}})
+        blob = json.load(open(cache))
+        blob["psi"][key] = blob["psi"].pop(index)
+        json.dump(blob, open(cache, "w"))
+        assert run_cli(tmp_path, "cache", {**cfg, "params": {"action": "verify"}}) == 1
+        assert "psi index" in capsys.readouterr().err
+
+    def test_each_entry_is_parsed_once(self, tmp_path, capsys, monkeypatch):
+        cache = str(tmp_path / "psi.json")
+        cfg = {**E1, "cache_path": cache}
+        run_json(tmp_path, capsys, "cache", {**cfg, "params": {"action": "warm", "upto": 5}})
+        parsed = []
+        parse_poly = curvefield.parse_poly
+        for module in (cli, curvefield):
+            monkeypatch.setattr(module, "parse_poly",
+                                lambda text: parsed.append(text) or parse_poly(text))
+        assert run_cli(tmp_path, "cache", {**cfg, "params": {"action": "verify"}}) == 0
+        assert len(parsed) == 3 * 5
+        # every entry is still checked against recomputation
+        blob = json.load(open(cache))
+        blob["psi"]["5"][2] = "[2]"
+        json.dump(blob, open(cache, "w"))
+        assert run_cli(tmp_path, "cache", {**cfg, "params": {"action": "verify"}}) == 3
 
     def test_verify_rejects_foreign_curve(self, tmp_path, capsys):
         cache = str(tmp_path / "psi.json")

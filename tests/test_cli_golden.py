@@ -2,7 +2,8 @@
 
 Each of the 12 commands runs through `cli.main` on two curves with the
 first parameter set of the `cli_jobs` benchmark pools, `cache` as a warm
-then verify pair on one cache file.  Jobs run in a fresh directory with
+then verify pair on one cache file, and a few wider shapes run the same
+way.  Jobs run in a fresh directory with
 relative paths, so the path that `cache` reports echo is the same on
 every machine.  The SHA-256 of each report and of the cache file must
 equal the digest recorded here; a change that moves any report byte
@@ -36,12 +37,19 @@ PARAMS = {
     "sections": {"divisor": {"1": 1}, "pi": [2], "cap": 2},
     "serre": {"divisor": {"1": 1}},
 }
+# wider shapes of the series and residue paths: the top completion stage
+# of the pools and a pairing over two classes
+WIDER = {
+    "completion-k16": ("completion", {"k": 16}),
+    "serre-two-classes": ("serre", {"divisor": {"1": 1, "2": 1}}),
+}
 
 
-def digests(command: str, curve: tuple) -> dict:
+def digests(command: str, curve: tuple, params=None) -> dict:
     """{file name: SHA-256} of the reports (and cache file) of one job, or
-    of the warm/verify pair for `cache`, run in the current directory."""
-    config = {"command": command, "params": PARAMS[command]}
+    of the warm/verify pair for `cache`, run in the current directory;
+    params default to the command's first parameter set."""
+    config = {"command": command, "params": params or PARAMS[command]}
     if command != "kmodel":
         config["curve"] = {"a": curve[0], "b": curve[1]}
     runs = [("report", config, [])]
@@ -92,6 +100,12 @@ GOLDEN = {
     "completion-E6": {
         "report": "adda3fde0ccaa0b83220b313fcefc6df4c4a366ca65c2ae8126b4d38259958cd",
     },
+    "completion-k16-E1": {
+        "report": "7516e99f49805857098124c062c168f1f8b445af5d85fc1b83c45e0e6529ed6b",
+    },
+    "completion-k16-E6": {
+        "report": "33c591382a3d2939316186527084e96cce0736111a157f04b33f7b94489320e1",
+    },
     "dims-E1": {
         "report": "cda83d900c2b4d278745efaffbdf44ca2a472e0a04eb6b2a255505e7089fba92",
     },
@@ -140,6 +154,12 @@ GOLDEN = {
     "serre-E6": {
         "report": "a435cbe22b0908cdb66e113bf0d968a02e1b25150ba2c46cee5925e9b132e90e",
     },
+    "serre-two-classes-E1": {
+        "report": "be2383cff6a722f889138998d35ece5bc8c39e44b563fc2f37fe4dc49dba582d",
+    },
+    "serre-two-classes-E6": {
+        "report": "e6844c6d6da784b573033479be8c00a5bb4f6da85cc891c16885086ad27532ee",
+    },
 }
 
 
@@ -148,6 +168,14 @@ GOLDEN = {
 def test_report_digests_are_pinned(tmp_path, monkeypatch, command, curve):
     monkeypatch.chdir(tmp_path)
     assert digests(command, CURVES[curve]) == GOLDEN[f"{command}-{curve}"]
+
+
+@pytest.mark.parametrize("curve", sorted(CURVES))
+@pytest.mark.parametrize("shape", sorted(WIDER))
+def test_wider_shapes_are_pinned(tmp_path, monkeypatch, shape, curve):
+    monkeypatch.chdir(tmp_path)
+    command, params = WIDER[shape]
+    assert digests(command, CURVES[curve], params) == GOLDEN[f"{shape}-{curve}"]
 
 
 def test_every_command_is_pinned():
