@@ -247,8 +247,8 @@ class _AffineAssembly:
 
     def __init__(self, group: AffineGroup, exp: dict, caps: dict):
         self.group = group
-        self.exp = {int(s): int(w) for s, w in exp.items()}
-        self.caps = {int(s): int(c) for s, c in caps.items()}
+        self.exp = dict(exp)
+        self.caps = dict(caps)
         classes = sorted(set(self.exp) | set(self.caps))
         # unit factors (constant phi) move no poles, so they are skipped
         self.active = [s for s in classes if group.class_size(s) > 0]

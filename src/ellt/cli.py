@@ -441,17 +441,23 @@ def _run_completion(config: JobConfig, cache_path) -> dict:
     theory = _make_theory(config, cache_path)
     module = completion(theory, k)
     action = module.action_matrix()
-    power, order = action, 1
-    while order < k and any(e for row in power.entries for e in row):
-        power = power * action
-        order += 1
     return {
         **_echo(config, theory),
         "k": k,
         "dim": k,
         "action": [[qtext(e) for e in row] for row in action.entries],
-        "nilpotency_order": order if not any(e for row in power.entries for e in row) else None,
+        "nilpotency_order": _nilpotency_order([row[0] for row in action.entries]),
     }
+
+
+def _nilpotency_order(column: list) -> int | None:
+    """Least m with A^m = 0 for the lower-triangular Toeplitz A of first
+    column c, or None: A^m has first column c^m modulo t^k, which is 0
+    exactly when m times the index v of the first nonzero entry reaches k."""
+    v = next((i for i, c in enumerate(column) if c), None)
+    if v is None:
+        return 1
+    return -(-len(column) // v) if v else None
 
 
 def _run_localcoh(config: JobConfig, cache_path) -> dict:

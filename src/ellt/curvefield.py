@@ -37,8 +37,6 @@ from .exactcore import (
     power,
     qtext,
     series_reciprocal,
-    squarefree_decomposition,
-    trace_in_quotient,
 )
 
 # ---------------------------------------------------------------------------
@@ -549,7 +547,7 @@ class Coordinate(_Frozen):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "form", form)
-        object.__setattr__(self, "validated_to", int(validated_to))
+        object.__setattr__(self, "validated_to", _whole(validated_to, "validation bounds"))
 
     def describe(self) -> dict:
         return {"form": self.form, "scale": qtext(self.scale)}
@@ -707,7 +705,7 @@ class CycCache:
     def chart(self, prec: int) -> tuple[LaurentSeries, LaurentSeries]:
         """x and y to `prec` terms, cut from the stored chart; a wider
         request at least triples its width, so one theory's widths (4,
-        then up to 10 for residues) cost two `_chart_series` runs."""
+        then 8 and 10 for `diff_factor`) cost two `_chart_series` runs."""
         if self._chart is None or self._chart[0] < prec:
             width = prec if self._chart is None else max(prec, 3 * self._chart[0])
             self._chart = (width, *_chart_series(self.curve, width))
@@ -954,73 +952,45 @@ def h_dims(divisor: TorsionDivisor) -> tuple[int, int]:
 # residues
 
 
-def _taylor_mod(p: Poly, g: Poly, count: int) -> list[Poly]:
-    """First `count` Taylor coefficients p^(k)(alpha)/k! of p around a
-    root alpha of g, each represented as a polynomial reduced mod g."""
-    out = []
-    cur = p
-    fact = QONE
-    for k in range(count):
-        if k:
-            cur = cur.derivative()
-            fact = fact * k
-        out.append(cur.scale(QONE / fact) % g)
-    return out
-
-
 def trace_residues(num: Poly, den: Poly, marker: Poly) -> Q:
     """Sum of residues of (num/den) dx over the roots of `marker`.
 
-    marker must be monic and squarefree.  No roots are ever extracted:
-    for each squarefree factor of den meeting the marker, the local
-    Laurent tail is inverted in Q[x]/(g) and the residue sum over the
-    shared roots comes out as a trace, hence an exact rational.
+    marker must be monic and squarefree.  Split den = g h, with g the
+    monic part of den on the marker's roots and h prime to them.  There
+    num/h agrees with a = num h^-1 mod g to the order of g, so the sum is
+    that of every finite residue of a dx/g: the x^(deg g - 1) coefficient
+    of a, and 0 when g is 1.  No root is ever extracted.
     """
     if marker.degree < 1 or marker.leading() != 1:
         raise ValueError("marker must be monic of positive degree")
-    if num.is_zero():
+    if den.is_zero():
+        raise ZeroDivisionError("residues of a zero denominator")
+    g, h = Poly.const(1), den
+    while (common := poly_gcd(h, marker)).degree >= 1:
+        g, h = g * common, h // common
+    if g.degree < 1:
         return QZERO
-    common = poly_gcd(num, den)
-    if common.degree >= 1:
-        num = num // common
-        den = den // common
-    total = QZERO
-    for factor, mult in squarefree_decomposition(den):
-        g = poly_gcd(factor, marker)
-        if g.degree < 1:
-            continue
-        dens = _taylor_mod(den, g, 2 * mult)
-        if any(not c.is_zero() for c in dens[:mult]):
-            raise ArithmeticError("pole multiplicity disagrees with its factor")
-        # invert the unit series h = den/(x - alpha)^mult over Q[x]/(g)
-        inv = [poly_inverse_mod(dens[mult], g)]
-        for k in range(1, mult):
-            acc = Poly()
-            for i in range(1, k + 1):
-                acc = (acc + dens[mult + i] * inv[k - i]) % g
-            inv.append((-(inv[0] * acc)) % g)
-        nums = _taylor_mod(num, g, mult)
-        combo = Poly()
-        for j in range(mult):
-            combo = (combo + nums[j] * inv[mult - 1 - j]) % g
-        total += trace_in_quotient(combo, g)
-    return total
+    return (num * poly_inverse_mod(h, g) % g).coeff(g.degree - 1)
 
 
 def residue_at_e(cache: CycCache, f: FuncElt) -> Q:
     """Residue of f * Dt at the identity, for the invariant differential
     Dt = kappa dx / y normalised to agree with dt_e there (kappa =
-    cache.diff_factor())."""
-    if f.is_zero() or f.ord_e() >= 0:
+    cache.diff_factor()).
+
+    The residues of f * Dt sum to 0, so this is minus their sum over the
+    finite points.  Writing f = (u + v y)/d with d monic, the odd part
+    kappa u dx/(d y) cancels in pairs P, -P and vanishes where the flip
+    fixes the point.  The even part kappa v dx/d is pulled back from the
+    x-line, where each finite x-value has two preimages counted with
+    ramification.  So the residue is -2 kappa times the x^(deg d - 1)
+    coefficient of v mod d, and 0 for a pure f.
+    """
+    if f.curve != cache.curve:
+        raise ValueError("element lives on a different curve")
+    if f.is_pure():
         return QZERO
-    work = f.pole_order_at_e() + 2
-    fs = cache.expand(f, work)
-    x, y = cache.chart(work + 4)
-    # Dt = kappa dx/y, so res_e(f Dt) is the t^-1 coefficient of
-    # f(t) * kappa * x'(t)/y(t)
-    unit = x.derivative() * series_reciprocal(y)
-    series = fs * unit * cache.diff_factor()
-    return series.coeff(-1)
+    return -2 * cache.diff_factor() * (f.v % f.d).coeff(f.d.degree - 1)
 
 
 def residue_along(cache: CycCache, f: FuncElt, s: int) -> Q:
@@ -1029,10 +999,11 @@ def residue_along(cache: CycCache, f: FuncElt, s: int) -> Q:
     Writing f = (u + v y)/d, the summand f * kappa dx / y splits into
     u/(dy) (odd under y -> -y) plus v/d (even).  A class is stable under
     the flip, so odd residues cancel in pairs, and at 2-torsion, where
-    the flip fixes the point, they vanish outright.  What remains is a
-    differential pulled back from the x-line, where each branch of the
-    double cover contributes one copy: twice a trace over the class
-    polynomial.
+    the flip fixes the point, they vanish outright.  What remains is
+    kappa v dx/d pulled back from the x-line, where each branch of the
+    double cover contributes one copy: 2 kappa times the sum of the
+    residues of (v/d) dx over the roots of the class polynomial, which
+    `trace_residues` reads as one coefficient.
     """
     if s == 1:
         return residue_at_e(cache, f)
@@ -1228,7 +1199,7 @@ def principal_part(cache: CycCache, f: FuncElt, s: int, depth: int) -> list[Q]:
     Poles on the class deeper than `depth` are split off slice by slice
     and discarded, so the result is the class of the depth-truncation.
     """
-    if depth < 1:
+    if _whole(depth, "depths") < 1:
         raise DepthExceeded("principal parts need depth at least 1")
     if not isinstance(f, FuncElt):
         f = cache.curve.one() * f

@@ -52,10 +52,10 @@ def _weights_payload(weights) -> dict:
             out["0"] = weights.fixed_part
         return out
     if isinstance(weights, dict):
-        return {str(n): int(a) for n, a in sorted(weights.items())}
+        return {str(n): a for n, a in sorted(weights.items())}
     if isinstance(weights, AlmostConstant):
         return weights.payload()
-    return {"0": int(weights)}
+    return {"0": weights}
 
 
 class GradedFn(_Frozen):
@@ -72,7 +72,7 @@ class GradedFn(_Frozen):
         if not isinstance(fn, FuncElt):
             raise TypeError("graded functions wrap curve elements")
         object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "weight", int(weight))
+        object.__setattr__(self, "weight", _whole(weight, "weights"))
 
     def is_zero(self) -> bool:
         return self.fn.is_zero()
@@ -135,9 +135,9 @@ class TorsionClass(_Frozen):
     __slots__ = ("s", "depth", "weight", "vector")
 
     def __init__(self, s: int, depth: int, weight: int, vector):
-        object.__setattr__(self, "s", int(s))
-        object.__setattr__(self, "depth", int(depth))
-        object.__setattr__(self, "weight", int(weight))
+        object.__setattr__(self, "s", _whole(s, "class labels"))
+        object.__setattr__(self, "depth", _whole(depth, "depths"))
+        object.__setattr__(self, "weight", _whole(weight, "weights"))
         object.__setattr__(self, "vector", tuple(Q(c) for c in vector))
 
     def is_zero(self) -> bool:
@@ -746,7 +746,7 @@ class LocalCohomology:
 
     def __init__(self, pi, a, classes, window):
         self.pi = tuple(pi)
-        self.a = int(a)
+        self.a = _whole(a, "thickening levels")
         self.classes = tuple(classes)
         self.window = window
         self.dim = window.ext_dim
@@ -773,7 +773,7 @@ def local_cohomology(theory: EATheory, pi, a: int = 1) -> LocalCohomology:
     pi = sorted({_label(n) for n in pi})
     if not pi or pi[0] < 1:
         raise ValidationFailed("pi must be a nonempty family of positive orders")
-    if a < 1:
+    if _whole(a, "thickening levels") < 1:
         raise ValidationFailed("the thickening level a must be at least 1")
     classes = sorted({s for n in pi for s in divisors_of(n)})
     weight = AlmostConstant(0, {s: -a for s in classes})

@@ -209,9 +209,6 @@ class Poly(_Frozen):
             return self
         return self.scale(QONE / self.leading())
 
-    def derivative(self) -> "Poly":
-        return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
-
     def eval(self, point):
         acc = QZERO
         for c in reversed(self.coeffs):
@@ -311,64 +308,6 @@ def poly_inverse_mod(a: Poly, modulus: Poly) -> Poly:
     if g.degree != 0:
         raise ZeroDivisionError("element not invertible modulo the given polynomial")
     return s % modulus
-
-
-def power_sums(g: Poly, count: int) -> list:
-    """Newton power sums p_0..p_{count-1} of the roots of a monic g.
-
-    p_k is the sum of k-th powers of the roots (with multiplicity), an
-    exact rational read off the coefficients without root-finding.
-    """
-    if g.is_zero() or g.leading() != 1:
-        raise ValueError("power sums need a monic polynomial")
-    deg = g.degree
-    sums = [Q(deg)]
-    for k in range(1, count):
-        if k <= deg:
-            acc = -k * g.coeff(deg - k)
-            for i in range(1, k):
-                acc -= g.coeff(deg - i) * sums[k - i]
-        else:
-            acc = QZERO
-            for i in range(1, deg + 1):
-                acc -= g.coeff(deg - i) * sums[k - i]
-        sums.append(acc)
-    return sums
-
-
-def trace_in_quotient(h: Poly, g: Poly) -> Q:
-    """Trace of multiplication by h on Q[x]/(g) for monic g, deg g >= 1."""
-    if g.degree < 1:
-        raise ValueError("quotient ring needs a modulus of positive degree")
-    h = h % g
-    if h.is_zero():
-        return QZERO
-    sums = power_sums(g, h.degree + 1)
-    total = QZERO
-    for k in range(h.degree + 1):
-        total += h.coeff(k) * sums[k]
-    return total
-
-
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun-style decomposition: p = lead * prod(f_i ** m_i) with the f_i
-    monic, squarefree and pairwise coprime.  Returns [(f_i, m_i), ...]."""
-    if p.degree < 1:
-        return []
-    p = p.monic()
-    out = []
-    m = 1
-    while p.degree >= 1:
-        g = poly_gcd(p, p.derivative())
-        f = p // g  # product of factors of multiplicity >= m, each once
-        # peel off factors whose multiplicity equals m
-        h = poly_gcd(f, g)
-        factor = f // h
-        if factor.degree >= 1:
-            out.append((factor.monic(), m))
-        p = g
-        m += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,15 @@ PARAMS = {
     "sections": {"divisor": {"1": 1}, "pi": [2], "cap": 2},
     "serre": {"divisor": {"1": 1}},
 }
-# wider shapes of the series and residue paths: the top completion stage
-# of the pools and a pairing over two classes
+# wider shapes of the series and residue paths, each on its own curves:
+# the top completion stage of the pools, a pairing over two classes, one
+# over a doubled 2-torsion class and one with a triple pole at e
+PAIRING_CURVES = {"E1": CURVES["E1"], "E2": ("0", "1")}
 WIDER = {
-    "completion-k16": ("completion", {"k": 16}),
-    "serre-two-classes": ("serre", {"divisor": {"1": 1, "2": 1}}),
+    "completion-k16": ("completion", {"k": 16}, CURVES),
+    "serre-two-classes": ("serre", {"divisor": {"1": 1, "2": 1}}, CURVES),
+    "serre-class-2-twice": ("serre", {"divisor": {"2": 2}}, PAIRING_CURVES),
+    "serre-e-thrice-class-2": ("serre", {"divisor": {"1": 3, "2": 1}}, PAIRING_CURVES),
 }
 
 
@@ -154,6 +158,18 @@ GOLDEN = {
     "serre-E6": {
         "report": "a435cbe22b0908cdb66e113bf0d968a02e1b25150ba2c46cee5925e9b132e90e",
     },
+    "serre-class-2-twice-E1": {
+        "report": "5dc2b50db3315ba9740291a04babbeaf959663c28836701cf78050fa8f2c7ede",
+    },
+    "serre-class-2-twice-E2": {
+        "report": "17691a20130d9ace591116d07329c7c7255f0727eeeb88c6d0ea5429795f3816",
+    },
+    "serre-e-thrice-class-2-E1": {
+        "report": "5518c4732bddac659dc5cc1c999bfb1ce5696a9ad4d9b6b543c3ca281b16553c",
+    },
+    "serre-e-thrice-class-2-E2": {
+        "report": "73e212cb729344207d63bf73db2a8521db50beb5b0f26dd2ac1b3000d4f676f1",
+    },
     "serre-two-classes-E1": {
         "report": "be2383cff6a722f889138998d35ece5bc8c39e44b563fc2f37fe4dc49dba582d",
     },
@@ -170,12 +186,12 @@ def test_report_digests_are_pinned(tmp_path, monkeypatch, command, curve):
     assert digests(command, CURVES[curve]) == GOLDEN[f"{command}-{curve}"]
 
 
-@pytest.mark.parametrize("curve", sorted(CURVES))
-@pytest.mark.parametrize("shape", sorted(WIDER))
+@pytest.mark.parametrize(("shape", "curve"), [
+    (shape, curve) for shape in sorted(WIDER) for curve in sorted(WIDER[shape][2])])
 def test_wider_shapes_are_pinned(tmp_path, monkeypatch, shape, curve):
     monkeypatch.chdir(tmp_path)
-    command, params = WIDER[shape]
-    assert digests(command, CURVES[curve], params) == GOLDEN[f"{shape}-{curve}"]
+    command, params, curves = WIDER[shape]
+    assert digests(command, curves[curve], params) == GOLDEN[f"{shape}-{curve}"]
 
 
 def test_every_command_is_pinned():

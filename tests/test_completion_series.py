@@ -5,13 +5,18 @@
 Toeplitz matrix of `coords(f)`: modulo t_e^k, f t_e^j has the
 coordinates of f moved down j places.  The reference forms each column
 as `coords(f * t_e^j)` from a `FuncElt` product, as the stage once did.
+The `completion` report reads the nilpotency order of the action from
+its first column; the reference powers the action matrix.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ellt import cli
 from ellt.curvefield import Coordinate, CycCache, FuncElt, WeierstrassCurve
 from ellt.eatheory import CompletionModule, build_ea, completion
-from ellt.exactcore import Poly, Q
+from ellt.exactcore import Matrix, Poly, Q
 
 # the curves of the cli_jobs benchmark pools
 CURVES = [WeierstrassCurve(a, b) for a, b in
@@ -64,3 +69,34 @@ def test_action_matrix_builds_no_function_products(monkeypatch, k):
     assert all(elt == theory.cache.coordinate.base for elt in expanded)
     assert action.entries == tuple(tuple(Q(int(i == j + 1)) for j in range(k))
                                    for i in range(k))
+
+
+def power_loop_order(action, k):
+    """Nilpotency order of the action by `Matrix` powers, at most k, or
+    None when action^k is nonzero."""
+    power, order = action, 1
+    while order < k and any(e for row in power.entries for e in row):
+        power = power * action
+        order += 1
+    return order if not any(e for row in power.entries for e in row) else None
+
+
+def toeplitz(column):
+    k = len(column)
+    return Matrix(tuple(tuple(column[i - j] if j <= i else Q(0) for j in range(k))
+                        for i in range(k)))
+
+
+@pytest.mark.parametrize("name", sorted(CACHES))
+def test_nilpotency_order_matches_the_power_loop(name):
+    for k in range(1, 17):
+        action = CompletionModule(CACHES[name], k).action_matrix()
+        column = [row[0] for row in action.entries]
+        assert cli._nilpotency_order(column) == power_loop_order(action, k) == k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([0, 0, 0, 1, -2, Q(1, 3)]), min_size=1, max_size=9))
+def test_nilpotency_order_of_any_toeplitz_action(column):
+    column = [Q(c) for c in column]
+    assert cli._nilpotency_order(column) == power_loop_order(toeplitz(column), len(column))

@@ -12,14 +12,12 @@ from ellt.exactcore import (
     matrix_rank,
     parse_poly,
     poly_gcd,
-    power_sums,
     qtext,
     rational,
     series_one,
     series_reciprocal,
-    squarefree_decomposition,
-    trace_in_quotient,
 )
+from residue_reference import power_sums, squarefree_decomposition, trace_in_quotient
 
 
 def P(*coeffs):

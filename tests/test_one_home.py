@@ -1,11 +1,13 @@
 """Rules with one home in the library: the immutability guard
 (`exactcore._Frozen.__setattr__`), binary powering (`exactcore.power`),
-the CLI parameter contract (`cli.run`, from the command table) and
+the CLI parameter contract (`cli.run`, from the command table),
 products, powers and quotients of cyclotomic functions
 (`curvefield.CycCache.t_star`, which a window backend's `element(vec)`
-uses for a whole vertex vector).  A second copy drifts from the first;
-this walks the same source as `test_no_asserts.py` and names every copy
-it finds."""
+uses for a whole vertex vector) and conversion to int (`exactcore._label`,
+for a label's decimal text; every other integer goes through
+`exactcore._whole`, which refuses a float that `int` would truncate).  A
+second copy drifts from the first; this walks the same source as
+`test_no_asserts.py` and names every copy it finds."""
 
 import ast
 from pathlib import Path
@@ -88,3 +90,9 @@ def test_vertex_vectors_become_elements_whole():
     # backends build an element from a whole vertex vector, element(vec)
     assert _homes(lambda node: isinstance(node, ast.FunctionDef)
                   and node.name == "source_element") == []
+
+
+def test_one_int_conversion():
+    assert set(_homes(lambda node: isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "int")) == {"exactcore.py:_label"}

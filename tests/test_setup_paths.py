@@ -322,8 +322,9 @@ def test_a_fresh_theory_runs_the_chart_at_most_twice(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main([command, "--config", str(path)]) == 0
         runs.append(len(widths) - before)
-    # serre asks for widths 4, then 5, 7, 8 and 10; completion up to k + 2;
-    # the second serre pays again, since nothing outlives a cli.main call
+    # serre asks for widths 4, then 8 and 10 for diff_factor; completion
+    # up to k + 2; the second serre pays again, since nothing outlives a
+    # cli.main call
     assert runs == [2, 2, 1, 2]
 
 

@@ -3,7 +3,9 @@
 Every value class inherits `exactcore._Frozen`, so assignment after
 construction raises with the class's own name.  `Poly.pow` and the `**`
 of series, curve functions and affine rational functions all run
-`exactcore.power`, which squares only while higher bits remain.
+`exactcore.power`, which squares only while higher bits remain.  Integer
+fields read through `exactcore._whole`, so a float is refused, not
+truncated.
 """
 
 from functools import reduce
@@ -18,7 +20,7 @@ from ellt.curvefield import (
     TorsionDivisor,
     WeierstrassCurve,
 )
-from ellt.eatheory import GradedFn, TorsionClass
+from ellt.eatheory import GradedFn, LocalCohomology, TorsionClass, build_ea, local_cohomology
 from ellt.exactcore import LaurentSeries, Matrix, Poly, Q, power, series_one
 from ellt.sheafside import OpenSet
 from ellt.tmodel import AlmostConstant, EulerClassSymbol, Representation
@@ -109,3 +111,19 @@ def test_powers_square_only_below_the_top_bit(monkeypatch):
         products.clear()
         base ** n
         assert len(products) == count, n
+
+
+@pytest.mark.parametrize("make, what", [
+    (lambda: GradedFn(CURVE.x(), 1.9), "weights"),
+    (lambda: TorsionClass(2.7, 1, 0, [1]), "class labels"),
+    (lambda: TorsionClass(2, 1.5, 0, [1]), "depths"),
+    (lambda: TorsionClass(2, 1, 0.9, [1]), "weights"),
+    (lambda: Coordinate(CURVE, validated_to=6.9), "validation bounds"),
+    (lambda: LocalCohomology([2], 1.0, [1, 2], None), "thickening levels"),
+    (lambda: local_cohomology(build_ea(CURVE), [2], 1.0), "thickening levels"),
+    (lambda: build_ea(CURVE).q({1: 1}, CURVE.x(), 2, depth=1.0), "depths"),
+], ids=["GradedFn", "TorsionClass.s", "TorsionClass.depth", "TorsionClass.weight",
+        "Coordinate", "LocalCohomology", "local_cohomology", "EATheory.q"])
+def test_floats_are_refused_not_truncated(make, what):
+    with pytest.raises(TypeError, match=f"^{what} are integers, got "):
+        make()
