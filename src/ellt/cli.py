@@ -144,9 +144,9 @@ def _divisor(coeffs: dict, where: str, cap: int = 0, pi=()) -> dict:
 
 
 def _class_list(value, where: str, minimum: int = 1,
-                maximum: int = CLASS_CEILING) -> list[int]:
+                maximum: int = CLASS_CEILING, holds: str = "class orders") -> list[int]:
     if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list of class orders")
+        raise ConfigError(f"{where} must be a list of {holds}")
     return [_integer(s, where, minimum, maximum) for s in value]
 
 
@@ -518,7 +518,8 @@ def _run_roundtrip(config: JobConfig, cache_path) -> dict:
         opens = tuple(OpenSet(_class_list(p, "params.opens")) for p in raw)
     caps = (0, 1, 2, 3)
     if "caps" in config.params:
-        caps = tuple(_class_list(config.params["caps"], "params.caps", 0, CAP_CEILING))
+        caps = tuple(_class_list(config.params["caps"], "params.caps", 0, CAP_CEILING,
+                                 "pole caps"))
         _integer(len(caps), "params.caps length", maximum=LIST_CEILING)
     cap = max(caps, default=0)
     for piece in opens:  # the largest divisor each open fattens W's to

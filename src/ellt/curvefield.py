@@ -651,12 +651,8 @@ class CycCache:
         """Monic squarefree polynomial in x whose roots are the x-values
         of the class of exact order s (s >= 2): P_s made monic."""
         if s not in self._class_poly:
-            if s == 2:
-                val = self.curve.rhs.monic()
-            else:
-                p = self._x_part(s)[1]
-                val = Poly(tuple(Q(c, p[-1]) for c in p))
-            self._class_poly[s] = val
+            p = self._x_part(s)[1]
+            self._class_poly[s] = Poly(tuple(Q(c, p[-1]) for c in p))
         return self._class_poly[s]
 
     def t_star(self, divisor: TorsionDivisor) -> FuncElt:
@@ -750,17 +746,9 @@ class CycCache:
         for s in range(2, self.coordinate.validated_to + 1):
             if poly.degree < 1:
                 break
-            if exact_order_count(s) == 0:
-                continue
-            cp = self.class_poly(s)
-            acc = Poly.const(1)
-            g = poly_gcd(poly, cp)
-            while g.degree >= 1:
-                acc = acc * g
-                poly = poly // g
-                g = poly_gcd(poly, cp)
-            if acc.degree >= 1:
-                parts[s] = acc
+            layers, poly = _layers(poly, self.class_poly(s))
+            if layers:
+                parts[s] = reduce(Poly.__mul__, layers)
         return parts, poly
 
     def pole_support(self, elt: FuncElt) -> dict[int, int]:
@@ -789,61 +777,37 @@ class CycCache:
 
     # -- divisor-window primitives ----------------------------------------
 
-    def membership(self, elt: FuncElt, divisor: TorsionDivisor,
-                   support: dict[int, int] | None = None) -> bool:
-        """Exact test: does elt lie in H^0(O(divisor))?
-
-        Shifting by t*(divisor) moves every allowed pole to e, where the
-        answer is a degree check on the canonical form.  A caller that
-        already holds `pole_support(elt)` passes it as `support`.
-        """
-        if elt.is_zero():
-            return True
-        if support is None:
-            self.pole_support(elt)  # raises UnsupportedPoles for off-class poles
-        shifted = elt * self.t_star(divisor)
-        if not shifted.is_pure():
-            return False
-        return shifted.pole_order_at_e() <= divisor.degree
-
     def ord_along(self, elt: FuncElt, s: int,
                   support: dict[int, int] | None = None) -> int:
         """Minimum valuation of elt across the points of exact order s.
 
-        When u or v is zero, elt is w(x) or w(x) y over d(x) with
-        gcd(w, d) = 1 (canonical form), so ±P agree and the answer is a
-        multiplicity along `class_poly(s)`: minus the largest one of d
-        where d meets the class, else how often the class divides w.  On
-        A[2] a root of x - x0 is double and y adds a simple zero.  Mixed
-        elements fall back to `membership` tests.  A caller that already
-        holds `pole_support(elt)` passes it as `support`.
+        For s >= 2 write elt = (u + v y)/d canonically, cp = `class_poly(s)`
+        and k the number of `_layers` of d against cp.  Where d meets the
+        class (k >= 1) the value is -k, and on A[2] it is 1 - 2k when the
+        last layer divides u, else -2k.  Otherwise, with m_u and m_v the
+        numbers of layers of u and of v equal to cp (a zero part skipped),
+        it is min(m_u, m_v), and on A[2] min(2 m_u, 2 m_v + 1).  Off A[2],
+        x - x0 is a uniformiser at both points over a root x0 and y0 != 0,
+        so u1(x0) +- v1(x0) y0 cannot both vanish and the smaller valuation
+        is min(ord u, ord v) - ord d there; on A[2], ord(x - x0) = 2 and
+        ord y = 1 differ in parity, so nothing cancels; and canonically d
+        shares no root with both u and v.  A caller that already holds
+        `pole_support(elt)` passes it as `support`; otherwise it is found
+        here, only to refuse poles off the torsion classes.
         """
         if elt.is_zero():
             raise ZeroDivisionError("the zero element has no valuation")
         if s == 1:
             return elt.ord_e()
         if support is None:
-            support = self.pole_support(elt)
-        if elt.u.is_zero() or elt.v.is_zero():
-            cp = self.class_poly(s)
-            num, d, m = elt.v if elt.u.is_zero() else elt.u, elt.d, 0
-            while d.degree >= 1 and (g := poly_gcd(d, cp)).degree >= 1:
-                m, d = m - 1, d // g  # one pass per unit of pole depth
-            while (qr := divmod(num, cp))[1].is_zero():  # never where d meets cp
-                m, num = m + 1, qr[0]
-            return 2 * m + (1 if elt.u.is_zero() else 0) if s == 2 else m
-        enclosing = {r: n for r, n in support.items() if r != s}
-        # upper bound for zeros on the class: total zero degree / class size
-        num_deg = max(2 * elt.u.degree, 3 + 2 * elt.v.degree)
-        zero_cap = (num_deg + 2 * elt.d.degree) // exact_order_count(s) + 1
-        m = -(support.get(s, 0) + 1)
-        if not self.membership(elt, TorsionDivisor(enclosing) + single_class(s, -m), support):
-            raise UnsupportedPoles(f"cannot enclose poles of {elt!r}")
-        while m < zero_cap and self.membership(
-            elt, TorsionDivisor(enclosing) + single_class(s, -(m + 1)), support
-        ):
-            m += 1
-        return m
+            self.pole_support(elt)  # raises UnsupportedPoles for off-class poles
+        cp = self.class_poly(s)
+        e = 2 if s == 2 else 1  # ord(x - x0) at a point over a root x0; ord y is e - 1
+        layers = _layers(elt.d, cp)[0]
+        if layers:
+            return -e * len(layers) + (e == 2 and (elt.u % layers[-1]).is_zero())
+        return min(e * sum(c == cp for c in _layers(p, cp)[0]) + (e - 1) * odd
+                   for odd, p in enumerate((elt.u, elt.v)) if not p.is_zero())
 
     def rr_basis(self, divisor: TorsionDivisor) -> list[FuncElt]:
         """Basis of H^0(O(divisor)) as monomials over t*(divisor).
@@ -948,6 +912,18 @@ def h_dims(divisor: TorsionDivisor) -> tuple[int, int]:
     return (1, 1)
 
 
+def _layers(poly: Poly, marker: Poly) -> tuple[list[Poly], Poly]:
+    """(layers, rest) with poly = c_1 ... c_k rest for a squarefree monic
+    marker: c_i = gcd(what is left, marker) is the monic product of
+    x - x0 over the marker's roots of multiplicity >= i in poly, so k is
+    the deepest multiplicity and rest is prime to the marker."""
+    layers = []
+    while poly.degree >= 1 and (common := poly_gcd(poly, marker)).degree >= 1:
+        layers.append(common)
+        poly = poly // common
+    return layers, poly
+
+
 # ---------------------------------------------------------------------------
 # residues
 
@@ -965,11 +941,10 @@ def trace_residues(num: Poly, den: Poly, marker: Poly) -> Q:
         raise ValueError("marker must be monic of positive degree")
     if den.is_zero():
         raise ZeroDivisionError("residues of a zero denominator")
-    g, h = Poly.const(1), den
-    while (common := poly_gcd(h, marker)).degree >= 1:
-        g, h = g * common, h // common
-    if g.degree < 1:
+    layers, h = _layers(den, marker)
+    if not layers:
         return QZERO
+    g = reduce(Poly.__mul__, layers)
     return (num * poly_inverse_mod(h, g) % g).coeff(g.degree - 1)
 
 

@@ -290,6 +290,18 @@ def test_out_of_range_parameters_are_config_errors(tmp_path, capsys, command, pa
     assert "Traceback" not in err and err.startswith("ellt: config error:")
 
 
+@pytest.mark.parametrize("command,params,holds", [
+    ("roundtrip", {"W": {"1": 1}, "caps": 3}, "params.caps must be a list of pole caps"),
+    ("roundtrip", {"W": {"1": 1}, "opens": [3]}, "params.opens must be a list of class orders"),
+    ("sections", {"divisor": {}, "pi": 1}, "params.pi must be a list of class orders"),
+    ("glue", {"divisor": {}, "left": 1, "right": [2]},
+     "params.left must be a list of class orders"),
+])
+def test_a_list_parameter_names_what_it_holds(tmp_path, capsys, command, params, holds):
+    assert run_cli(tmp_path, command, {**E1, "params": params}) == 1
+    assert capsys.readouterr().err == f"ellt: config error: {holds}\n"
+
+
 @pytest.mark.parametrize("text", ["01", " 1", "+1", "0_1", "\uff11"])
 @pytest.mark.parametrize("command,params", [
     ("dims", lambda t: {"W": {"1": 1, t: 1}}),

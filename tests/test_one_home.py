@@ -5,9 +5,13 @@ products, powers and quotients of cyclotomic functions
 (`curvefield.CycCache.t_star`, which a window backend's `element(vec)`
 uses for a whole vertex vector) and conversion to int (`exactcore._label`,
 for a label's decimal text; every other integer goes through
-`exactcore._whole`, which refuses a float that `int` would truncate).  A
-second copy drifts from the first; this walks the same source as
-`test_no_asserts.py` and names every copy it finds."""
+`exactcore._whole`, which refuses a float that `int` would truncate) and
+the split of a polynomial into multiplicity layers against a class
+polynomial (`curvefield._layers`, shared by classification, valuations
+and class residues; membership tests live only in the test reference
+`tests/valuation_reference.py`).  A second copy drifts from the first;
+this walks the same source as `test_no_asserts.py` and names every copy
+it finds."""
 
 import ast
 from pathlib import Path
@@ -96,3 +100,16 @@ def test_one_int_conversion():
     assert set(_homes(lambda node: isinstance(node, ast.Call)
                       and isinstance(node.func, ast.Name)
                       and node.func.id == "int")) == {"exactcore.py:_label"}
+
+
+def test_one_multiplicity_split():
+    def gcd_loop(node):
+        return isinstance(node, ast.While) and any(
+            _is_call_of(inner, "poly_gcd") for inner in ast.walk(node))
+
+    assert _homes(gcd_loop) == ["curvefield.py:_layers"]
+
+
+def test_no_membership_loop_in_the_library():
+    assert _homes(lambda node: isinstance(node, ast.FunctionDef)
+                  and node.name == "membership") == []

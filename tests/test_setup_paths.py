@@ -3,8 +3,9 @@
 `expand_at_e` evaluates u, v, d in relative precision, as x^n q(1/x);
 the reference below is the Horner evaluation over a chart widened by
 twice the degree.  `CycCache.ord_along` reads the valuation along a class
-from multiplicities when u or v is zero; the reference is the loop of
-`membership` tests it short-cuts, which still serves mixed elements.
+in closed form from the `_layers` of u, v and d against the class
+polynomial; the reference is the loop of `membership` tests in
+`tests/valuation_reference.py` that it replaced.
 `CycCache.chart` grows its stored chart at least threefold, so a fresh
 theory reruns `_chart_series` at most once.
 
@@ -35,12 +36,11 @@ from ellt.curvefield import (
     TorsionDivisor,
     WeierstrassCurve,
     _eval_rel,
-    exact_order_count,
     expand_at_e,
-    single_class,
 )
 from ellt.errors import PrecisionExhausted, UnsupportedPoles
 from ellt.exactcore import LaurentSeries, Poly, Q, QONE, QZERO, series_reciprocal
+from valuation_reference import reference_ord_along
 
 # the curves of the cli_jobs benchmark pools
 CURVES = [WeierstrassCurve(a, b) for a, b in
@@ -131,23 +131,6 @@ def test_expansion_of_degree_sixty_and_coordinates():
         assert_expansions_agree(cache, elt)
 
 
-def reference_ord_along(cache, elt, s):
-    """The `membership` loop: raise the order on the class until the
-    element leaves the space."""
-    support = cache.pole_support(elt)
-    enclosing = {r: n for r, n in support.items() if r != s}
-    num_deg = max(2 * elt.u.degree, 3 + 2 * elt.v.degree)
-    zero_cap = (num_deg + 2 * elt.d.degree) // exact_order_count(s) + 1
-    m = -(support.get(s, 0) + 1)
-    if not cache.membership(elt, TorsionDivisor(enclosing) + single_class(s, -m)):
-        raise UnsupportedPoles("cannot enclose poles")
-    while m < zero_cap and cache.membership(
-        elt, TorsionDivisor(enclosing) + single_class(s, -(m + 1))
-    ):
-        m += 1
-    return m
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -156,26 +139,32 @@ def _outcome(fn, *args):
 
 
 CLASSES = (2, 3, 4)
+# the x-values of the rational 2-torsion points of each curve: x - x0
+# meets only part of rhs wherever rhs has another root
+ROOTS = [[x0 for x0 in range(-3, 4) if curve.rhs.eval(Q(x0)) == 0] for curve in CURVES]
 
 
 _depth = st.tuples(st.sampled_from(CLASSES), st.integers(0, 2))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, len(CURVES) - 1), st.sampled_from(["u", "v", "mixed"]),
-       _poly(2), _depth, _depth, st.sampled_from([False, False, False, True]),
-       st.sampled_from(CLASSES))
-def test_ord_along_matches_membership_loop(ci, kind, unit, zero, pole, stray, s):
+       _poly(2), _depth, st.integers(0, 2), _depth,
+       st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       st.sampled_from([False, False, False, True]), st.sampled_from(CLASSES))
+def test_ord_along_matches_membership_loop(ci, kind, unit, zero, zero_v, pole, partial,
+                                           stray, s):
     # a zero and a pole of chosen depth on the classes 2, 3, 4 (the
-    # same class cancels down), and now and then a pole off the torsion
-    # classes, which both paths refuse; mixed elements run the same loop
-    # on both sides, so they stay shallow
+    # same class cancels down), on mixed elements a zero of v on the same
+    # class, a pole at part of the 2-torsion where the curve has a
+    # rational 2-torsion point, and now and then a pole off the torsion
+    # classes, which both paths refuse
     cache = CACHES[ci]
-    (zc, zd), (pc, pd) = zero, pole
-    if kind == "mixed":
-        zd, pd = min(zd, 1), min(pd, 1)
+    (zc, zd), (pc, pd), (pick, part) = zero, pole, partial
     num = (unit if not unit.is_zero() else Poly.const(1)) * cache.class_poly(zc).pow(zd)
     den = cache.class_poly(pc).pow(pd)
+    if ROOTS[ci]:
+        den = den * Poly((-ROOTS[ci][pick % len(ROOTS[ci])], 1)).pow(part)
     if stray:
         den = den * Poly((-5, 1))
     blank = Poly()
@@ -184,9 +173,29 @@ def test_ord_along_matches_membership_loop(ci, kind, unit, zero, pole, stray, s)
     elif kind == "v":
         elt = FuncElt(cache.curve, blank, num, den)
     else:
-        elt = FuncElt(cache.curve, num, Poly((1, 2)), den)
+        elt = FuncElt(cache.curve, num, Poly((1, 2)) * cache.class_poly(zc).pow(zero_v), den)
     expected = _outcome(reference_ord_along, cache, elt, s)
     assert _outcome(cache.ord_along, elt, s) == expected, (elt, s)
+
+
+@pytest.mark.parametrize("u,v,d,expected", [
+    ((0, 1), (1,), (0, 0, 1), -3),
+    ((0, 1), (1,), (0, -1, 1), -2),
+    ((0, -1, 1), (1,), (0, -1, 1), -1),
+    ((0, -1, 1), (1,), (0, 0, -1, 1), -3),
+    ((1, 1), (1,), (0, 0, -1, 1), -4),
+    ((0, -1, 0, 1), (-1, 1), (1,), 1),
+    ((0, 0, 1, 0, -2, 0, 1), (0, -1, 0, 1), (1,), 3),
+])
+def test_ord_along_on_two_torsion_by_hand(u, v, d, expected):
+    # on y^2 = x^3 - x, rhs = x (x - 1) (x + 1): ord(x - x0) = 2 and
+    # ord y = 1 at each 2-torsion point, so the poles of u / d and of
+    # v y / d never cancel, and the deepest pole decides
+    cache = CACHES[0]
+    elt = FuncElt(cache.curve, Poly(u), Poly(v), Poly(d))
+    assert (elt.u, elt.v, elt.d) == (Poly(u), Poly(v), Poly(d))
+    assert cache.ord_along(elt, 2) == expected
+    assert reference_ord_along(cache, elt, 2) == expected
 
 
 def reference_validate(cache):
@@ -213,44 +222,57 @@ def test_validate_coordinate_matches_the_reference(ci, scale):
     assert report == reference_validate(CycCache(curve, Coordinate(curve, scale=scale)))
 
 
+def _products_in_ord_along(monkeypatch):
+    """The `FuncElt` products made inside `CycCache.ord_along` from now
+    on."""
+    products, inside = [], []
+    ord_along, mul = CycCache.ord_along, FuncElt.__mul__
+
+    def spy_ord(self, *args, **kwargs):
+        inside.append(True)
+        try:
+            return ord_along(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def spy_mul(self, other):
+        if inside:
+            products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(CycCache, "ord_along", spy_ord)
+    monkeypatch.setattr(FuncElt, "__mul__", spy_mul)
+    return products
+
+
 def test_validate_a_mixed_custom_coordinate(monkeypatch):
     # on y^2 = x^3 + 1 the line y = x + 1 meets the curve at (0, 1),
     # (-1, 0) and (2, 3), of orders 3, 2 and 6, so (y - x - 1) / x^2 is a
     # coordinate with u and v both nonzero, and so is its inverse:
-    # ord_along reads both through the membership loop
+    # ord_along reads both in closed form, with no product
     curve = CURVES[1]
     base = FuncElt(curve, Poly((-1, -1)), Poly((1,)), Poly((0, 0, 1)))
-    calls = []
-    membership = CycCache.membership
-
-    def spy(self, elt, divisor, support=None):
-        calls.append(elt)
-        return membership(self, elt, divisor, support)
-
-    monkeypatch.setattr(CycCache, "membership", spy)
+    products = _products_in_ord_along(monkeypatch)
     report = CycCache(curve, Coordinate(curve, base=base)).validate_coordinate()
-    assert base in calls and base.inverse() in calls
+    assert products == []
     assert report == {"validated_to": 12, "classes": [2, 3, 6],
                       "profile": {2: (0, 1), 3: (2, 0), 6: (0, 1)}}
     assert report == reference_validate(CycCache(curve, Coordinate(curve, base=base)))
 
 
 def test_a_mixed_coordinate_classifies_each_element_once(monkeypatch):
-    # ord_along hands its pole support to every membership test of the
-    # loop, so validating (y - x - 1) / x^2 finds the support of each of
-    # t_e and 1/t_e once, not once per depth step
+    # validate_coordinate hands its pole supports to ord_along, so
+    # validating (y - x - 1) / x^2 finds the support of each of t_e and
+    # 1/t_e once, not once per class
     curve = CURVES[1]
     base = FuncElt(curve, Poly((-1, -1)), Poly((1,)), Poly((0, 0, 1)))
-    counts = {"membership": 0, "classify_x_poly": 0}
+    products = _products_in_ord_along(monkeypatch)
+    classified = []
+    classify_x_poly = CycCache.classify_x_poly
+    monkeypatch.setattr(CycCache, "classify_x_poly",
+                        lambda self, poly: classified.append(poly)
+                        or classify_x_poly(self, poly))
     supported = []
-    for name in counts:
-        original = getattr(CycCache, name)
-
-        def spy(self, *args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(CycCache, name, spy)
     pole_support = CycCache.pole_support
     monkeypatch.setattr(CycCache, "pole_support",
                         lambda self, elt: supported.append(elt)
@@ -260,21 +282,21 @@ def test_a_mixed_coordinate_classifies_each_element_once(monkeypatch):
     assert report["profile"] == {2: (0, 1), 3: (2, 0), 6: (0, 1)}
     assert supported == [base, base.inverse()]
     # the two norm and denominator classifications, then one per support
-    assert counts["classify_x_poly"] == 4
-    assert counts["membership"] >= 6
+    assert len(classified) == 4
+    assert products == []
     # an element with a pole off the torsion classes is still refused,
-    # by ord_along's own support and by a bare membership test
+    # by ord_along's own support and by principal_part's
     stray = FuncElt(curve, Poly((1,)), Poly((1,)), Poly((-5, 1)))
     for call in (lambda: cache.ord_along(stray, 3),
-                 lambda: cache.membership(stray, single_class(3, 1))):
+                 lambda: curvefield.principal_part(cache, stray, 3, 1)):
         with pytest.raises(UnsupportedPoles, match="not supported on torsion classes"):
             call()
 
 
 @pytest.mark.parametrize("s,depth", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_principal_part_finds_one_pole_support(monkeypatch, s, depth):
-    # x + y has u and v both nonzero, so ord_along takes the membership
-    # loop, which reads the support that principal_part already found
+    # x + y has u and v both nonzero; ord_along takes the support that
+    # principal_part already found instead of finding its own
     curve = CURVES[0]
     cache = CycCache(curve)
     f = curve.x() + curve.y()
@@ -342,6 +364,15 @@ def _scaled_cache(ci, scale):
         curve = DEN_CURVES[ci]
         SCALED[key] = CycCache(curve, Coordinate(curve, scale=scale))
     return SCALED[key]
+
+
+@pytest.mark.parametrize("scale", [1, 2, Q(1, 3)])
+@pytest.mark.parametrize("ci", range(len(CURVES)))
+def test_the_two_torsion_class_polynomial_is_rhs(ci, scale):
+    # rhs is monic, so P_2 made monic, read through _x_part like every
+    # other class, is rhs itself
+    cache = _scaled_cache(ci, scale)
+    assert cache.class_poly(2) == cache.curve.rhs
 
 
 def reference_t_star(cache, divisor):
