@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 import time
+from math import lcm
 
 from .affinegroups import AffineGroup, affine_sphere_module
 from .curvefield import Coordinate, CycCache, TorsionDivisor, WeierstrassCurve
@@ -242,6 +243,15 @@ PSI_CEILING = 32
 # carries scale^|A<s>|, so past this the text nears Python's 4300-digit
 # conversion limit (README.md)
 SCALE_POWER_CEILING = 4096
+# bits of u, the lcm of the denominators of a and b, times n^2 - 1: on that
+# integral model `cache warm` to 32 takes 2 s at 7 bits of u, 3 s at 8 (README.md)
+MODEL_POWER_CEILING = 7168
+
+
+def _model_power(config: JobConfig, n: int, where: str) -> None:
+    u = lcm(*(c.denominator for c in config.require_curve()))
+    _integer((n * n - 1) * u.bit_length(), f"{where} with the curve: bits of u^(n^2 - 1), "
+             "u the lcm of the denominators of a and b", maximum=MODEL_POWER_CEILING)
 
 
 def _cache_identity(cache: CycCache) -> dict:
@@ -376,6 +386,7 @@ def _run_divpoly(config: JobConfig, cache_path) -> dict:
     _integer((n * n - 1) * max(abs(scale.numerator), scale.denominator).bit_length(),
              "params.n with coordinate.scale: bits of scale^(n^2 - 1)",
              maximum=SCALE_POWER_CEILING)
+    _model_power(config, n, "params.n")
     cache = _make_cache(config, cache_path)
     psi = cache.psi(n)
     factors = {s: cache.t(s) for s in divisors_of(n) if s > 1}
@@ -549,8 +560,9 @@ def _run_cache_admin(config: JobConfig, cache_path) -> dict:
         report["removed"] = removed
         return report
 
-    cache = _make_cache(config, None)
     if action == "warm":
+        _model_power(config, upto, "params.upto")
+        cache = _make_cache(config, None)
         cache.warm(upto)
         payload = {**_cache_identity(cache), "upto": upto,
                    "psi": cache.psi_cache_payload()}
@@ -562,6 +574,7 @@ def _run_cache_admin(config: JobConfig, cache_path) -> dict:
         report["entries"] = len(payload["psi"])
         return report
 
+    cache = _make_cache(config, None)
     payload = _read_cache_file(cache_path)
     identity = _cache_identity(cache)
     if payload.get("curve") != identity["curve"] or payload.get("scale") != identity["scale"]:

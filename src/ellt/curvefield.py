@@ -96,10 +96,6 @@ class TorsionDivisor(_Frozen):
         return self.coeffs.get(s, 0)
 
     @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(self.coeffs)
-
-    @property
     def degree(self) -> int:
         return sum(n * exact_order_count(s) for s, n in self.coeffs.items())
 
@@ -313,6 +309,16 @@ class FuncElt(_Frozen):
         if not self.v.is_zero():
             candidates.append(-3 - 2 * self.v.degree)
         return min(candidates) + 2 * self.d.degree
+
+    def lead_e(self) -> Q:
+        """Leading coefficient at e in t = x/y, read off degrees like `ord_e`:
+        as x = t^-2 (1 + O(t^4)), y = t^-3 (1 + O(t^4)) and d is monic, it is
+        u's top coefficient when 2 deg u > 2 deg v + 3, else v's."""
+        if self.is_zero():
+            raise ZeroDivisionError("the zero element has no leading coefficient")
+        if self.v.is_zero() or self.u.degree > self.v.degree + 1:
+            return self.u.leading()
+        return self.v.leading()
 
     def pole_order_at_e(self) -> int:
         return max(0, -self.ord_e())
@@ -536,7 +542,7 @@ class Coordinate(_Frozen):
         if base is None:
             if scale == 0:
                 raise ValidationFailed("coordinate scale must be nonzero")
-            base = (curve.x() / curve.y()) * scale
+            base = FuncElt(curve, Poly(), Poly((QZERO, scale)), curve.rhs)  # c x y / y^2
             form = "x/y"
         else:
             form = "custom"
@@ -578,7 +584,6 @@ class CycCache:
         self._x_parts: dict[int, tuple[Q, tuple[int, ...]]] = {}
         self._base_series: dict[int, LaurentSeries] = {}
         self._chart: tuple[int, LaurentSeries, LaurentSeries] | None = None
-        self._diff_factor: Q | None = None
 
     # -- division polynomials -------------------------------------------
 
@@ -600,11 +605,9 @@ class CycCache:
         """Cyclotomic function of the class of exact order s.
 
         For s = 1 this is the coordinate itself.  Otherwise it is the
-        primitive factor of psi_s, normalised so t_e^{|A<s>|} t_s -> 1
-        at the identity.  A polynomial in x of degree m/2 (or y for
-        s = 2) has leading coefficient 1 in t = x/y, so with L the
-        leading coefficient of t_e that factor is P_s / (L^m lead P_s),
-        and t_2 = y / L^3, for m = |A<s>|.
+        primitive factor of psi_s, normalised so t_e^m t_s -> 1 at e for
+        m = |A<s>|: with L the `lead_e` of t_e, it is P_s / (L^m lead P_s),
+        and t_2 = y / L^3.
         """
         if s == 1:
             return self.coordinate.base
@@ -612,9 +615,7 @@ class CycCache:
         if val is None:
             if s < 2:
                 raise ValueError("cyclotomic functions start at order 2")
-            # base_series(2) before _validate_t's (1): the first chart is
-            # then wide enough for both, and a fresh theory builds two
-            scale = self.base_series(2).coeff(1) ** -exact_order_count(s)
+            scale = self.coordinate.base.lead_e() ** -exact_order_count(s)
             if s == 2:
                 p = tuple(_primitive(self.curve.rhs.coeffs))
                 c = scale * scale / p[-1]
@@ -699,9 +700,8 @@ class CycCache:
     # -- chart series and differentials ----------------------------------
 
     def chart(self, prec: int) -> tuple[LaurentSeries, LaurentSeries]:
-        """x and y to `prec` terms, cut from the stored chart; a wider
-        request at least triples its width, so one theory's widths (4,
-        then 8 and 10 for `diff_factor`) cost two `_chart_series` runs."""
+        """x and y to `prec` terms, cut from the stored chart; a wider request
+        at least triples its width, so a theory reruns `_chart_series` rarely."""
         if self._chart is None or self._chart[0] < prec:
             width = prec if self._chart is None else max(prec, 3 * self._chart[0])
             self._chart = (width, *_chart_series(self.curve, width))
@@ -716,24 +716,17 @@ class CycCache:
 
     def base_series(self, prec: int) -> LaurentSeries:
         """The expansion of the coordinate to `prec` terms, memoised per
-        precision: every t_s normalises and validates against it."""
+        precision: every t_s is validated against it."""
         series = self._base_series.get(prec)
         if series is None:
             series = self._base_series[prec] = self.expand(self.coordinate.base, prec)
         return series
 
     def diff_factor(self) -> Q:
-        """Scalar kappa with Dt = kappa * dx / y, fixed by Dt/dt_e -> 1 at e."""
-        if self._diff_factor is None:
-            prec = 8
-            x, y = self.chart(prec)
-            ratio = x.derivative() * series_reciprocal(y)
-            te = self.base_series(prec)
-            ratio = ratio * series_reciprocal(te.derivative())
-            if ratio.exact_valuation() != 0:
-                raise ValidationFailed("invariant differential normalisation failed")
-            self._diff_factor = QONE / ratio.coeff(0)
-        return self._diff_factor
+        """Scalar kappa with Dt = kappa * dx / y, fixed by Dt/dt_e -> 1 at e:
+        dx / y = (-2 + O(t^4)) dt by the chart series of `lead_e`, and
+        dt_e = (L + O(t)) dt for L = t_e.lead_e(), so kappa = -L / 2."""
+        return -self.coordinate.base.lead_e() / 2
 
     # -- structural pole analysis ----------------------------------------
 
@@ -767,9 +760,8 @@ class CycCache:
                     f"denominator factor {leftover.text()} is not supported on "
                     f"torsion classes up to {self.coordinate.validated_to}"
                 )
-            for s, part in parts.items():
-                mult = part.degree  # total x-multiplicity on the class
-                bounds[s] = 2 * mult  # ord_P(x - x0) <= 2, so this is safe
+            # a part's degree is the x-multiplicity on its class; ord_P(x - x0) <= 2
+            bounds.update((s, 2 * part.degree) for s, part in parts.items())
         pole_e = elt.pole_order_at_e()
         if pole_e:
             bounds[1] = pole_e
@@ -777,9 +769,15 @@ class CycCache:
 
     # -- divisor-window primitives ----------------------------------------
 
-    def ord_along(self, elt: FuncElt, s: int,
-                  support: dict[int, int] | None = None) -> int:
-        """Minimum valuation of elt across the points of exact order s.
+    def ord_along(self, elt: FuncElt, s: int) -> int:
+        """`_ord_along`, refusing poles off the torsion classes (`pole_support`)."""
+        if s != 1:
+            self.pole_support(elt)
+        return self._ord_along(elt, s)
+
+    def _ord_along(self, elt: FuncElt, s: int) -> int:
+        """Minimum valuation of elt across the points of exact order s, for
+        an element whose poles a caller has found on the torsion classes.
 
         For s >= 2 write elt = (u + v y)/d canonically, cp = `class_poly(s)`
         and k the number of `_layers` of d against cp.  Where d meets the
@@ -791,16 +789,12 @@ class CycCache:
         so u1(x0) +- v1(x0) y0 cannot both vanish and the smaller valuation
         is min(ord u, ord v) - ord d there; on A[2], ord(x - x0) = 2 and
         ord y = 1 differ in parity, so nothing cancels; and canonically d
-        shares no root with both u and v.  A caller that already holds
-        `pole_support(elt)` passes it as `support`; otherwise it is found
-        here, only to refuse poles off the torsion classes.
+        shares no root with both u and v.
         """
         if elt.is_zero():
             raise ZeroDivisionError("the zero element has no valuation")
         if s == 1:
             return elt.ord_e()
-        if support is None:
-            self.pole_support(elt)  # raises UnsupportedPoles for off-class poles
         cp = self.class_poly(s)
         e = 2 if s == 2 else 1  # ord(x - x0) at a point over a root x0; ord y is e - 1
         layers = _layers(elt.d, cp)[0]
@@ -826,8 +820,9 @@ class CycCache:
     def validate_coordinate(self) -> dict:
         """Check the coordinate's divisor is torsion-supported up to the
         declared bound; returns the classes touched and, per class, the
-        pole bounds of t_e and 1/t_e there, read by `ord_along` from one
-        pole support of each."""
+        pole bounds of t_e and 1/t_e there.  The zeros and poles of t_e off
+        e are the roots of its norm and of d, so classifying those two once
+        is the whole refusal; `_ord_along` reads each bound."""
         base = self.coordinate.base
         bound = self.coordinate.validated_to
         touched: set[int] = set()
@@ -840,12 +835,9 @@ class CycCache:
                         f"validated up to order {bound}: factor {leftover.text()}"
                     )
                 touched.update(parts)
-        profile = {}
-        if touched:
-            supports = [(f, self.pole_support(f)) for f in (base, base.inverse())]
-            for s in sorted(touched):
-                profile[s] = tuple(max(0, -self.ord_along(f, s, support))
-                                   for f, support in supports)
+        pair = (base, base.inverse())
+        profile = {s: tuple(max(0, -self._ord_along(f, s)) for f in pair)
+                   for s in sorted(touched)}
         return {"validated_to": bound, "classes": sorted(touched), "profile": profile}
 
     # -- persistence -------------------------------------------------------
@@ -1178,11 +1170,11 @@ def principal_part(cache: CycCache, f: FuncElt, s: int, depth: int) -> list[Q]:
         raise DepthExceeded("principal parts need depth at least 1")
     if not isinstance(f, FuncElt):
         f = cache.curve.one() * f
-    support = cache.pole_support(f)
-    others = TorsionDivisor({r: n for r, n in support.items() if r != s and n > 0})
+    others = TorsionDivisor({r: n for r, n in cache.pole_support(f).items()
+                             if r != s and n > 0})
     if f.is_zero():
         return [QZERO] * (depth * exact_order_count(s))
-    excess = max(0, -cache.ord_along(f, s, support))
+    excess = max(0, -cache._ord_along(f, s))
     g = f
     for level in range(excess, depth, -1):
         top_slice = QuotientWindow(cache, s, 1, others, base=level - 1)

@@ -38,7 +38,6 @@ from .tmodel import (
     EulerClassSymbol,
     QWindow,
     Representation,
-    SphereObject,
     _coerce_weight,
     stabilize,
 )
@@ -335,9 +334,6 @@ class EATheory:
     @property
     def curve(self) -> WeierstrassCurve:
         return self.cache.curve
-
-    def sphere(self, weights) -> SphereObject:
-        return SphereObject(self.backend, weights)
 
     def window(self, weights, caps=None) -> QWindow:
         return QWindow(self.backend, weights, caps)

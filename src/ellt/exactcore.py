@@ -337,12 +337,6 @@ class Matrix(_Frozen):
     def __hash__(self):
         return hash(self.entries)
 
-    def row(self, i):
-        return self.entries[i]
-
-    def col(self, j):
-        return tuple(row[j] for row in self.entries)
-
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.entries))) if self.rows else Matrix(())
 
@@ -581,11 +575,6 @@ class LaurentSeries(_Frozen):
                 f"cannot extend window from {self.precision} to {precision} terms"
             )
         return LaurentSeries(self.valuation, self.coeffs[:precision])
-
-    def derivative(self) -> "LaurentSeries":
-        """Term-by-term d/dt; O(t^end) becomes O(t^(end-1))."""
-        out = [c * (self.valuation + i) for i, c in enumerate(self.coeffs)]
-        return LaurentSeries(self.valuation - 1, out)
 
     def text(self) -> str:
         parts = [f"{qtext(c)}*t^{self.valuation + i}" for i, c in enumerate(self.coeffs) if c != 0]

@@ -5,11 +5,15 @@ A class residue splits the denominator into squarefree factors, inverts
 the local Laurent tail of each factor meeting the marker in Q[x]/(g) and
 sums the residues over the shared roots as a trace read from Newton power
 sums.  The residue at e multiplies the expansion of f by that of
-kappa dx/y in the chart and reads the t^-1 coefficient.
+kappa dx/y in the chart and reads the t^-1 coefficient.  kappa comes
+from the series of dx/y and dt_e in the chart (`reference_diff_factor`),
+not from `CycCache.diff_factor`.
 """
 
 from ellt.curvefield import CycCache, FuncElt
+from ellt.errors import ValidationFailed
 from ellt.exactcore import (
+    LaurentSeries,
     Poly,
     Q,
     QONE,
@@ -22,6 +26,25 @@ from ellt.exactcore import (
 
 def _derivative(p: Poly) -> Poly:
     return Poly(tuple(c * i for i, c in enumerate(p.coeffs) if i))
+
+
+def series_derivative(s: LaurentSeries) -> LaurentSeries:
+    """Term-by-term d/dt; O(t^end) becomes O(t^(end-1))."""
+    out = [c * (s.valuation + i) for i, c in enumerate(s.coeffs)]
+    return LaurentSeries(s.valuation - 1, out)
+
+
+def reference_diff_factor(cache: CycCache) -> Q:
+    """Scalar kappa with Dt = kappa * dx / y, fixed by Dt/dt_e -> 1 at e,
+    from the series of x, y and t_e to 8 terms."""
+    prec = 8
+    x, y = cache.chart(prec)
+    ratio = series_derivative(x) * series_reciprocal(y)
+    te = cache.base_series(prec)
+    ratio = ratio * series_reciprocal(series_derivative(te))
+    if ratio.exact_valuation() != 0:
+        raise ValidationFailed("invariant differential normalisation failed")
+    return QONE / ratio.coeff(0)
 
 
 def power_sums(g: Poly, count: int) -> list:
@@ -138,7 +161,7 @@ def trace_residues(num: Poly, den: Poly, marker: Poly) -> Q:
 def residue_at_e(cache: CycCache, f: FuncElt) -> Q:
     """Residue of f * Dt at the identity, for the invariant differential
     Dt = kappa dx / y normalised to agree with dt_e there (kappa =
-    cache.diff_factor())."""
+    `reference_diff_factor(cache)`)."""
     if f.is_zero() or f.ord_e() >= 0:
         return QZERO
     work = f.pole_order_at_e() + 2
@@ -146,8 +169,8 @@ def residue_at_e(cache: CycCache, f: FuncElt) -> Q:
     x, y = cache.chart(work + 4)
     # Dt = kappa dx/y, so res_e(f Dt) is the t^-1 coefficient of
     # f(t) * kappa * x'(t)/y(t)
-    unit = x.derivative() * series_reciprocal(y)
-    series = fs * unit * cache.diff_factor()
+    unit = series_derivative(x) * series_reciprocal(y)
+    series = fs * unit * reference_diff_factor(cache)
     return series.coeff(-1)
 
 
@@ -166,4 +189,4 @@ def residue_along(cache: CycCache, f: FuncElt, s: int) -> Q:
         return residue_at_e(cache, f)
     if f.is_zero() or f.v.is_zero():
         return QZERO
-    return 2 * cache.diff_factor() * trace_residues(f.v, f.d, cache.class_poly(s))
+    return 2 * reference_diff_factor(cache) * trace_residues(f.v, f.d, cache.class_poly(s))

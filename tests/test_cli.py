@@ -173,6 +173,42 @@ class TestDivpoly:
         assert rep["t_factors"] != plain["t_factors"] or scale == "-1"
 
 
+# 8-digit denominators in both coefficients: u = 99999999 * 99999997 has
+# 54 bits, so psi_n runs on its integral model up to n 11 (120 * 54 = 6480)
+WIDE = {"curve": {"a": "1/99999999", "b": "1/99999997"}}
+
+
+@pytest.mark.parametrize("command,params,where", [
+    ("divpoly", {"n": 12}, "params.n"),
+    ("cache", {"action": "warm", "upto": 12}, "params.upto"),
+])
+def test_denominators_bound_the_psi_index(tmp_path, capsys, command, params, where):
+    # 143 * 54 = 7722 bits of u^(n^2 - 1) pass MODEL_POWER_CEILING
+    cfg = {**WIDE, "params": params, "cache_path": str(tmp_path / "psi.json")}
+    assert run_cli(tmp_path, command, cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ellt: config error: {where} with the curve: bits of u^(n^2 - 1)")
+    assert err.endswith(f"must be <= {cli.MODEL_POWER_CEILING}\n")
+    assert not os.path.exists(tmp_path / "psi.json")
+
+
+@pytest.mark.parametrize("a,b,n,admitted", [
+    ("1/9", "1/7", 32, True),     # u = 63: 1023 * 6 bits
+    ("1/11", "1/9", 32, True),    # u = 99: 1023 * 7
+    ("1/15", "1/13", 32, False),  # u = 195: 1023 * 8
+    ("-1", "0", 32, True),        # u = 1: 1023 * 1
+    ("1/99999999", "1/99999997", 11, True),
+    ("1/99999999", "1/99999997", 12, False),
+])
+def test_the_model_power_ceiling(a, b, n, admitted):
+    config = JobConfig("divpoly", {"curve": {"a": a, "b": b}})
+    if admitted:
+        cli._model_power(config, n, "params.n")
+    else:
+        with pytest.raises(ConfigError, match="bits of u"):
+            cli._model_power(config, n, "params.n")
+
+
 class TestKmodel:
     def test_multiplicative_products(self, tmp_path, capsys):
         rep = run_json(tmp_path, capsys, "kmodel",
@@ -504,6 +540,9 @@ def test_ceilings_are_inclusive(tmp_path, capsys):
     rep = run_json(tmp_path, capsys, "divpoly",
                    {**E1, "coordinate": {"scale": "-1/15"}, "params": {"n": 32}})
     assert rep["scalar"] == qtext(32 * Fraction(-1, 15) ** 1023)
+    # 8-digit denominators in both coefficients, psi_11: 120 * 54 bits
+    rep = run_json(tmp_path, capsys, "divpoly", {**WIDE, "params": {"n": 11}})
+    assert rep["factorization_ok"] is True
 
 
 class TestCacheAdmin:

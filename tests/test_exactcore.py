@@ -231,14 +231,6 @@ class TestLaurentSeries:
         s = LaurentSeries(0, [1, 4]) + 1
         assert s.coeffs == (Q(2), Q(4))
 
-    def test_derivative(self):
-        s = LaurentSeries(-2, [1, 0, 0, 0, 5])  # t^-2 + 5 t^2 + O(t^3)
-        d = s.derivative()
-        assert d.valuation == -3
-        assert d.coeff(-3) == -2
-        assert d.coeff(1) == 10
-        assert d.end == 2
-
     @given(
         st.integers(-3, 3),
         st.lists(st.integers(-4, 4), min_size=1, max_size=5),

@@ -9,7 +9,10 @@ for a label's decimal text; every other integer goes through
 the split of a polynomial into multiplicity layers against a class
 polynomial (`curvefield._layers`, shared by classification, valuations
 and class residues; membership tests live only in the test reference
-`tests/valuation_reference.py`).  A second copy drifts from the first;
+`tests/valuation_reference.py`).  The leading coefficient of t_e, which
+scales every t_s and gives kappa, is read off degrees (`FuncElt.lead_e`),
+never off a series, and series derivatives live only in the test
+reference `tests/residue_reference.py`.  A second copy drifts from the first;
 this walks the same source as `test_no_asserts.py` and names every copy
 it finds."""
 
@@ -113,3 +116,29 @@ def test_one_multiplicity_split():
 def test_no_membership_loop_in_the_library():
     assert _homes(lambda node: isinstance(node, ast.FunctionDef)
                   and node.name == "membership") == []
+
+
+def test_no_series_derivative_in_the_library():
+    assert _homes(lambda node: isinstance(node, ast.FunctionDef)
+                  and node.name == "derivative") == []
+
+
+def test_t_s_scales_and_kappa_read_no_series():
+    # the leading coefficient of t_e comes from `lead_e`, not from a chart
+    reads = {"chart", "base_series", "expand", "expand_at_e", "_chart_series"}
+    found = _homes(lambda node: any(_is_call_of(node, name) for name in reads))
+    assert "curvefield.py:CycCache.base_series" in found  # the rule sees these calls
+    assert not {"curvefield.py:CycCache.t", "curvefield.py:CycCache.diff_factor"} & set(found)
+
+
+def test_ord_along_takes_no_support():
+    def ord_along(node):
+        return isinstance(node, ast.FunctionDef) and node.name == "ord_along"
+
+    def takes_support(node):
+        return ord_along(node) and any(
+            arg.arg == "support"
+            for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs))
+
+    assert _homes(ord_along) == ["curvefield.py:CycCache"]
+    assert _homes(takes_support) == []

@@ -5,7 +5,9 @@ marker's roots and the rest h, and reads the residue sum as one
 coefficient of num h^-1 mod g; `residue_at_e` is minus the finite
 residues, read as one coefficient of v mod d.  `residue_reference` keeps
 the path they replaced: local Laurent tails inverted modulo squarefree
-factors and summed by Newton traces, and the series of f Dt at e.
+factors and summed by Newton traces, and the series of f Dt at e, with
+kappa from the series of dx/y and dt_e, which `CycCache.diff_factor`
+reads as -L/2 from the leading coefficient L of t_e.
 """
 
 import random
@@ -25,7 +27,7 @@ from ellt.curvefield import (
     trace_residues,
 )
 from ellt.eatheory import build_ea, serre_pairing
-from ellt.exactcore import Poly, Q
+from ellt.exactcore import LaurentSeries, Poly, Q
 
 # the curves of the cli_jobs benchmark pools
 CURVES = [WeierstrassCurve(a, b) for a, b in
@@ -117,3 +119,39 @@ def _squarefree(p):
 def test_non_monic_marker_is_refused():
     with pytest.raises(ValueError):
         trace_residues(Poly.const(1), Poly((0, 1)), Poly((0, 2)))
+
+
+def test_series_derivative():
+    s = LaurentSeries(-2, [1, 0, 0, 0, 5])  # t^-2 + 5 t^2 + O(t^3)
+    d = ref.series_derivative(s)
+    assert d.valuation == -3
+    assert d.coeff(-3) == -2
+    assert d.coeff(1) == 10
+    assert d.end == 2
+
+
+# nine curves, with and without denominators, each at five scales of x/y
+# and with four custom coordinates of other leading coefficients and
+# parities: 81 coordinates
+KAPPA_CURVES = [*CURVES, *(WeierstrassCurve(Q(a), Q(b))
+                           for a, b in (("1/9", "1/7"), (-2, 3), (5, -7)))]
+
+
+def _kappa_coordinates(curve):
+    x, y = curve.x(), curve.y()
+    scaled = [Coordinate(curve, scale=c) for c in (1, 2, -1, Q(1, 3), Q(-7, 5))]
+    custom = [y / x ** 2, (x / y) * 2 + x.inverse(),
+              (y - x - 1) / x ** 2 * Q(-1, 2), x ** 2 / (x * y + 1) * Q(5, 3)]
+    return scaled + [Coordinate(curve, base=base) for base in custom]
+
+
+@pytest.mark.parametrize("ci", range(len(KAPPA_CURVES)))
+def test_diff_factor_matches_the_series_reference(ci):
+    curve = KAPPA_CURVES[ci]
+    coordinates = _kappa_coordinates(curve)
+    assert len(coordinates) == 9
+    for coordinate in coordinates:
+        cache = CycCache(curve, coordinate)
+        kappa = cache.diff_factor()
+        assert kappa == ref.reference_diff_factor(cache), coordinate.base
+        assert kappa == -cache.base_series(2).coeff(1) / 2, coordinate.base

@@ -12,11 +12,14 @@ theory reruns `_chart_series` at most once.
 `CycCache.t_star` builds t*(E) by exponent arithmetic on integer
 coefficient tuples; the reference is the `FuncElt` product of the powers
 t_s^n_s.  `_chart_series` runs the coefficient recurrence of 1/y; the
-reference is the fixed-point iteration it replaced.  `CycCache.t` reads
-the memoised `base_series`; the reference is a cold cache.
-`CycCache.validate_coordinate` hands one pole support each of t_e and
-1/t_e to `ord_along` for every class; the reference is the membership
-loop with fresh supports.
+reference is the fixed-point iteration it replaced.  `CycCache.t` is
+built the same on a warm cache as on a cold one.
+`CycCache.validate_coordinate` classifies the norm and the denominator
+of t_e once each and reads every class bound in closed form; the
+reference is the membership loop with fresh supports.  `FuncElt.lead_e`
+reads the leading coefficient at e off degrees; the reference is the
+expansion.  The default x/y coordinate is built as c x y / rhs in one
+constructor; the reference is (x / y) * c.
 """
 
 import contextlib
@@ -223,10 +226,10 @@ def test_validate_coordinate_matches_the_reference(ci, scale):
 
 
 def _products_in_ord_along(monkeypatch):
-    """The `FuncElt` products made inside `CycCache.ord_along` from now
-    on."""
+    """The `FuncElt` products made inside the closed form
+    `CycCache._ord_along` from now on."""
     products, inside = [], []
-    ord_along, mul = CycCache.ord_along, FuncElt.__mul__
+    ord_along, mul = CycCache._ord_along, FuncElt.__mul__
 
     def spy_ord(self, *args, **kwargs):
         inside.append(True)
@@ -240,7 +243,7 @@ def _products_in_ord_along(monkeypatch):
             products.append((self, other))
         return mul(self, other)
 
-    monkeypatch.setattr(CycCache, "ord_along", spy_ord)
+    monkeypatch.setattr(CycCache, "_ord_along", spy_ord)
     monkeypatch.setattr(FuncElt, "__mul__", spy_mul)
     return products
 
@@ -261,9 +264,9 @@ def test_validate_a_mixed_custom_coordinate(monkeypatch):
 
 
 def test_a_mixed_coordinate_classifies_each_element_once(monkeypatch):
-    # validate_coordinate hands its pole supports to ord_along, so
-    # validating (y - x - 1) / x^2 finds the support of each of t_e and
-    # 1/t_e once, not once per class
+    # the norm and the denominator of t_e hold every zero and pole off e,
+    # so validating (y - x - 1) / x^2 classifies those two polynomials and
+    # finds no pole support: their classification is the refusal
     curve = CURVES[1]
     base = FuncElt(curve, Poly((-1, -1)), Poly((1,)), Poly((0, 0, 1)))
     products = _products_in_ord_along(monkeypatch)
@@ -280,9 +283,8 @@ def test_a_mixed_coordinate_classifies_each_element_once(monkeypatch):
     cache = CycCache(curve, Coordinate(curve, base=base))
     report = cache.validate_coordinate()
     assert report["profile"] == {2: (0, 1), 3: (2, 0), 6: (0, 1)}
-    assert supported == [base, base.inverse()]
-    # the two norm and denominator classifications, then one per support
-    assert len(classified) == 4
+    assert supported == []
+    assert classified == [base.norm_poly(), base.d]
     assert products == []
     # an element with a pole off the torsion classes is still refused,
     # by ord_along's own support and by principal_part's
@@ -344,10 +346,10 @@ def test_a_fresh_theory_runs_the_chart_at_most_twice(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main([command, "--config", str(path)]) == 0
         runs.append(len(widths) - before)
-    # serre asks for widths 4, then 8 and 10 for diff_factor; completion
-    # up to k + 2; the second serre pays again, since nothing outlives a
-    # cli.main call
-    assert runs == [2, 2, 1, 2]
+    # serre validates each t_s at width 3 and reads kappa off degrees;
+    # completion widens to k + 2; the second serre pays again, since
+    # nothing outlives a cli.main call
+    assert runs == [1, 2, 1, 1]
 
 
 # curves with and without denominators, and the coordinate scales the CLI
@@ -444,3 +446,31 @@ def test_t_is_the_same_from_a_cold_and_a_warm_cache():
         base = warm.coordinate.base
         for prec in (1, 2, 3, 8):
             assert warm.base_series(prec) == expand_at_e(base, prec), (curve, prec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, len(CURVES) - 1), st.sampled_from(["pure", "mixed", "denominator"]),
+       _poly(8), _poly(6), _monic)
+def test_lead_e_is_the_leading_coefficient_of_the_expansion(ci, kind, u, v, d):
+    # pure elements have d = 1, mixed ones u and v both nonzero (so both
+    # parities of the pole order compete), and denominator elements any d
+    cache = CACHES[ci]
+    if kind == "pure":
+        d = Poly.const(1)
+    elif kind == "mixed":
+        u, v = u + Poly.x_power(u.degree + 1), v + Poly.x_power(v.degree + 1, Q(-2))
+    elt = FuncElt(cache.curve, u, v, d)
+    if elt.is_zero():
+        return
+    assert elt.lead_e() == cache.expand(elt, 1).coeffs[0], elt
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("ci", range(len(CURVES)))
+def test_the_default_coordinate_is_x_over_y_times_the_scale(ci, scale):
+    # c x y / rhs in one constructor is (x / y) * c, also where x divides
+    # rhs (b = 0) and the constructor's gcd leaves c y / (x^2 + a)
+    curve = CURVES[ci]
+    base = Coordinate(curve, scale=scale).base
+    assert base == (curve.x() / curve.y()) * scale
+    assert base.lead_e() == scale
