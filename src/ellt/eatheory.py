@@ -173,8 +173,8 @@ class EllipticGroupData:
     Vertices are Riemann-Roch spaces of the cap divisor, torsion windows
     are pole-depth quotients along one class, and the blocks of the
     structure map are frame sweeps.  One instance memoises quotient
-    windows across assemblies; that reuse is what keeps sweeps over many
-    weights affordable.
+    windows and block multipliers across assemblies; that reuse is what
+    keeps sweeps over many weights affordable.
     """
 
     def __init__(self, cache: CycCache):
@@ -183,7 +183,7 @@ class EllipticGroupData:
         self.touched = tuple(report["classes"])
         self.profile = dict(report["profile"])
         self._windows: dict = {}
-        self._base_powers: dict = {}
+        self._multipliers: dict = {}
 
     @staticmethod
     def default_caps(exp: dict) -> dict:
@@ -204,13 +204,25 @@ class EllipticGroupData:
 
     def twist(self, s: int, w: int) -> FuncElt:
         """t_s ** w: t*(w A<s>), or for s = 1, which t_star ignores, the
-        coordinate's power, memoised per w for every assembly that needs it."""
+        coordinate's power."""
         if s != 1:
             return self.cache.t_star(single_class(s, w))
-        power = self._base_powers.get(w)
-        if power is None:
-            power = self._base_powers[w] = self.cache.coordinate.base ** w
-        return power
+        return self.cache.coordinate.base ** w
+
+    def multiplier(self, s: int, w: int, exps: dict) -> FuncElt:
+        """t*(exps), times twist(1, w) for s = 1: the pure block multiplier,
+        memoised once per distinct value (w is in exps unless s = 1).  One
+        with poles off e is refused and never stored."""
+        key = (w if s == 1 else 0, tuple(sorted(exps.items())))
+        out = self._multipliers.get(key)
+        if out is None:
+            out = self.cache.t_star(TorsionDivisor(exps))
+            if s == 1 and w:
+                out = self.twist(1, w) * out
+            if not out.is_pure():
+                raise ValidationFailed("block multiplier must have poles only at e")
+            self._multipliers[key] = out
+        return out
 
     def setup(self, exp: dict, caps: dict) -> "_EllipticAssembly":
         return _EllipticAssembly(self, exp, caps)
@@ -288,15 +300,9 @@ class _EllipticAssembly:
         Collecting integer exponents first keeps the exact cancellation
         against t*(E) out of the function field arithmetic.
         """
-        cache = self.cache
-        exps = {r: c - self.caps.get(r, 0) + (w if r == s else 0)
-                for r, c in win.divisor.coeffs.items() if r >= 2}
-        out = cache.t_star(TorsionDivisor(exps))
-        if s == 1 and w:
-            out = self.backend.twist(1, w) * out
-        if not out.is_pure():
-            raise ValidationFailed("block multiplier must have poles only at e")
-        return out
+        return self.backend.multiplier(s, w, {
+            r: c - self.caps.get(r, 0) + (w if r == s else 0)
+            for r, c in win.divisor.coeffs.items() if r >= 2})
 
     def block_matrix(self, s: int) -> tuple[tuple, ...]:
         win, mult = self._block(s)

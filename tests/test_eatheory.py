@@ -596,19 +596,34 @@ class TestFrameAssembly:
                         st.integers(min_value=1, max_value=2), min_size=1, max_size=3),
     )
     def test_blocks_match_the_product_path(self, e1, e2, e1_scaled, which, exp, caps):
+        """Twice on one backend: the second assembly reads every multiplier
+        from the memo, and memo hits must match the product path too."""
         theory = {"e1": e1, "e2": e2, "scaled": e1_scaled}[which]
         curve = theory.curve
-        ctx = theory.backend.setup(exp, caps)
-        for s, _, rows in ctx.blocks:
-            win, mult = ctx._block(s)
-            assert mult == _product_multiplier(ctx, s, win)
-            reference = reference_reducers(win)
-            columns = [
-                reference_sweep(reference, reference_ladder_frames(
-                    monomial(curve, k) * mult, 1, win.frame_dim)[0])
-                for k in range(ctx.source_dim)
-            ]
-            assert ctx.block_matrix(s) == Matrix(tuple(zip(*columns))).entries
+        first = {}
+        for _ in range(2):
+            ctx = theory.backend.setup(exp, caps)
+            for s, _, rows in ctx.blocks:
+                win, mult = ctx._block(s)
+                assert first.setdefault(s, mult) is mult
+                assert mult == _product_multiplier(ctx, s, win)
+                reference = reference_reducers(win)
+                columns = [
+                    reference_sweep(reference, reference_ladder_frames(
+                        monomial(curve, k) * mult, 1, win.frame_dim)[0])
+                    for k in range(ctx.source_dim)
+                ]
+                assert ctx.block_matrix(s) == Matrix(tuple(zip(*columns))).entries
+
+    def test_an_impure_multiplier_is_refused_and_not_stored(self):
+        backend = build_ea((-1, 0)).backend
+        stored = dict(backend._multipliers)
+        # 1/t_2 has its poles on A[2]; t_e = x/y on the 2-torsion too
+        for s, w, exps in ((2, 0, {2: -1}), (1, 1, {})):
+            for _ in range(2):
+                with pytest.raises(ValidationFailed, match="poles only at e"):
+                    backend.multiplier(s, w, exps)
+        assert backend._multipliers == stored
 
     def test_warm_assembly_makes_no_function_field_products(self, monkeypatch):
         theory = build_ea((-1, 0))
@@ -629,6 +644,13 @@ class TestFrameAssembly:
         assert all(len(ctx.block_matrix(s)) == rows for s, _, rows in ctx.blocks)
         assert len(ctx.blocks) == 4 and products == []
         assert len(section.frame_rows(target)) == section.dim and products == []
+        # another weight with the same twist at e: a new assembly whose
+        # class-1 block shares (s, w, exps), so its multiplier t_e * t*(...)
+        # comes from the memo, not from a product
+        other = theory.backend.setup({**ctx.exp, 3: ctx.exp[3] + 1}, caps)
+        assert other.exp[1] == ctx.exp[1] == 1
+        assert len(other.block_matrix(1)) == ctx.blocks[0][2] and products == []
+        assert other._block(1)[1] is ctx._block(1)[1]
 
     def test_warm_window_builds_no_public_matrix(self, monkeypatch):
         theory = build_ea((-1, 0))

@@ -12,7 +12,8 @@ and class residues; membership tests live only in the test reference
 `tests/valuation_reference.py`).  The leading coefficient of t_e, which
 scales every t_s and gives kappa, is read off degrees (`FuncElt.lead_e`),
 never off a series, and series derivatives live only in the test
-reference `tests/residue_reference.py`.  A second copy drifts from the first;
+reference `tests/residue_reference.py`.  Block multipliers are memoised
+in one place (`eatheory.EllipticGroupData`).  A second copy drifts from the first;
 this walks the same source as `test_no_asserts.py` and names every copy
 it finds."""
 
@@ -142,3 +143,23 @@ def test_ord_along_takes_no_support():
 
     assert _homes(ord_along) == ["curvefield.py:CycCache"]
     assert _homes(takes_support) == []
+
+
+def test_one_multiplier_memo():
+    def memo(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr == "_multipliers"
+
+    def writes_memo(node):
+        if isinstance(node, ast.Assign):
+            return any(memo(target) for target in node.targets)
+        if isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            return memo(node.target)
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and memo(node.func.value)
+                and node.func.attr in {"setdefault", "update", "pop", "popitem", "clear"})
+
+    writers = _homes(writes_memo)
+    assert writers and all(home.startswith("eatheory.py:EllipticGroupData.")
+                           for home in writers), writers
