@@ -769,8 +769,8 @@ class LocalCohomology:
 def local_cohomology(theory: EATheory, pi, a: int = 1) -> LocalCohomology:
     """Sections supported on the order-pi points, thickened a times.
 
-    The window at the weight -a on those classes computes it: no kernel,
-    and one odd class per point per thickening level.
+    The window at the weight -a on those classes computes it: no kernel
+    (the rank shows it, none is built), one odd class per point per level.
     """
     pi = sorted({_label(n) for n in pi})
     if not pi or pi[0] < 1:

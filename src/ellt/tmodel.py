@@ -5,17 +5,17 @@ a backend (the "group data") that knows how to produce global sections
 with bounded poles and finite windows onto each isogeny class, and a
 weight function recording how far the object has been twisted away from
 the unit object.  This module is generic: it assembles backend windows
-into explicit matrices over Q, reads off kernel (Hom) and cokernel (Ext)
-windows, and certifies when the finite window already shows the stable
-answer.  Backends live in their own modules and are duck-typed; the
-contract is spelled out on `QWindow`.
+into explicit matrices over Q, reads Hom and Ext dimensions off one rank,
+builds kernel vectors only when read, and certifies when the finite window
+already shows the stable answer.  Backends live in their own modules and
+are duck-typed; the contract is spelled out on `QWindow`.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import CapTooSmall
+from .errors import CapTooSmall, ValidationFailed
 from .exactcore import (
     Matrix,
     QONE,
@@ -281,8 +281,9 @@ class QWindow:
 
     The window is the matrix of the structure map from a vertex of global
     sections (poles capped classwise by `caps`) to the direct sum of one
-    torsion window per class where the cap exceeds the weight.  Kernel
-    vectors present the Hom window, uncovered rows present the Ext window.
+    torsion window per class where the cap exceeds the weight.  Its rank
+    gives both dimensions; kernel vectors (built on first read) present the
+    Hom window, uncovered rows present the Ext window.
     `certified` records whether the caps dominate the weight everywhere,
     which is exactly when these windows compute the stable answer.
 
@@ -311,9 +312,7 @@ class QWindow:
         self.group = group
         self.weight = weight
         self.caps = caps
-        self.twist = weight.tail
-        ctx = group.setup(exp, caps)
-        self.ctx = ctx
+        self.ctx = ctx = group.setup(exp, caps)
         self.source_dim = ctx.source_dim
         self.blocks = []  # (s, depth, rows, row offset)
         offset = 0
@@ -321,23 +320,16 @@ class QWindow:
             self.blocks.append((s, depth, rows, offset))
             offset += rows
         self.total_rows = offset
+        entries = []
         if self.total_rows and self.source_dim:
-            entries = []
             for s, depth, rows, _ in self.blocks:
                 block = ctx.block_matrix(s)
                 if len(block) != rows or any(len(row) != self.source_dim for row in block):
                     raise ValueError(f"backend block at class {s} has wrong shape")
                 entries.extend(block)
-            self.rows = tuple(entries)
-            self.kernel, self.rank = kernel_and_image(self.rows)
-        else:
-            # no conditions at all: everything in the vertex is a cycle
-            self.rows = ()
-            self.rank = 0
-            n = self.source_dim
-            self.kernel = [(QZERO,) * k + (QONE,) + (QZERO,) * (n - k - 1)
-                           for k in range(n)]
-        self.hom_dim = len(self.kernel)
+        self.rows = tuple(entries)
+        self.rank = matrix_rank(self.rows) if self.rows else 0
+        self.hom_dim = self.source_dim - self.rank
         self.ext_dim = self.total_rows - self.rank
         self.certified = bool(ctx.certified)
         self._uncovered = None
@@ -348,6 +340,16 @@ class QWindow:
         read; None when the window has no conditions."""
         return Matrix(self.rows) if self.rows else None
 
+    @cached_property
+    def kernel(self) -> list[tuple]:
+        """Hom window basis, built on first read (unit vectors if nothing is imposed)."""
+        n = self.source_dim
+        kernel = (kernel_and_image(self.rows)[0] if self.rows
+                  else [(QZERO,) * k + (QONE,) + (QZERO,) * (n - k - 1) for k in range(n)])
+        if len(kernel) != self.hom_dim:
+            raise ValidationFailed(f"kernel has {len(kernel)} vectors, rank leaves {self.hom_dim}")
+        return kernel
+
     def block_rows(self, s: int) -> tuple[int, int]:
         for cls, _, rows, offset in self.blocks:
             if cls == s:
@@ -357,9 +359,7 @@ class QWindow:
     def block_surjective(self, s: int) -> bool:
         """Whether the window map covers the class-s torsion window alone."""
         offset, rows = self.block_rows(s)
-        if rows == 0:
-            return True
-        return matrix_rank(self.rows[offset : offset + rows]) == rows
+        return rows == 0 or matrix_rank(self.rows[offset : offset + rows]) == rows
 
     def uncovered_rows(self) -> list[int]:
         """Rows outside the image; their unit vectors present the cokernel.

@@ -13,7 +13,7 @@ from ellt.curvefield import (
     h_dims,
     monomial,
 )
-from ellt import tmodel
+from ellt import eatheory, tmodel
 from ellt.eatheory import (
     CompletionModule,
     EATheory,
@@ -109,11 +109,12 @@ class TestConstruction:
         with pytest.raises(ValidationFailed, match=message):
             build_ea((0, 1))
 
-    def test_check_assembles_nine_blocks_and_one_kernel(self, monkeypatch):
+    def test_check_assembles_nine_blocks_and_no_kernel(self, monkeypatch):
         """The base window is the one full window; each of the eight spot
-        checks assembles only the block it reads, so a build runs one
-        kernel and nine block assemblies instead of nine and seventeen."""
-        calls = {"block_matrix": 0, "kernel_and_image": 0}
+        checks assembles only the block it reads, so a build runs nine
+        block assemblies and nine ranks.  Every check reads dimensions
+        only, so no kernel basis is built."""
+        calls = {"block_matrix": 0, "matrix_rank": 0, "kernel_and_image": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -125,8 +126,59 @@ class TestConstruction:
                             counted("block_matrix", _EllipticAssembly.block_matrix))
         monkeypatch.setattr(tmodel, "kernel_and_image",
                             counted("kernel_and_image", tmodel.kernel_and_image))
+        for module in (tmodel, eatheory):
+            monkeypatch.setattr(module, "matrix_rank",
+                                counted("matrix_rank", module.matrix_rank))
         build_ea((0, 1))
-        assert calls == {"block_matrix": 9, "kernel_and_image": 1}
+        assert calls == {"block_matrix": 9, "matrix_rank": 9, "kernel_and_image": 0}
+
+
+class TestKernelOnRead:
+    """Dimensions come from one rank; a kernel basis is built only when a
+    caller reads kernel vectors, and then once per window."""
+
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        calls = []
+        real = tmodel.kernel_and_image
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(tmodel, "kernel_and_image", counted)
+        return calls
+
+    def test_dimension_reads_build_no_kernel(self, e1, kernels):
+        win = e1.window({})
+        assert win.rows  # conditions, and a one-vector kernel left unbuilt
+        assert (win.rank, win.hom_dim, win.ext_dim, win.certified) == (0, 1, 1, True)
+        assert not win.block_surjective(1)
+        assert win.uncovered_rows() == [0]
+        h = sphere_homology(e1, {1: 3, 2: -1})
+        assert len(h.window.rows) == 3 and (h.h0, h.h1) == (0, 1)
+        assert stable_sphere_homology(e1, {1: 1}, {1: 2}).value == (1, 0)
+        assert local_cohomology(e1, [2]).dim == 4
+        assert kernels == []
+
+    @pytest.mark.parametrize("read", [
+        pytest.param(lambda h: h.window.kernel, id="kernel"),
+        pytest.param(lambda h: h.window.kernel_element(0), id="kernel_element"),
+        pytest.param(lambda h: h.h0_basis(), id="h0_basis"),
+    ])
+    def test_the_first_kernel_read_builds_it_once(self, e1, kernels, read):
+        h = sphere_homology(e1, {})
+        assert h.window.rows
+        first = read(h)
+        assert len(kernels) == 1
+        assert read(h) == first
+        assert len(kernels) == 1
+
+    def test_the_serre_ext_window_builds_no_kernel(self, e1, kernels):
+        # the sections window imposes no conditions, so its kernel is the
+        # unit vectors; the Ext window has rows but only its cokernel is read
+        assert serre_pairing(e1, {1: 1}).nondegenerate
+        assert kernels == []
 
 
 class TestSphereHomology:

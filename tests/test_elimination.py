@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellt.curvefield import Coordinate, WeierstrassCurve
+from ellt import tmodel
 from ellt.eatheory import build_ea
+from ellt.errors import ValidationFailed
 from ellt.exactcore import Matrix, Q, _echelon, kernel_and_image, matrix_rank, rref
+from ellt.tmodel import QWindow
 
 
 def reference_rref(rows, cols):
@@ -128,13 +131,60 @@ class TestWindowElimination:
     )
     def test_windows_match_the_fraction_reference(self, theories, which, weights, caps):
         win = theories[which].window(weights, caps or None)
+        rank, hom_dim, ext_dim = win.rank, win.hom_dim, win.ext_dim  # before the kernel
         if win.matrix is None:
-            assert win.rank == 0 and win.rows == ()
+            assert rank == 0 and win.rows == ()
+            assert (hom_dim, ext_dim) == (win.source_dim, win.total_rows)
+            assert win.kernel == _unit_vectors(win.source_dim)
             return
         rows, cols = win.matrix.entries, win.matrix.cols
-        assert (win.kernel, win.rank) == reference_kernel(rows, cols)
+        kernel, ref_rank = reference_kernel(rows, cols)
+        assert (rank, hom_dim, ext_dim) == (ref_rank, cols - ref_rank, len(rows) - ref_rank)
+        assert win.kernel == kernel and hom_dim == len(win.kernel)
         covered = reference_rref(list(zip(*rows)), len(rows))[1]
         assert win.uncovered_rows() == [r for r in range(len(rows)) if r not in covered]
         for s, _, count, offset in win.blocks:
             block = rows[offset : offset + count]
             assert win.block_surjective(s) == (reference_kernel(block, cols)[1] == count)
+
+    @pytest.mark.parametrize("source_dim, rows", [(0, 3), (2, 0), (0, 0)])
+    def test_windows_without_conditions(self, source_dim, rows):
+        # rows with an empty vertex, or a vertex with no blocks: the map is
+        # zero, so every row is uncovered and every unit vector a cycle
+        win = QWindow(_NoConditions(source_dim, rows), 0)
+        assert win.rows == () and win.matrix is None
+        assert (win.rank, win.hom_dim, win.ext_dim) == (0, source_dim, rows)
+        assert win.uncovered_rows() == list(range(rows))
+        assert win.kernel == _unit_vectors(source_dim)
+
+    def test_a_short_kernel_basis_is_refused(self, theories, monkeypatch):
+        win = theories["e1"].window({})
+        assert win.rows and win.hom_dim == 1
+        real = tmodel.kernel_and_image
+        monkeypatch.setattr(tmodel, "kernel_and_image",
+                            lambda rows: (real(rows)[0][:-1], real(rows)[1]))
+        with pytest.raises(ValidationFailed, match="kernel has 0 vectors"):
+            win.kernel
+
+
+def _unit_vectors(n):
+    return [tuple(Q(1 if i == k else 0) for i in range(n)) for k in range(n)]
+
+
+class _NoConditions:
+    """A backend whose windows impose nothing: `rows` torsion rows at one
+    class over a vertex of `source_dim` sections, and no block to assemble."""
+
+    def __init__(self, source_dim, rows):
+        self.source_dim = source_dim
+        self.blocks = [(1, 1, rows)] if rows else []
+        self.certified = True
+
+    def default_caps(self, exp):
+        return {}
+
+    def setup(self, exp, caps):
+        return self
+
+    def block_matrix(self, s):
+        raise AssertionError("a window without conditions assembles no block")

@@ -13,7 +13,9 @@ and class residues; membership tests live only in the test reference
 scales every t_s and gives kappa, is read off degrees (`FuncElt.lead_e`),
 never off a series, and series derivatives live only in the test
 reference `tests/residue_reference.py`.  Block multipliers are memoised
-in one place (`eatheory.EllipticGroupData`).  A second copy drifts from the first;
+in one place (`eatheory.EllipticGroupData`), and a window's kernel basis is
+built in one place (`tmodel.QWindow.kernel`, on first read; dimensions come
+from the rank).  A second copy drifts from the first;
 this walks the same source as `test_no_asserts.py` and names every copy
 it finds."""
 
@@ -163,3 +165,9 @@ def test_one_multiplier_memo():
     writers = _homes(writes_memo)
     assert writers and all(home.startswith("eatheory.py:EllipticGroupData.")
                            for home in writers), writers
+
+
+def test_one_kernel_basis():
+    # every other reader needs only dimensions, which the rank gives
+    assert _homes(lambda node: _is_call_of(node, "kernel_and_image")) == [
+        "tmodel.py:QWindow.kernel"]
