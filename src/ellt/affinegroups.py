@@ -17,6 +17,8 @@ and one residue window per cyclotomic factor of positive degree.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import ValidationFailed
 from .exactcore import (Poly, Q, QONE, _Frozen, _label, _whole, divisors_of, poly_gcd,
                         poly_inverse_mod, power)
@@ -282,7 +284,7 @@ class _AffineAssembly:
     def element(self, vec) -> LaurentFn:
         return LaurentFn(Poly(vec), self.denominator)
 
-    def block_matrix(self, s: int) -> tuple[tuple, ...]:
+    def block_matrix(self, s: int) -> tuple[int, tuple]:
         depth = self._depth[s]
         modulus = self.group.phi(s).pow(depth)
         other = _ONE
@@ -296,7 +298,9 @@ class _AffineAssembly:
         for j in range(self.source_dim):
             residue = (Poly.x_power(j) * inv_other) % modulus
             columns.append([residue.coeff(i) for i in range(rows)])
-        return tuple(zip(*columns))
+        den = lcm(*[c.denominator for column in columns for c in column])
+        return den, tuple(zip(*([c.numerator * (den // c.denominator) for c in column]
+                                for column in columns)))
 
     def torsion_rep(self, s: int, i: int) -> LaurentFn:
         # honest representative, untwisted back by phi^w: pole depth cap(s)

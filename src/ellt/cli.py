@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import cache
 from math import lcm
 
 from .affinegroups import AffineGroup, affine_sphere_module
@@ -656,7 +657,9 @@ def run(config: JobConfig, cache_path: str | None) -> dict:
 # entry point
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="ellt",
         description="exact windows on the elliptic model, one command per run",

@@ -1022,6 +1022,20 @@ def _rungs(u: tuple, v: tuple, vr: tuple, count: int, dim: int):
         yield top, lead, a, xs, ys
 
 
+def _place(dim: int, a: int, xs: tuple, ys: tuple) -> list[int]:
+    """The integer frame vector of one `_rungs` rung, of length dim."""
+    vec = [0] * dim
+    if xs:
+        if a:
+            vec[2 * a - 1:2 * (a + len(xs)) - 1:2] = xs
+        else:
+            vec[0] = xs[0]
+            vec[1:2 * len(xs) - 1:2] = xs[1:]
+    if ys:
+        vec[2 * a + 2:2 * (a + len(ys)) + 1:2] = ys
+    return vec
+
+
 def ladder_frames(h: FuncElt, count: int, dim: int) -> tuple[int, list[list[int]]]:
     """(den, rows): row k is den times the frame vector of m_k * h against
     the monomial ladder 1, x, y, x^2, xy, ..., for k < count, truncated
@@ -1030,19 +1044,7 @@ def ladder_frames(h: FuncElt, count: int, dim: int) -> tuple[int, list[list[int]
     field; an impure h or a term at slot `dim` or above raises
     ValueError."""
     den, *parts = _ladder_ints(h, count)
-    rows = []
-    for _, _, a, xs, ys in _rungs(*parts, count, dim):
-        vec = [0] * dim
-        if xs:
-            if a:
-                vec[2 * a - 1:2 * (a + len(xs)) - 1:2] = xs
-            else:
-                vec[0] = xs[0]
-                vec[1:2 * len(xs) - 1:2] = xs[1:]
-        if ys:
-            vec[2 * a + 2:2 * (a + len(ys)) + 1:2] = ys
-        rows.append(vec)
-    return den, rows
+    return den, [_place(dim, a, xs, ys) for _, _, a, xs, ys in _rungs(*parts, count, dim)]
 
 
 class QuotientWindow:
@@ -1062,7 +1064,9 @@ class QuotientWindow:
     u, v and v * rhs of t_s^depth (memoised by `CycCache.t_star`) are
     scaled to integer tuples over one denominator, and each reducer is
     its `_rungs` tuple (top, lead, a, xs, ys), with xs and ys pointing at
-    those shared tuples; sweeps run on Python ints (`_sweep_ints`).
+    those shared tuples; sweeps run on Python ints (`_sweep_ints`), and
+    `ladder_columns` hands a block's columns over as ints over one
+    denominator.
 
     When base = 0 and `others` has degree zero an auxiliary class is
     added, keeping the residual divisor G' of positive degree; this pads
@@ -1117,21 +1121,22 @@ class QuotientWindow:
         if not shifted.is_pure():
             raise UnsupportedPoles("element carries poles beyond the window divisor")
         try:
-            return self.ladder_columns(shifted, 1)[0]
+            den, (col,) = self.ladder_columns(_ladder_ints(shifted, 1), 1)
         except ValueError as exc:
             raise UnsupportedPoles(str(exc)) from None
+        return col if den == 1 else [Q(c, den) for c in col]
 
-    def ladder_columns(self, h: FuncElt, count: int) -> list[list]:
-        """Coordinates of m_k * h for k < count, for a pure h already
-        multiplied by the window shift: each integer `ladder_frames` row
-        is swept as integers, and an entry is a rational only where its
-        column's scale is not 1."""
-        den, rows = ladder_frames(h, count, self.frame_dim)
-        out = []
-        for vec in rows:
-            col, scale = self._sweep_ints(vec, den)
-            out.append(col if scale == 1 else [Q(c, scale) for c in col])
-        return out
+    def ladder_columns(self, ladder: tuple, count: int) -> tuple[int, list[list[int]]]:
+        """(den, columns): column k is den times the coordinates of m_k * h
+        for k < count, where ladder is `_ladder_ints(h, count)` of a pure h
+        already multiplied by the window shift; a term of some m_k * h at
+        slot frame_dim or above raises ValueError, as in `ladder_frames`."""
+        den, *parts = ladder
+        swept = [self._sweep_ints(_place(self.frame_dim, a, xs, ys), den)
+                 for _, _, a, xs, ys in _rungs(*parts, count, self.frame_dim)]
+        common = lcm(*(scale for _, scale in swept))
+        return common, [col if scale == common else [c * (common // scale) for c in col]
+                        for col, scale in swept]
 
     def _sweep_ints(self, vec: list[int], den: int) -> tuple[list[int], int]:
         """(integers, their denominator): the complement coordinates of

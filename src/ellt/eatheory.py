@@ -23,6 +23,7 @@ from .curvefield import (
     TorsionDivisor,
     WeierstrassCurve,
     _as_divisor,
+    _ladder_ints,
     exact_order_count,
     h_dims,
     principal_part,
@@ -173,8 +174,9 @@ class EllipticGroupData:
     Vertices are Riemann-Roch spaces of the cap divisor, torsion windows
     are pole-depth quotients along one class, and the blocks of the
     structure map are frame sweeps.  One instance memoises quotient
-    windows and block multipliers across assemblies; that reuse is what
-    keeps sweeps over many weights affordable.
+    windows and the integer ladders of block multipliers across
+    assemblies; that reuse is what keeps sweeps over many weights
+    affordable.  No block rows are kept.
     """
 
     def __init__(self, cache: CycCache):
@@ -209,10 +211,11 @@ class EllipticGroupData:
             return self.cache.t_star(single_class(s, w))
         return self.cache.coordinate.base ** w
 
-    def multiplier(self, s: int, w: int, exps: dict) -> FuncElt:
-        """t*(exps), times twist(1, w) for s = 1: the pure block multiplier,
-        memoised once per distinct value (w is in exps unless s = 1).  One
-        with poles off e is refused and never stored."""
+    def multiplier(self, s: int, w: int, exps: dict) -> tuple:
+        """The integer ladder `_ladder_ints` of t*(exps), times twist(1, w)
+        for s = 1: the pure block multiplier, memoised once per distinct
+        value (w is in exps unless s = 1).  One with poles off e is refused
+        and never stored."""
         key = (w if s == 1 else 0, tuple(sorted(exps.items())))
         out = self._multipliers.get(key)
         if out is None:
@@ -221,7 +224,7 @@ class EllipticGroupData:
                 out = self.twist(1, w) * out
             if not out.is_pure():
                 raise ValidationFailed("block multiplier must have poles only at e")
-            self._multipliers[key] = out
+            out = self._multipliers[key] = _ladder_ints(out, 3)
         return out
 
     def setup(self, exp: dict, caps: dict) -> "_EllipticAssembly":
@@ -235,7 +238,7 @@ class _EllipticAssembly:
     class s maps f to the class of t_s^{w(s)} f at depth cap(s) - w(s).
     Enclosures are chosen so the twist times the window shift cancels
     against t*(E) up to one explicit pure multiplier; every matrix entry
-    is then a frame sweep of a monomial times that multiplier.
+    is then a frame sweep of a monomial times that multiplier, on ints.
     """
 
     def __init__(self, backend: EllipticGroupData, exp: dict, caps: dict):
@@ -265,11 +268,11 @@ class _EllipticAssembly:
                        Poly.const(1))
         return pure * self.cache.t_star(self.cap_divisor.scale(-1))
 
-    def _block(self, s: int) -> tuple[QuotientWindow, FuncElt]:
+    def _block(self, s: int) -> tuple[QuotientWindow, tuple]:
+        """(window, multiplier ladder) of the class-s block."""
         built = self._built.get(s)
         if built is not None:
             return built
-        depth = next(d for cls, d, _ in self.blocks if cls == s)
         w = self.exp.get(s, 0)
         if s == 1:
             others = {r: c for r, c in self.caps.items() if r >= 2 and c}
@@ -288,25 +291,20 @@ class _EllipticAssembly:
             e_part = self.caps.get(1, 0) + max(w, 0) * exact_order_count(s)
             if e_part:
                 others[1] = e_part
-        win = self.backend.window(s, depth, TorsionDivisor(others))
-        mult = self._multiplier(s, w, win)
-        self._built[s] = (win, mult)
-        return win, mult
+        win = self.backend.window(s, self.caps.get(s, 0) - w, TorsionDivisor(others))
+        # the pure h with (twist * f_k) * win.shift = m_k * h for the vertex
+        # element f_k = m_k / t*(E), from integer exponents: the exact
+        # cancellation against t*(E) stays out of the function field
+        exps = {r: c - self.caps.get(r, 0) + (w if r == s else 0)
+                for r, c in win.divisor.coeffs.items() if r >= 2}
+        built = self._built[s] = (win, self.backend.multiplier(s, w, exps))
+        return built
 
-    def _multiplier(self, s: int, w: int, win: QuotientWindow) -> FuncElt:
-        """Pure element h with (twist * f_k) * win.shift = m_k * h for the
-        k-th vertex element f_k = m_k / t*(E).
-
-        Collecting integer exponents first keeps the exact cancellation
-        against t*(E) out of the function field arithmetic.
-        """
-        return self.backend.multiplier(s, w, {
-            r: c - self.caps.get(r, 0) + (w if r == s else 0)
-            for r, c in win.divisor.coeffs.items() if r >= 2})
-
-    def block_matrix(self, s: int) -> tuple[tuple, ...]:
-        win, mult = self._block(s)
-        return tuple(zip(*win.ladder_columns(mult, self.source_dim)))
+    def block_matrix(self, s: int) -> tuple[int, tuple]:
+        """(den, rows): the class-s block is rows / den, rows of ints."""
+        win, ladder = self._block(s)
+        den, columns = win.ladder_columns(ladder, self.source_dim)
+        return den, tuple(zip(*columns))
 
     def torsion_rep(self, s: int, i: int) -> FuncElt:
         """Representative of the i-th window class pulled back through the
@@ -379,7 +377,7 @@ class EATheory:
                 caps = {1: depth, 2: 1} if s == 1 else {1: 2, s: depth}
                 ctx = self.backend.setup({}, caps)
                 rows = next(r for cls, _, r in ctx.blocks if cls == s)
-                block = ctx.block_matrix(s)
+                _, block = ctx.block_matrix(s)
                 if (len(block) != rows
                         or any(len(row) != ctx.source_dim for row in block)
                         or matrix_rank(block) != rows):

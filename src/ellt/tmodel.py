@@ -18,6 +18,7 @@ from functools import cached_property
 from .errors import CapTooSmall, ValidationFailed
 from .exactcore import (
     Matrix,
+    Q,
     QONE,
     QZERO,
     _echelon,
@@ -294,13 +295,15 @@ class QWindow:
           source_dim,
           element(vec)       -> vertex element of coordinate vector vec,
           blocks: ordered (s, depth, rows) triples,
-          block_matrix(s)    -> tuple of `rows` row tuples of length
-                                source_dim, entries exact rationals
-                                (Python ints allowed),
+          block_matrix(s)    -> (den, block): the block is block / den, for
+                                `rows` int row tuples of length source_dim
+                                and one int den >= 1,
           torsion_rep(s, i),
           certified: bool
 
-    Nothing here inspects or combines elements; the backend builds them.
+    Scaling rows changes no rank, kernel or uncovered row, so `rows` keeps
+    the integer rows and only `matrix`, the public edge, divides.  Nothing
+    here inspects or combines elements; the backend builds them.
     """
 
     def __init__(self, group, weight, caps=None):
@@ -320,13 +323,14 @@ class QWindow:
             self.blocks.append((s, depth, rows, offset))
             offset += rows
         self.total_rows = offset
-        entries = []
+        entries, self._dens = [], []
         if self.total_rows and self.source_dim:
             for s, depth, rows, _ in self.blocks:
-                block = ctx.block_matrix(s)
-                if len(block) != rows or any(len(row) != self.source_dim for row in block):
+                den, block = ctx.block_matrix(s)
+                if den < 1 or len(block) != rows or any(len(r) != self.source_dim for r in block):
                     raise ValueError(f"backend block at class {s} has wrong shape")
                 entries.extend(block)
+                self._dens += [den] * rows
         self.rows = tuple(entries)
         self.rank = matrix_rank(self.rows) if self.rows else 0
         self.hom_dim = self.source_dim - self.rank
@@ -336,9 +340,12 @@ class QWindow:
 
     @cached_property
     def matrix(self) -> Matrix | None:
-        """The stacked structure map as a public Matrix, built on first
-        read; None when the window has no conditions."""
-        return Matrix(self.rows) if self.rows else None
+        """The stacked structure map as a public Matrix (each row divided by
+        its block's den), built on first read; None when the window has no
+        conditions."""
+        rows = [row if den == 1 else [Q(c, den) for c in row]
+                for row, den in zip(self.rows, self._dens)]
+        return Matrix(rows) if rows else None
 
     @cached_property
     def kernel(self) -> list[tuple]:

@@ -1,6 +1,7 @@
 """The rational frame ladder and Fraction window sweep, kept as the
 reference the integer ladder (`curvefield.ladder_frames`,
-`QuotientWindow.ladder_columns` and `coords`) is tested against.
+`QuotientWindow.ladder_columns` and `coords`) and the integer block rows
+(`block_matrix`) are tested against.
 
 Frame vectors are placed slot by slot in Fractions, reducers are built
 from t_s ** depth and kept as the (slot, c / lead) pairs below a distinct
@@ -13,6 +14,7 @@ from math import lcm
 from ellt.curvefield import FuncElt
 from ellt.errors import EllTError, UnsupportedPoles
 from ellt.exactcore import Poly, QZERO
+from ellt.tmodel import dim_fn
 
 
 def reference_ladder_frames(h, count, dim):
@@ -98,6 +100,59 @@ def frame_element(win, vec):
     """sum_k vec[k] m_k / t*(win.divisor), the element whose frame vector
     in the window's frame is vec."""
     return pure_element(win.cache.curve, vec) * win.shift.inverse()
+
+
+def product_multiplier(ctx, s, win):
+    """The block multiplier as the product of t_r ** e over the window
+    divisor, the path the multiplier memo replaces."""
+    cache, w = ctx.cache, ctx.exp.get(s, 0)
+    out = cache.coordinate.base ** w if s == 1 and w else cache.curve.one()
+    for r, c in win.divisor.coeffs.items():
+        e = c - ctx.caps.get(r, 0) + (w if r == s else 0)
+        if r >= 2 and e:
+            out = out * cache.t(r) ** e
+    return out
+
+
+def reference_block(ctx, s):
+    """The class-s block of an elliptic assembly as Fraction rows: the
+    product multiplier's frame vectors, swept by the Fraction reducers."""
+    win = ctx._block(s)[0]
+    reference = reference_reducers(win)
+    columns = [reference_sweep(reference, vec) for vec in reference_ladder_frames(
+        product_multiplier(ctx, s, win), ctx.source_dim, win.frame_dim)]
+    return tuple(zip(*columns))
+
+
+def rational_rows(den, rows):
+    """Integer rows over one denominator, read back as Fraction rows; a
+    non-int entry or a denominator below 1 is refused."""
+    if den < 1 or any(type(c) is not int for row in rows for c in row):
+        raise TypeError(f"expected int rows over a positive den, got {den!r}")
+    return tuple(tuple(Fraction(c, den) for c in row) for row in rows)
+
+
+def weight_family(max_class, budget):
+    """Every weight on classes <= max_class with total |a_n| <= budget."""
+    family = [{}]
+    for n in range(1, max_class + 1):
+        family = [{**w, n: a} if a else w for w in family for a in range(-budget, budget + 1)
+                  if sum(map(abs, w.values())) + abs(a) <= budget]
+    return family
+
+
+def sweep_windows(theory):
+    """The windows of one sweep pass (the `rr_sweep` benchmark's): every
+    weight of size <= 3 on classes <= 6 at its default caps (its negative
+    is in the family too, so homology and cohomology are both covered),
+    and every weight of size <= 2 on classes <= 3 at its default caps
+    plus 0, 1 and 2, the stabilisation probes."""
+    windows = [theory.window(w) for w in weight_family(6, 3)]
+    for w in weight_family(3, 2):
+        caps = theory.backend.default_caps(dim_fn(w).exponent_map())
+        windows += [theory.window(w, {s: c + bump for s, c in caps.items()})
+                    for bump in (0, 1, 2)]
+    return windows
 
 
 def outcome(compute):

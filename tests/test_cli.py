@@ -676,6 +676,29 @@ class TestOutput:
     def test_unknown_command_exits_one(self, capsys):
         assert main(["transmogrify", "--config", "x.json"]) == 1
 
+    def test_successive_calls_share_one_parser(self, tmp_path, capsys):
+        # the parser is built once per process; help, a bad flag and every
+        # exit code in between leave the next call's report and code alone
+        ok = {**E1, "params": {"W": {"1": 1, "3": 1}}}
+        small_caps = {**E1, "params": {"W": {"3": 2}, "caps": {"1": 2}}}
+        degenerate = {**E1, "params": {"divisor": {}}}
+        assert cli._build_parser() is cli._build_parser()
+        runs = []
+        for _ in range(2):
+            codes = [run_cli(tmp_path, "dims", ok)]
+            report = capsys.readouterr().out
+            codes += [main(["--help"])]
+            help_text = capsys.readouterr().out
+            codes += [main(["dims", "--config", write_config(tmp_path, ok), "--bogus"]),
+                      run_cli(tmp_path, "dims", small_caps),
+                      run_cli(tmp_path, "serre", degenerate),
+                      run_cli(tmp_path, "dims", ok)]
+            captured = capsys.readouterr()
+            runs.append((codes, report, help_text, captured.out))
+        assert runs[0][0] == [0, 0, 1, 2, 3, 0]
+        assert runs[0][1] == runs[0][3] and "usage: ellt" in runs[0][2]
+        assert runs[1] == runs[0]
+
 
 # a valid value for every required param of every command
 REQUIRED = {

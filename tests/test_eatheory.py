@@ -10,6 +10,7 @@ from ellt.curvefield import (
     FuncElt,
     TorsionDivisor,
     WeierstrassCurve,
+    _ladder_ints,
     h_dims,
     monomial,
 )
@@ -36,7 +37,8 @@ from ellt.errors import CapTooSmall, UnsupportedPoles, ValidationFailed
 from ellt.exactcore import Matrix, Q, matrix_rank
 from ellt.sheafside import OpenSet, sections
 from ellt.tmodel import EulerClassSymbol, Representation, dim_fn, suspend
-from ladder_reference import reference_ladder_frames, reference_reducers, reference_sweep
+from ladder_reference import (product_multiplier, rational_rows, reference_ladder_frames,
+                              reference_reducers, reference_sweep)
 
 
 @pytest.fixture(scope="module")
@@ -95,14 +97,14 @@ class TestConstruction:
         honest = _EllipticAssembly.block_matrix
 
         def faulty(self, cls):
-            block = honest(self, cls)
+            den, block = honest(self, cls)
             if cls != s or self.caps != caps:
-                return block
+                return den, block
             if fault == "rank":
-                return block[:-1] + ((0,) * len(block[-1]),)
+                return den, block[:-1] + ((0,) * len(block[-1]),)
             if fault == "rows":
-                return block + block[-1:]
-            return tuple(row + (0,) for row in block)
+                return den, block + block[-1:]
+            return den, tuple(row + (0,) for row in block)
 
         monkeypatch.setattr(_EllipticAssembly, "block_matrix", faulty)
         message = f"structure map misses the class-{s} window at depth {depth}"
@@ -617,18 +619,6 @@ class TestTorsionClass:
         assert cls.text().startswith("class 3 depth 1 weight -1: [1/2, ")
 
 
-def _product_multiplier(ctx, s, win):
-    """The block multiplier as the product of t_r ** e over the window
-    divisor, the path `_multiplier` replaces."""
-    cache, w = ctx.cache, ctx.exp.get(s, 0)
-    out = cache.coordinate.base ** w if s == 1 and w else cache.curve.one()
-    for r, c in win.divisor.coeffs.items():
-        e = c - ctx.caps.get(r, 0) + (w if r == s else 0)
-        if r >= 2 and e:
-            out = out * cache.t(r) ** e
-    return out
-
-
 @pytest.fixture(scope="module")
 def e1_scaled():
     curve = WeierstrassCurve(-1, 0)
@@ -658,14 +648,15 @@ class TestFrameAssembly:
             for s, _, rows in ctx.blocks:
                 win, mult = ctx._block(s)
                 assert first.setdefault(s, mult) is mult
-                assert mult == _product_multiplier(ctx, s, win)
+                product = product_multiplier(ctx, s, win)
+                assert mult == _ladder_ints(product, 3)
                 reference = reference_reducers(win)
                 columns = [
                     reference_sweep(reference, reference_ladder_frames(
-                        monomial(curve, k) * mult, 1, win.frame_dim)[0])
+                        monomial(curve, k) * product, 1, win.frame_dim)[0])
                     for k in range(ctx.source_dim)
                 ]
-                assert ctx.block_matrix(s) == Matrix(tuple(zip(*columns))).entries
+                assert rational_rows(*ctx.block_matrix(s)) == Matrix(tuple(zip(*columns))).entries
 
     def test_an_impure_multiplier_is_refused_and_not_stored(self):
         backend = build_ea((-1, 0)).backend
@@ -693,7 +684,7 @@ class TestFrameAssembly:
             return original(self, other)
 
         monkeypatch.setattr(FuncElt, "__mul__", counted)
-        assert all(len(ctx.block_matrix(s)) == rows for s, _, rows in ctx.blocks)
+        assert all(len(ctx.block_matrix(s)[1]) == rows for s, _, rows in ctx.blocks)
         assert len(ctx.blocks) == 4 and products == []
         assert len(section.frame_rows(target)) == section.dim and products == []
         # another weight with the same twist at e: a new assembly whose
@@ -701,7 +692,7 @@ class TestFrameAssembly:
         # comes from the memo, not from a product
         other = theory.backend.setup({**ctx.exp, 3: ctx.exp[3] + 1}, caps)
         assert other.exp[1] == ctx.exp[1] == 1
-        assert len(other.block_matrix(1)) == ctx.blocks[0][2] and products == []
+        assert len(other.block_matrix(1)[1]) == ctx.blocks[0][2] and products == []
         assert other._block(1)[1] is ctx._block(1)[1]
 
     def test_warm_window_builds_no_public_matrix(self, monkeypatch):

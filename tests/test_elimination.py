@@ -15,6 +15,7 @@ from ellt.eatheory import build_ea
 from ellt.errors import ValidationFailed
 from ellt.exactcore import Matrix, Q, _echelon, kernel_and_image, matrix_rank, rref
 from ellt.tmodel import QWindow
+from ladder_reference import reference_block, sweep_windows, weight_family
 
 
 def reference_rref(rows, cols):
@@ -188,3 +189,37 @@ class _NoConditions:
 
     def block_matrix(self, s):
         raise AssertionError("a window without conditions assembles no block")
+
+
+class TestSweepFamily:
+    """Every window of a sweep pass on two curves and of the construction
+    check, against the Fraction reference: the public matrix from the
+    product multiplier and the Fraction sweep, then rank, kernel and
+    uncovered rows by Gauss-Jordan on that matrix."""
+
+    @staticmethod
+    def _check(win):
+        rows = [row for s, *_ in win.blocks for row in reference_block(win.ctx, s)]
+        if not (win.total_rows and win.source_dim):
+            assert win.rows == () and win.matrix is None and win.rank == 0
+            return
+        assert all(type(c) is int for row in win.rows for c in row)
+        assert win.matrix.entries == tuple(rows)
+        kernel, rank = reference_kernel(rows, win.source_dim)
+        assert win.rank == rank and win.kernel == kernel
+        covered = reference_rref(list(zip(*rows)), len(rows))[1]
+        assert win.uncovered_rows() == [r for r in range(len(rows)) if r not in covered]
+
+    @pytest.mark.parametrize("curve", [(-1, 0), (0, 1)])
+    def test_sweep_windows_match_the_fraction_reference(self, curve):
+        windows = sweep_windows(build_ea(curve))
+        assert len(windows) == len(weight_family(6, 3)) + 3 * len(weight_family(3, 2)) == 452
+        for win in windows:
+            self._check(win)
+
+    def test_construction_check_windows_match_the_fraction_reference(self, theories):
+        for theory in theories.values():
+            self._check(theory.window(0))
+            for s in (1, 2, 3, 4):
+                for depth in (1, 2):
+                    self._check(theory.window(0, {1: depth, 2: 1} if s == 1 else {1: 2, s: depth}))

@@ -5,9 +5,10 @@ vectors placed slot by slot, reducers built from t_s ** depth and kept as
 the (slot, c / lead) Fraction pairs below a distinct top, and a sweep
 that subtracts c times those pairs.  The library scales t_s^depth, each
 block multiplier and each shifted element to integers over one
-denominator and sweeps them fraction-free; every coordinate, block row,
-kernel, rank and uncovered row must agree with the references, and so
-must every refusal.
+denominator, sweeps them fraction-free and hands each block over as
+integer rows over one denominator; every coordinate, block row, kernel,
+rank and uncovered row must agree with the references, and so must every
+refusal.
 """
 
 from fractions import Fraction
@@ -23,6 +24,7 @@ from ellt.curvefield import (
     QuotientWindow,
     TorsionDivisor,
     WeierstrassCurve,
+    _ladder_ints,
     exact_order_count,
 )
 from ellt.eatheory import EATheory
@@ -33,6 +35,8 @@ from ladder_reference import (
     frame_element,
     outcome as _outcome,
     pure_element,
+    rational_rows,
+    reference_block,
     reference_coords,
     reference_ladder_frames,
     reference_reducers,
@@ -103,6 +107,12 @@ def _enclosure(s):
 _coefficient = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
+def _columns(win, h, count):
+    """`ladder_columns` of the ladder of h, read back as Fractions."""
+    den, columns = win.ladder_columns(_ladder_ints(h, count), count)
+    return list(map(list, rational_rows(den, columns)))
+
+
 class TestWindowSweep:
     @settings(max_examples=40, deadline=None)
     @given(windows(), st.data())
@@ -113,7 +123,7 @@ class TestWindowSweep:
         assert win.complement == reference[1]
         vec = data.draw(st.lists(_coefficient, min_size=win.frame_dim, max_size=win.frame_dim))
         g = pure_element(caches[i].curve, vec)
-        assert win.ladder_columns(g, 1) == [reference_sweep(reference, vec)]
+        assert _columns(win, g, 1) == [reference_sweep(reference, vec)]
 
     @settings(max_examples=40, deadline=None)
     @given(windows(40), st.data())
@@ -169,7 +179,24 @@ class TestBlockColumns:
         expected = _outcome(lambda: [
             reference_sweep(reference, vec)
             for vec in reference_ladder_frames(h, count, win.frame_dim)])
-        assert _outcome(lambda: win.ladder_columns(h, count)) == expected
+        assert _outcome(lambda: _columns(win, h, count)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(windows(48), st.data())
+    def test_columns_of_drawn_windows_match_the_fraction_ladder(self, caches, window_of,
+                                                                 window, data):
+        # any class, base and enclosure, with counts past the frame: the
+        # first rung that leaves the frame is refused as the ladder refuses it
+        i, s, depth, base, others = window
+        win, reference = window_of(i, s, depth, others, base)
+        top = data.draw(st.integers(0, min(win.frame_dim - 1, 12)))
+        vec = data.draw(st.lists(_coefficient, min_size=top + 1, max_size=top + 1))
+        h = pure_element(caches[i].curve, vec)
+        count = data.draw(st.integers(0, win.frame_dim - top + 2))
+        expected = _outcome(lambda: [
+            reference_sweep(reference, frame)
+            for frame in reference_ladder_frames(h, count, win.frame_dim)])
+        assert _outcome(lambda: _columns(win, h, count)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, SCALED),
@@ -182,15 +209,12 @@ class TestBlockColumns:
         ctx = window.ctx
         rows = []
         for s, _, _ in ctx.blocks:
-            win, mult = ctx._block(s)
-            reference = reference_reducers(win)
-            columns = [reference_sweep(reference, vec)
-                       for vec in reference_ladder_frames(mult, ctx.source_dim, win.frame_dim)]
-            block = tuple(zip(*columns))
-            assert ctx.block_matrix(s) == block
+            block = reference_block(ctx, s)
+            assert rational_rows(*ctx.block_matrix(s)) == block
             rows.extend(block)
-        assert window.rows == tuple(rows)
+        assert all(type(c) is int for row in window.rows for c in row)
         if rows and ctx.source_dim:
+            assert window.matrix.entries == Matrix(tuple(rows)).entries
             kernel, rank = kernel_and_image(Matrix(tuple(rows)))
             assert (window.kernel, window.rank) == (kernel, rank)
             covered = rref(Matrix(tuple(rows)).transpose())[1]
@@ -224,4 +248,4 @@ class TestRefusals:
         for h, count in ((x + y, 3), (x ** 3, 1), (x.inverse(), 1)):
             expected = _outcome(lambda: reference_ladder_frames(h, count, win.frame_dim))
             assert expected[0] == "ValueError"
-            assert _outcome(lambda: win.ladder_columns(h, count)) == expected
+            assert _outcome(lambda: _columns(win, h, count)) == expected

@@ -15,12 +15,20 @@ never off a series, and series derivatives live only in the test
 reference `tests/residue_reference.py`.  Block multipliers are memoised
 in one place (`eatheory.EllipticGroupData`), and a window's kernel basis is
 built in one place (`tmodel.QWindow.kernel`, on first read; dimensions come
-from the rank).  A second copy drifts from the first;
+from the rank).  Block assembly runs on ints: a multiplier's integer ladder
+is built once per distinct multiplier and a window's once per window, and
+rationals appear only at the public edge (`QWindow.matrix`).  A second
+copy drifts from the first;
 this walks the same source as `test_no_asserts.py` and names every copy
 it finds."""
 
 import ast
+import fractions
+import sys
 from pathlib import Path
+
+from ellt import curvefield, eatheory, tmodel
+from ladder_reference import sweep_windows
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ellt").glob("*.py"))
 
@@ -171,3 +179,48 @@ def test_one_kernel_basis():
     # every other reader needs only dimensions, which the rank gives
     assert _homes(lambda node: _is_call_of(node, "kernel_and_image")) == [
         "tmodel.py:QWindow.kernel"]
+
+
+def test_one_ladder_per_window_and_multiplier(monkeypatch):
+    # the multiplier memo holds integer ladders, so a memo hit scales nothing
+    calls = []
+    real = curvefield._ladder_ints
+
+    def counted(h, count):
+        calls.append(count)
+        return real(h, count)
+
+    for module in (curvefield, eatheory):
+        monkeypatch.setattr(module, "_ladder_ints", counted)
+    theories = [eatheory.build_ea(curve) for curve in ((-1, 0), (0, 1))]
+    built = sum(len(t.backend._windows) + len(t.backend._multipliers) for t in theories)
+    calls.clear()
+    windows = [win for theory in theories for win in sweep_windows(theory)]
+    built = sum(len(t.backend._windows) + len(t.backend._multipliers) for t in theories) - built
+    assert sum(len(win.blocks) for win in windows) > 1000 and built > 250
+    assert len(calls) == built
+
+
+def test_block_assembly_builds_no_fraction():
+    # rationals are built only at the public edge (QWindow.matrix, coords):
+    # once a context's windows and multipliers exist, assembling its
+    # blocks, the window and its rank calls nothing in the fractions module
+    theory = eatheory.build_ea((-1, 0))
+    weights, caps = {1: 1, 2: -1, 3: 1}, {1: 2, 2: 1, 3: 2, 4: 1}
+    ctx = theory.backend.setup(tmodel.dim_fn(weights).exponent_map(), caps)
+    for s, _, _ in ctx.blocks:
+        ctx._block(s)  # builds the windows and multipliers, in Fractions
+    calls = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(watch)
+    try:
+        blocks = [ctx.block_matrix(s) for s, _, _ in ctx.blocks]
+        win = theory.window(weights, caps)
+    finally:
+        sys.setprofile(None)
+    assert len(blocks) == 4 and win.rows and calls == []
+    assert win.matrix is not None  # the public edge does build them

@@ -7,6 +7,7 @@ from ellt.curvefield import CycCache, TorsionDivisor, WeierstrassCurve
 from ellt.errors import CapTooSmall
 from ellt.exactcore import Matrix, Poly, Q
 from ellt.sheafside import OpenSet, sections
+from ladder_reference import scaled_rows
 from ellt.tmodel import (
     AlmostConstant,
     ASObject,
@@ -259,7 +260,8 @@ class _FakeContext:
         return Poly(vec)
 
     def block_matrix(self, s):
-        return self.backend.matrices[s].entries
+        den, rows = scaled_rows(self.backend.matrices[s].entries)
+        return den, tuple(map(tuple, rows))
 
     def torsion_rep(self, s, i):
         return (s, i)
@@ -305,6 +307,15 @@ class TestWindowAssembly:
         assert win.ext_classes() == [(1, 0)] and win.ext_rep(0) == (1, 0)
         assert not win.block_surjective(1) and win.block_surjective(3)
 
+    def test_only_the_public_matrix_divides_by_the_block_denominators(self):
+        matrices = {2: Matrix([(Q(1, 2), Q(1, 3), 0)]), 3: Matrix([(Q(2, 5), 0, 1)])}
+        backend = FakeBackend(blocks=[(2, 1, 1), (3, 1, 1)], matrices=matrices)
+        win = QWindow(backend, AlmostConstant(0), caps={2: 1, 3: 1})
+        assert win.rows == ((3, 2, 0), (2, 0, 5))
+        assert win.matrix.entries == matrices[2].entries + matrices[3].entries
+        assert (win.rank, win.hom_dim, win.ext_dim) == (2, 1, 0)
+        assert win.kernel == [(Q(-5, 2), Q(15, 4), Q(1))]
+
     def test_no_rows_means_everything_survives(self):
         backend = FakeBackend(blocks=[], matrices={})
         win = QWindow(backend, AlmostConstant(0), caps={})
@@ -331,6 +342,12 @@ class TestWindowAssembly:
             matrices={2: Matrix([(1, 0, 0)])},  # claims 2 rows, delivers 1
         )
         with pytest.raises(ValueError):
+            QWindow(backend, AlmostConstant(0), caps={2: 1})
+
+    def test_a_block_denominator_below_one_is_rejected(self, monkeypatch):
+        backend = FakeBackend(blocks=[(2, 1, 1)], matrices={2: Matrix([(1, 0, 0)])})
+        monkeypatch.setattr(_FakeContext, "block_matrix", lambda self, s: (0, ((1, 0, 0),)))
+        with pytest.raises(ValueError, match="wrong shape"):
             QWindow(backend, AlmostConstant(0), caps={2: 1})
 
 
