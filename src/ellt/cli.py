@@ -101,7 +101,7 @@ LEVEL_CEILING = 16
 PRODUCTS_CEILING = 140
 EULER_DEGREE_CEILING = 256
 SPAN_CEILING = 100_000
-DEGREE_CEILING = 6
+DEGREE_CEILING = 24
 CURVE_DIGITS_CEILING = 8
 
 

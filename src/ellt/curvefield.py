@@ -920,63 +920,62 @@ def _layers(poly: Poly, marker: Poly) -> tuple[list[Poly], Poly]:
 # residues
 
 
-def trace_residues(num: Poly, den: Poly, marker: Poly) -> Q:
-    """Sum of residues of (num/den) dx over the roots of `marker`.
-
-    marker must be monic and squarefree.  Split den = g h, with g the
-    monic part of den on the marker's roots and h prime to them.  There
-    num/h agrees with a = num h^-1 mod g to the order of g, so the sum is
-    that of every finite residue of a dx/g: the x^(deg g - 1) coefficient
-    of a, and 0 when g is 1.  No root is ever extracted.
-    """
+def _residue_split(den: Poly, marker: Poly) -> tuple[Poly, Poly]:
+    """(w, g) for a monic squarefree marker: den = g h with g the monic
+    part of den on the marker's roots, h prime to them and w = h^-1 mod g.
+    There num/h agrees with num w to the order of g, so the sum of
+    residues of (num/den) dx over the marker's roots is that of every
+    finite residue of num w dx/g: the x^(deg g - 1) coefficient of
+    num w mod g, and 0 when g is 1.  No root is ever extracted."""
     if marker.degree < 1 or marker.leading() != 1:
         raise ValueError("marker must be monic of positive degree")
     if den.is_zero():
         raise ZeroDivisionError("residues of a zero denominator")
     layers, h = _layers(den, marker)
     if not layers:
-        return QZERO
+        return Poly(), Poly.const(1)
     g = reduce(Poly.__mul__, layers)
-    return (num * poly_inverse_mod(h, g) % g).coeff(g.degree - 1)
+    return poly_inverse_mod(h, g), g
+
+
+def trace_residues(num: Poly, den: Poly, marker: Poly) -> Q:
+    """Sum of residues of (num/den) dx over the roots of `marker`, a monic
+    squarefree polynomial: one coefficient of num w mod g for the
+    `_residue_split` (w, g) of den."""
+    w, g = _residue_split(den, marker)
+    return (num * w % g).coeff(g.degree - 1)
+
+
+def residue_form(cache: CycCache, den: Poly, s: int) -> tuple[Q, Poly, Poly]:
+    """(c, w, g): for f = (u + v y)/den with den monic, the sum of residues
+    of f * Dt over the points of exact order s is c times the
+    x^(deg g - 1) coefficient of v w mod g, linear in v.
+
+    Dt = kappa dx / y.  Its odd part u/(den y) cancels in pairs P, -P, so
+    what is left is kappa v dx/den pulled back from the x-line, with two
+    preimages per x-value: off e, 2 kappa times the residues over the
+    class polynomial's roots (`_residue_split`); at e, minus those at
+    every finite point, -2 kappa times a coefficient of v mod den.
+    """
+    kappa = cache.diff_factor()
+    if s == 1:
+        return -2 * kappa, Poly.const(1), den
+    return (2 * kappa, *_residue_split(den, cache.class_poly(s)))
 
 
 def residue_at_e(cache: CycCache, f: FuncElt) -> Q:
     """Residue of f * Dt at the identity, for the invariant differential
-    Dt = kappa dx / y normalised to agree with dt_e there (kappa =
-    cache.diff_factor()).
-
-    The residues of f * Dt sum to 0, so this is minus their sum over the
-    finite points.  Writing f = (u + v y)/d with d monic, the odd part
-    kappa u dx/(d y) cancels in pairs P, -P and vanishes where the flip
-    fixes the point.  The even part kappa v dx/d is pulled back from the
-    x-line, where each finite x-value has two preimages counted with
-    ramification.  So the residue is -2 kappa times the x^(deg d - 1)
-    coefficient of v mod d, and 0 for a pure f.
-    """
-    if f.curve != cache.curve:
-        raise ValueError("element lives on a different curve")
-    if f.is_pure():
-        return QZERO
-    return -2 * cache.diff_factor() * (f.v % f.d).coeff(f.d.degree - 1)
+    Dt = kappa dx / y normalised to agree with dt_e there."""
+    return residue_along(cache, f, 1)
 
 
 def residue_along(cache: CycCache, f: FuncElt, s: int) -> Q:
-    """Sum of residues of f * Dt over the points of exact order s.
-
-    Writing f = (u + v y)/d, the summand f * kappa dx / y splits into
-    u/(dy) (odd under y -> -y) plus v/d (even).  A class is stable under
-    the flip, so odd residues cancel in pairs, and at 2-torsion, where
-    the flip fixes the point, they vanish outright.  What remains is
-    kappa v dx/d pulled back from the x-line, where each branch of the
-    double cover contributes one copy: 2 kappa times the sum of the
-    residues of (v/d) dx over the roots of the class polynomial, which
-    `trace_residues` reads as one coefficient.
-    """
-    if s == 1:
-        return residue_at_e(cache, f)
-    if f.is_zero() or f.v.is_zero():
-        return QZERO
-    return 2 * cache.diff_factor() * trace_residues(f.v, f.d, cache.class_poly(s))
+    """Sum of residues of f * Dt over the points of exact order s, read
+    off the `residue_form` of f's denominator."""
+    if f.curve != cache.curve:
+        raise ValueError("element lives on a different curve")
+    c, w, g = residue_form(cache, f.d, s)
+    return c * (f.v * w % g).coeff(g.degree - 1)
 
 
 # ---------------------------------------------------------------------------

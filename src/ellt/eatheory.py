@@ -27,7 +27,7 @@ from .curvefield import (
     exact_order_count,
     h_dims,
     principal_part,
-    residue_along,
+    residue_form,
     single_class,
 )
 from .errors import CapTooSmall, UnsupportedPoles, ValidationFailed
@@ -258,14 +258,16 @@ class _EllipticAssembly:
         )
         self._built: dict = {}
 
-    def element(self, vec) -> FuncElt:
-        """sum_k vec[k] m_k / t*(E): the pure sum of monomials (m_k is 1
-        at slot 0, x^j at slot 2j - 1 and x^j y at slot 2j + 2) times
-        t*(-E), one product."""
+    def numerator(self, vec) -> tuple[Poly, Poly]:
+        """(u, v) of the pure sum_k vec[k] m_k = u + v y (m_k is 1 at
+        slot 0, x^j at slot 2j - 1 and x^j y at slot 2j + 2)."""
         if len(vec) != self.source_dim:
             raise ValueError(f"vertex vectors have length {self.source_dim}, got {len(vec)}")
-        pure = FuncElt(self.cache.curve, Poly((*vec[:1], *vec[1::2])), Poly(vec[2::2]),
-                       Poly.const(1))
+        return Poly((*vec[:1], *vec[1::2])), Poly(vec[2::2])
+
+    def element(self, vec) -> FuncElt:
+        """sum_k vec[k] m_k / t*(E): the pure numerator times t*(-E)."""
+        pure = FuncElt(self.cache.curve, *self.numerator(vec), Poly.const(1))
         return pure * self.cache.t_star(self.cap_divisor.scale(-1))
 
     def _block(self, s: int) -> tuple[QuotientWindow, tuple]:
@@ -643,15 +645,19 @@ def serre_pairing(theory: EATheory, divisor, caps=None) -> SerrePairing:
             f"window dims ({len(sections)}, {len(reps)}) disagree with "
             f"the divisor degree {divisor.degree}"
         )
-    cache = theory.cache
-    entries = tuple(
-        tuple(
-            residue_along(cache, f * h, s)
-            for h, s in zip(reps, classes)
-        )
-        for f in sections
-    )
-    return SerrePairing(divisor, Matrix(entries), sections, reps, classes)
+    # section i is (u_i + v_i y) t*(-E), so entry (i, j) is the residue of
+    # the y-part (u_i G_v + v_i G_u) / G_d of its product with G = t*(-E) h_j
+    cache, ctx = theory.cache, hom_window.ctx
+    shift = cache.t_star(ctx.cap_divisor.scale(-1))
+    numerators = [ctx.numerator(vec) for vec in hom_window.kernel]
+    columns = []
+    for h, s in zip(reps, classes):
+        gj = shift * h
+        c, w, g = residue_form(cache, gj.d, s)
+        gv, gu = gj.v * w % g, gj.u * w % g
+        columns.append([c * ((u * gv + v * gu) % g).coeff(g.degree - 1)
+                        for u, v in numerators])
+    return SerrePairing(divisor, Matrix(tuple(zip(*columns))), sections, reps, classes)
 
 
 # ---------------------------------------------------------------------------

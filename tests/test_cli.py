@@ -421,14 +421,14 @@ def _malformed_input_cases():
         "glue-cap": ("glue", {"divisor": {}, "left": [1], "right": [2], "cap": 11}),
         "roundtrip-cap": ("roundtrip", {"W": {"1": 1}, "caps": [11]}),
         # completion stage above 16, products above 140, a coeff span above
-        # 100000 and a serre divisor of degree above 6
+        # 100000 and a serre divisor of degree above 24
         "completion-k": ("completion", {"k": 17}),
         "kmodel-products": ("kmodel", {"group": "additive", "products_upto": 141}),
         "coeff-span": ("coeff", {"d_min": 0, "d_max": 100_001}),
         "coeff-negative-span": ("coeff", {"d_min": -100_000, "d_max": 1}),
-        "serre-degree": ("serre", {"divisor": {"1": 7}}),
+        "serre-degree": ("serre", {"divisor": {"1": 25}}),
         "serre-class-degree": ("serre", {"divisor": {"8": 1}}),
-        "serre-mixed-degree": ("serre", {"divisor": {"1": 1, "2": 2}}),
+        "serre-mixed-degree": ("serre", {"divisor": {"1": 1, "5": 1}}),
         # cap divisors of degree above 73, explicit or the default caps of W
         "dims-cap-degree": ("dims", {"W": {"1": 1}, "caps": {"1": 2, "8": 1, "6": 1}}),
         "dims-default-cap-degree": ("dims", {"W": {"8": 1, "7": 1}}),
@@ -503,8 +503,8 @@ def test_ceilings_are_inclusive(tmp_path, capsys):
     assert rep["products_ok_upto"] == 140
     rep = run_json(tmp_path, capsys, "coeff", {**E1, "params": {"d_min": -5, "d_max": 99_995}})
     assert len(rep["rows"]) == 100_001
-    rep = run_json(tmp_path, capsys, "serre", {**E1, "params": {"divisor": {"2": 2}}})
-    assert rep["dim"] == rep["rank"] == 6
+    rep = run_json(tmp_path, capsys, "serre", {**E1, "params": {"divisor": {"6": 1}}})
+    assert rep["dim"] == rep["rank"] == 24
     # divisors of size 96, the cheap way
     rep = run_json(tmp_path, capsys, "basis", {**E1, "params": {"divisor": {"1": 96}}})
     assert rep["dim"] == 96

@@ -452,6 +452,12 @@ class TestResidues:
         f = (E1.x() ** 2 - 3) * cache1.t(2).inverse() ** 2
         assert residue_along(cache1, f, 2) == 0
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_elements_of_another_curve_are_refused(self, cache1, s):
+        # the curve is checked once, in the reader, for every class
+        with pytest.raises(ValueError, match="different curve"):
+            residue_along(cache1, E2.x().inverse(), s)
+
     def test_diff_factor_tracks_scale(self, cache1):
         assert cache1.diff_factor() == Q(-1, 2)
         scaled = CycCache(E1, Coordinate(E1, scale=2))

@@ -17,8 +17,11 @@ in one place (`eatheory.EllipticGroupData`), and a window's kernel basis is
 built in one place (`tmodel.QWindow.kernel`, on first read; dimensions come
 from the rank).  Block assembly runs on ints: a multiplier's integer ladder
 is built once per distinct multiplier and a window's once per window, and
-rationals appear only at the public edge (`QWindow.matrix`).  A second
-copy drifts from the first;
+rationals appear only at the public edge (`QWindow.matrix`).  Every
+residue comes from one split of a denominator against a class polynomial
+and one inverse modulo its class part (`curvefield._residue_split`), read
+through `curvefield.residue_form`, once per column of the Serre pairing.
+A second copy drifts from the first;
 this walks the same source as `test_no_asserts.py` and names every copy
 it finds."""
 
@@ -173,6 +176,43 @@ def test_one_multiplier_memo():
     writers = _homes(writes_memo)
     assert writers and all(home.startswith("eatheory.py:EllipticGroupData.")
                            for home in writers), writers
+
+
+def test_one_residue_split():
+    # the split of a denominator against a class polynomial, then the
+    # inverse of the rest modulo the class part, is `_residue_split`;
+    # `residue_form` hands it to every residue reader and to the pairing
+    layers = set(_homes(lambda node: _is_call_of(node, "_layers")))
+    inverses = _homes(lambda node: _is_call_of(node, "poly_inverse_mod"))
+    assert layers & set(inverses) == {"curvefield.py:_residue_split"}
+    assert [home for home in inverses if home.startswith("curvefield.py:")] == [
+        "curvefield.py:_residue_split"]
+
+
+def test_serre_pairing_reads_one_form_per_column(monkeypatch):
+    # one residue form, so at most one inverse, per column, and products
+    # for the sections, the columns and the windows only: the entry loop
+    # made deg D^2 more
+    counts = {"forms": 0, "inverses": 0, "products": 0}
+
+    def counted(key, real):
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(eatheory, "residue_form", counted("forms", eatheory.residue_form))
+    monkeypatch.setattr(curvefield, "poly_inverse_mod",
+                        counted("inverses", curvefield.poly_inverse_mod))
+    monkeypatch.setattr(curvefield.FuncElt, "__mul__",
+                        counted("products", curvefield.FuncElt.__mul__))
+    for divisor, degree in (({1: 1, 3: 1}, 9), ({1: 1, 2: 1, 3: 1}, 12)):
+        theory = eatheory.build_ea((-1, 0))
+        counts.update(forms=0, inverses=0, products=0)
+        pairing = eatheory.serre_pairing(theory, divisor)
+        assert pairing.rank == degree == len(pairing.classes)
+        assert counts["forms"] == degree and counts["inverses"] <= degree
+        assert counts["products"] <= 5 * degree, counts
 
 
 def test_one_kernel_basis():

@@ -54,19 +54,39 @@ CACHES = _coordinates([*CURVES, FRACTIONAL])
 
 
 def assert_residues_agree(cache, f, classes):
+    """The library's residues of f equal the reference's; returns the
+    reference residues by class."""
+    expected = {s: ref.residue_along(cache, f, s) for s in classes}
     for s in classes:
-        assert residue_along(cache, f, s) == ref.residue_along(cache, f, s), s
+        assert residue_along(cache, f, s) == expected[s], s
     assert residue_at_e(cache, f) == ref.residue_at_e(cache, f)
+    return expected
 
 
 @pytest.mark.parametrize("name", sorted(THEORIES))
 def test_serre_entries_match_the_reference(name):
+    # the pairing reads each column's residue form on the sections'
+    # numerators; the reference pairs each section with each class
+    # representative as a function-field product
     theory = build_ea(*THEORIES[name])
     for divisor in DIVISORS:
         pairing = serre_pairing(theory, divisor)
-        for f in pairing.sections:
-            for h, s in zip(pairing.reps, pairing.classes):
-                assert_residues_agree(theory.cache, f * h, {1, 2, 3, s})
+        for i, f in enumerate(pairing.sections):
+            for j, (h, s) in enumerate(zip(pairing.reps, pairing.classes)):
+                expected = assert_residues_agree(theory.cache, f * h, {1, 2, 3, s})
+                assert pairing.matrix.entries[i][j] == expected[s], (divisor, i, j)
+
+
+def test_large_serre_pairing_matches_the_entry_loop():
+    # degree 24 on (0, 1), against one product and one `residue_along`
+    # per entry, the path the residue forms replaced
+    theory = build_ea((0, 1))
+    pairing = serre_pairing(theory, {5: 1})
+    entries = tuple(tuple(residue_along(theory.cache, f * h, s)
+                          for h, s in zip(pairing.reps, pairing.classes))
+                    for f in pairing.sections)
+    assert pairing.dim == 24 and pairing.matrix.entries == entries
+    assert pairing.rank == 24
 
 
 def _poly(rng, degree):
