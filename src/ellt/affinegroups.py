@@ -130,9 +130,6 @@ class LaurentFn(_Frozen):
     def text(self) -> str:
         return f"{self.num.text()} / {self.den.text()}"
 
-    def __repr__(self):
-        return f"LaurentFn({self.text()})"
-
 
 def _coerce_fn(value):
     if isinstance(value, LaurentFn):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -52,26 +53,39 @@ def _check_keys(obj: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
 
 
-def _rational(value, where: str) -> Q:
-    """Exact rational from an int or a 'p/q' string; floats are refused."""
-    if type(value) is int:
-        return Q(value)
-    if isinstance(value, str):
-        try:
-            return Q(value)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{where} is not a rational 'p/q' string: {value!r}")
-    raise ConfigError(f"{where} must be an integer or a 'p/q' string, got {value!r}")
+# a decimal exponent after its mantissa, in the grammar of `Fraction`
+_EXPONENT = re.compile(r"([^eE/]*[\d.])[eE]([-+]?\d+(?:_\d+)*)\s*")
 
 
 def _short_rational(value, where: str) -> Q:
-    """`_rational`, refused past CURVE_DIGITS_CEILING digits above or below
-    the fraction bar."""
-    value = _rational(value, where)
-    if max(abs(value.numerator), value.denominator) >= 10 ** CURVE_DIGITS_CEILING:
-        raise ConfigError(f"{where} must have at most {CURVE_DIGITS_CEILING} "
-                          "digits in its numerator and denominator")
-    return value
+    """Exact rational from an int or a 'p/q' string, refused past
+    CURVE_DIGITS_CEILING digits above or below the fraction bar; floats
+    are refused.
+
+    `Fraction` builds 10^|e| for a decimal exponent e, so the mantissa is
+    read first.  A nonzero mantissa of n characters lies between 10^-n and
+    10^n, so when |e| >= CURVE_DIGITS_CEILING + n the value must pass the
+    ceiling, and it is refused before any power of ten is built.
+    """
+    too_long = (f"{where} must have at most {CURVE_DIGITS_CEILING} "
+                "digits in its numerator and denominator")
+    if type(value) is int:
+        number = Q(value)
+    elif isinstance(value, str):
+        parts = _EXPONENT.fullmatch(value)
+        try:
+            number, shift = (Q(parts[1]), Q(parts[2])) if parts else (Q(value), 0)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"{where} is not a rational 'p/q' string: {value!r}")
+        if number and shift:
+            if abs(shift) >= CURVE_DIGITS_CEILING + len(parts[1]):
+                raise ConfigError(too_long)
+            number *= Q(10) ** shift
+    else:
+        raise ConfigError(f"{where} must be an integer or a 'p/q' string, got {value!r}")
+    if max(abs(number.numerator), number.denominator) >= 10 ** CURVE_DIGITS_CEILING:
+        raise ConfigError(too_long)
+    return number
 
 
 def _integer(value, where: str, minimum: int | None = None,
@@ -310,6 +324,7 @@ def _make_cache(config: JobConfig, cache_path: str | None) -> CycCache:
     if cache_path is not None and os.path.exists(cache_path):
         payload = _read_cache_file(cache_path)
         if all(payload.get(key) == value for key, value in _cache_identity(cache).items()):
+            _model_power(config, payload["upto"], f"cache {cache_path} upto")
             cache.load_psi_payload(payload["psi"])
     return cache
 
@@ -361,10 +376,11 @@ def _run_basis(config: JobConfig, cache_path) -> dict:
     coeffs = _divisor(_weight_dict(config.params["divisor"], "params.divisor"),
                       "params.divisor")
     cache = _make_cache(config, cache_path)
-    basis = cache.rr_basis(TorsionDivisor(coeffs))
+    divisor = TorsionDivisor(coeffs)
+    basis = cache.rr_basis(divisor)
     return {
         **_echo(config, cache),
-        "divisor": {str(s): n for s, n in sorted(coeffs.items()) if n},
+        "divisor": divisor.payload(),
         "dim": len(basis),
         "basis": [f.text() for f in basis],
     }
@@ -482,15 +498,14 @@ def _run_localcoh(config: JobConfig, cache_path) -> dict:
 
 
 def _run_serre(config: JobConfig, cache_path) -> dict:
-    coeffs = _weight_dict(config.params["divisor"], "params.divisor")
-    _integer(TorsionDivisor(coeffs).degree, "params.divisor degree",
-             maximum=DEGREE_CEILING)
+    divisor = TorsionDivisor(_weight_dict(config.params["divisor"], "params.divisor"))
+    _integer(divisor.degree, "params.divisor degree", maximum=DEGREE_CEILING)
     caps = _caps(config.params)
     theory = _make_theory(config, cache_path)
-    pairing = serre_pairing(theory, coeffs, caps=caps)
+    pairing = serre_pairing(theory, divisor, caps=caps)
     return {
         **_echo(config, theory),
-        "divisor": {str(s): n for s, n in sorted(coeffs.items()) if n},
+        "divisor": divisor.payload(),
         "dim": pairing.dim,
         "rank": pairing.rank,
         "nondegenerate": pairing.nondegenerate,
@@ -583,6 +598,7 @@ def _run_cache_admin(config: JobConfig, cache_path) -> dict:
             f"cache {cache_path} was built for curve {payload.get('curve')} "
             f"at scale {payload.get('scale')}, not the configured one"
         )
+    _model_power(config, payload["upto"], f"cache {cache_path} upto")
     cache.load_psi_payload(payload["psi"])
     report["entries"] = len(payload["psi"])
     report["ok"] = True

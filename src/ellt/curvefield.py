@@ -114,16 +114,12 @@ class TorsionDivisor(_Frozen):
     def scale(self, k: int) -> "TorsionDivisor":
         return TorsionDivisor({s: k * n for s, n in self.coeffs.items()})
 
-    def __eq__(self, other):
-        if not isinstance(other, TorsionDivisor):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs.items()))
-
     def is_effective(self) -> bool:
         return all(n >= 0 for n in self.coeffs.values())
+
+    def payload(self) -> dict:
+        """The report form {"s": n}, classes ascending, zeros dropped."""
+        return {str(s): n for s, n in self.coeffs.items()}
 
     def __repr__(self):
         if not self.coeffs:
@@ -158,14 +154,6 @@ class WeierstrassCurve(_Frozen):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "rhs", Poly((b, a, QZERO, QONE)))
-
-    def __eq__(self, other):
-        if not isinstance(other, WeierstrassCurve):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
 
     def __repr__(self):
         return f"WeierstrassCurve(a={qtext(self.a)}, b={qtext(self.b)})"
@@ -237,19 +225,6 @@ class FuncElt(_Frozen):
         if not self.is_constant():
             raise ValueError("not a constant")
         return self.u.coeff(0)
-
-    def __eq__(self, other):
-        if not isinstance(other, FuncElt):
-            return NotImplemented
-        return (
-            self.curve == other.curve
-            and self.u == other.u
-            and self.v == other.v
-            and self.d == other.d
-        )
-
-    def __hash__(self):
-        return hash((self.curve, self.u, self.v, self.d))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -557,6 +532,9 @@ class Coordinate(_Frozen):
 
     def describe(self) -> dict:
         return {"form": self.form, "scale": qtext(self.scale)}
+
+    def text(self) -> str:
+        return f"{self.form} {self.base.text()}"
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,6 @@ class GradedFn(_Frozen):
             return dt
         return f"{self.fn.text()} * {dt}"
 
-    def __repr__(self):
-        return f"GradedFn({self.text()})"
-
 
 def _dt_text(n: int) -> str:
     return "Dt" if n == 1 else f"Dt^{n}"
@@ -143,25 +140,9 @@ class TorsionClass(_Frozen):
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.vector)
 
-    def __eq__(self, other):
-        if not isinstance(other, TorsionClass):
-            return NotImplemented
-        return (self.s, self.depth, self.weight, self.vector) == (
-            other.s,
-            other.depth,
-            other.weight,
-            other.vector,
-        )
-
-    def __hash__(self):
-        return hash((self.s, self.depth, self.weight, self.vector))
-
     def text(self) -> str:
         body = ", ".join(qtext(c) for c in self.vector)
         return f"class {self.s} depth {self.depth} weight {self.weight}: [{body}]"
-
-    def __repr__(self):
-        return f"TorsionClass({self.text()})"
 
 
 # ---------------------------------------------------------------------------

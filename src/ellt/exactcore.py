@@ -66,13 +66,38 @@ def divisors_of(n: int) -> list[int]:
 
 
 class _Frozen:
-    """Base of the immutable value types: constructors set their slots
-    with `object.__setattr__`, and every later assignment raises."""
+    """Base of the immutable value types and the one home of their value
+    semantics.
+
+    Constructors set their slots with `object.__setattr__`, and every
+    later assignment raises.  A value is its public slots: two values are
+    equal when they have the same type and equal public slots, and equal
+    values hash alike, a dict slot hashing by its items.  A slot whose
+    name starts with `_` is a memo, not part of the value.  The repr is
+    `Name(text)`.
+    """
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        cls._public = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._public)
+
+    def __hash__(self):
+        return hash(tuple(frozenset(value.items()) if type(value) is dict else value
+                          for value in map(self.__getattribute__, self._public)))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.text()})"
 
 
 def power(base, n: int, one):
@@ -134,14 +159,6 @@ class Poly(_Frozen):
         if 0 <= n < len(self.coeffs):
             return self.coeffs[n]
         return QZERO
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -222,9 +239,6 @@ class Poly(_Frozen):
 
     def text(self) -> str:
         return "[" + ", ".join(qtext(c) for c in self.coeffs) + "]"
-
-    def __repr__(self):
-        return f"Poly({self.text()})"
 
 
 def parse_poly(text: str) -> Poly:
@@ -328,14 +342,6 @@ class Matrix(_Frozen):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.entries))) if self.rows else Matrix(())
@@ -513,14 +519,6 @@ class LaurentSeries(_Frozen):
             return QZERO
         return self.coeffs[idx]
 
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self.valuation == other.valuation and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.valuation, self.coeffs))
-
     def __neg__(self):
         return LaurentSeries(self.valuation, tuple(-c for c in self.coeffs))
 
@@ -580,9 +578,6 @@ class LaurentSeries(_Frozen):
         parts = [f"{qtext(c)}*t^{self.valuation + i}" for i, c in enumerate(self.coeffs) if c != 0]
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(t^{self.end})"
-
-    def __repr__(self):
-        return f"LaurentSeries({self.text()})"
 
 
 def series_one(precision: int) -> LaurentSeries:

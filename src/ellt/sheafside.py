@@ -47,14 +47,6 @@ class OpenSet(_Frozen):
     def indicator(self, cap: int) -> dict:
         return {s: cap for s in self.pi}
 
-    def __eq__(self, other):
-        if not isinstance(other, OpenSet):
-            return NotImplemented
-        return self.pi == other.pi
-
-    def __hash__(self):
-        return hash(self.pi)
-
     def text(self) -> str:
         if not self.pi:
             return "the whole curve"
@@ -110,7 +102,7 @@ class SectionWindow:
 
     def report(self) -> dict:
         return {
-            "D": {str(s): n for s, n in sorted(self.divisor.coeffs.items()) if n},
+            "D": self.divisor.payload(),
             "pi": list(self.open_set.pi),
             "cap": self.cap,
             "dim": self.dim,
@@ -216,7 +208,7 @@ def glue_check(cache, divisor, left: OpenSet, right: OpenSet,
             f"difference map has cokernel {coker}, duality forces {expected}"
         )
     return {
-        "D": {str(s): n for s, n in sorted(divisor.coeffs.items()) if n},
+        "D": divisor.payload(),
         "left": list(left.pi),
         "right": list(right.pi),
         "cap": cap,
@@ -276,7 +268,7 @@ def roundtrip(theory: EATheory, weights, opens=None, caps=(0, 1, 2, 3)) -> dict:
         rows_out.append({"pi": list(piece.pi), "dims": dims})
     return {
         "W": _weights_payload(weights),
-        "D": {str(s): n for s, n in sorted(divisor.coeffs.items()) if n},
+        "D": divisor.payload(),
         "caps": list(caps),
         "opens": rows_out,
         "ok": True,

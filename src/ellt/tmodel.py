@@ -94,14 +94,6 @@ class AlmostConstant(_Frozen):
             return NotImplemented
         return self + (-other)
 
-    def __eq__(self, other):
-        if not isinstance(other, AlmostConstant):
-            return NotImplemented
-        return self.tail == other.tail and self.dev == other.dev
-
-    def __hash__(self):
-        return hash((self.tail, frozenset(self.dev.items())))
-
     def text(self) -> str:
         body = ", ".join(f"{s}: {self.dev[s]}" for s in sorted(self.dev))
         return f"(tail {self.tail}; {body})" if body else f"(tail {self.tail})"
@@ -154,14 +146,6 @@ class Representation(_Frozen):
         """Multiplicity count n_s = sum of a_n over n divisible by s."""
         return dim_fn(self.weights, 0)
 
-    def __eq__(self, other):
-        if not isinstance(other, Representation):
-            return NotImplemented
-        return self.weights == other.weights and self.fixed_part == other.fixed_part
-
-    def __hash__(self):
-        return hash((frozenset(self.weights.items()), self.fixed_part))
-
     def text(self) -> str:
         parts = []
         for n in sorted(self.weights):
@@ -171,9 +155,6 @@ class Representation(_Frozen):
         if self.fixed_part:
             parts.append(f"Q^{self.fixed_part}")
         return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"Representation({self.text()})"
 
 
 def dim_fn(weights=None, fixed_part=0) -> AlmostConstant:
@@ -232,22 +213,11 @@ class EulerClassSymbol(_Frozen):
             return NotImplemented
         return EulerClassSymbol(self.exponent + other.exponent)
 
-    def __eq__(self, other):
-        if not isinstance(other, EulerClassSymbol):
-            return NotImplemented
-        return self.exponent == other.exponent
-
-    def __hash__(self):
-        return hash(("euler", self.exponent))
-
     def text(self) -> str:
         if self.is_one():
             return "c^0"
         body = ", ".join(f"{s}: {v}" for s, v in sorted(self.exponent.dev.items()))
         return f"c({body})"
-
-    def __repr__(self):
-        return f"EulerClassSymbol({self.text()})"
 
 
 def _coerce_weight(weight) -> AlmostConstant:

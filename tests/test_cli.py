@@ -209,6 +209,79 @@ def test_the_model_power_ceiling(a, b, n, admitted):
             cli._model_power(config, n, "params.n")
 
 
+@pytest.mark.parametrize("command,params", [
+    ("dims", {"W": {"1": 1}}),
+    ("divpoly", {"n": 2}),
+    ("cache", {"action": "verify"}),
+])
+def test_a_cache_file_upto_meets_the_model_power_ceiling(tmp_path, capsys, monkeypatch,
+                                                         command, params):
+    # `cache warm` refuses upto 32 on this curve at once, so a file that
+    # claims it is refused before any entry is checked against psi_32
+    cache = tmp_path / "psi.json"
+    cache.write_text(json.dumps({**WIDE, "scale": "1", "upto": 32,
+                                 "psi": {"32": ["[1]", "[]", "[1]"]}}))
+    calls = []
+    psi = curvefield.CycCache.psi
+    monkeypatch.setattr(curvefield.CycCache, "psi",
+                        lambda self, n: calls.append(n) or psi(self, n))
+    assert run_cli(tmp_path, command, {**WIDE, "params": params}, "--cache", str(cache)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ellt: config error: cache {cache} upto with the curve: "
+                          "bits of u^(n^2 - 1)")
+    assert calls == []
+
+
+@pytest.mark.parametrize("upto,code", [(11, 0), (12, 1)])
+def test_a_cache_file_upto_is_bounded_as_warm_bounds_it(tmp_path, upto, code):
+    # `cache warm` takes this curve to 11 and refuses 12
+    cache = tmp_path / "psi.json"
+    cache.write_text(json.dumps({**WIDE, "scale": "1", "upto": upto, "psi": {}}))
+    cfg = {**WIDE, "params": {"action": "verify"}}
+    assert run_cli(tmp_path, "cache", cfg, "--cache", str(cache)) == code
+
+
+def _fraction_then_ceiling(text):
+    """`Fraction(text)` and then the digit ceiling, as messages or a value."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return f"x is not a rational 'p/q' string: {text!r}"
+    if max(abs(value.numerator), value.denominator) >= 10 ** cli.CURVE_DIGITS_CEILING:
+        return "x must have at most 8 digits in its numerator and denominator"
+    return value
+
+
+@pytest.mark.parametrize("mantissa", [
+    "0", "-0", "1", "-2.5", "+.5", "3.", " 7", "12_5", "0.000", "\uff11", "007.50",
+    "99999999", ".00000001", "1/2", "1 ", "", ".", "1.2.3", "x", "1.d", "1_",
+])
+def test_exponent_strings_read_as_fraction_reads_them(mantissa):
+    for exponent in ("0", "3", "-3", "+2", "1_0", "-12", "7", "-7", "8", "-8", "9", "-9",
+                     "16", "-16", "_1", "1__0", "\uff12", "x", ""):
+        for text in (f"{mantissa}e{exponent}", f"{mantissa}E{exponent} \n"):
+            try:
+                got = cli._short_rational(text, "x")
+            except ConfigError as exc:
+                got = str(exc)
+            assert got == _fraction_then_ceiling(text), text
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1e20000000", None), ("-3.5e-20000000", None), ("0e10000000", 0), ("-0.0E999999999999", 0),
+])
+def test_a_far_exponent_builds_no_power_of_ten(monkeypatch, text, value):
+    # Fraction reads only the mantissa, and no power of ten is taken
+    read = []
+    monkeypatch.setattr(cli, "Q", lambda arg: read.append(arg) or Fraction(arg))
+    if value is None:
+        with pytest.raises(ConfigError, match="at most 8 digits"):
+            cli._short_rational(text, "curve.a")
+    else:
+        assert cli._short_rational(text, "curve.a") == value
+    assert read == list(text.partition("e" if "e" in text else "E")[::2])
+
+
 class TestKmodel:
     def test_multiplicative_products(self, tmp_path, capsys):
         rep = run_json(tmp_path, capsys, "kmodel",

@@ -104,6 +104,12 @@ class TestTorsionDivisor:
         assert TorsionDivisor({5: 0}) == TorsionDivisor()
         assert not TorsionDivisor({2: -1}).is_effective()
 
+    def test_payload_is_the_report_form(self):
+        # classes ascending as decimal text, zero multiplicities dropped
+        payload = TorsionDivisor({3: 1, 1: 0, 2: -2}).payload()
+        assert list(payload.items()) == [("2", -2), ("3", 1)]
+        assert TorsionDivisor().payload() == {}
+
 
 class TestCurveAndElements:
     def test_singular_curve_rejected(self):

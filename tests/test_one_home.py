@@ -1,5 +1,10 @@
 """Rules with one home in the library: the immutability guard
-(`exactcore._Frozen.__setattr__`), binary powering (`exactcore.power`),
+(`exactcore._Frozen.__setattr__`), value semantics (`exactcore._Frozen`
+compares, hashes and prints every value type from its public slots;
+`__eq__` and `__hash__` are defined nowhere else but in
+`eatheory.GradedFn`, whose zeros are equal whatever their weight, and
+`affinegroups.LaurentFn`, which equals the scalars it coerces), binary
+powering (`exactcore.power`),
 the CLI parameter contract (`cli.run`, from the command table),
 products, powers and quotients of cyclotomic functions
 (`curvefield.CycCache.t_star`, which a window backend's `element(vec)`
@@ -64,6 +69,16 @@ def test_one_immutability_guard():
     guards = _homes(lambda node: isinstance(node, ast.FunctionDef)
                     and node.name == "__setattr__")
     assert guards == ["exactcore.py:_Frozen"]
+
+
+def test_one_home_of_value_semantics():
+    for name in ("__eq__", "__hash__"):
+        homes = _homes(lambda node: isinstance(node, ast.FunctionDef) and node.name == name
+                       or isinstance(node, ast.Assign) and any(
+                           isinstance(target, ast.Name) and target.id == name
+                           for target in node.targets))
+        assert sorted(homes) == ["affinegroups.py:LaurentFn", "eatheory.py:GradedFn",
+                                 "exactcore.py:_Frozen"], name
 
 
 def test_one_powering_loop():

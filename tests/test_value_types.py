@@ -1,7 +1,13 @@
-"""The value types share one immutability guard and one powering routine.
+"""The value types share one immutability guard, one value semantics and
+one powering routine.
 
 Every value class inherits `exactcore._Frozen`, so assignment after
-construction raises with the class's own name.  `Poly.pow` and the `**`
+construction raises with the class's own name.  `_Frozen` is also the one
+home of `__eq__` and `__hash__`: a value is its public slots, a slot
+named with a leading `_` is a memo, and the repr is `Name(text)`.  Only
+`GradedFn` (every zero is equal whatever its weight) and `LaurentFn`
+(equal to the scalars it coerces) keep their own equality
+(`test_one_home.py`).  `Poly.pow` and the `**`
 of series, curve functions and affine rational functions all run
 `exactcore.power`, which squares only while higher bits remain.  Integer
 fields read through `exactcore._whole`, so a float is refused, not
@@ -29,15 +35,16 @@ CURVE = WeierstrassCurve(-1, 0)
 
 
 def _values():
-    x, y = CURVE.x(), CURVE.y()
+    curve = WeierstrassCurve(-1, 0)  # a fresh one on each call
+    x, y = curve.x(), curve.y()
     return [
         Poly((1, 2)),
         Matrix([[1, 2], [3, 4]]),
         LaurentSeries(-1, (1, 2, 3)),
         TorsionDivisor({1: 2, 3: -1}),
-        CURVE,
+        curve,
         x + y,
-        Coordinate(CURVE),
+        Coordinate(curve),
         GradedFn(x, 2),
         TorsionClass(3, 1, 0, (1, 2)),
         OpenSet([2, 3]),
@@ -62,6 +69,91 @@ def test_assignment_is_refused_and_fields_are_kept(value):
 
 def test_fifteen_value_types():
     assert len({type(v) for v in _values()}) == 15
+
+
+def _others():
+    """One value of each type in `_values()` order, each differing from it
+    in at least one public slot."""
+    x, y = CURVE.x(), CURVE.y()
+    return [
+        Poly((1, 3)),
+        Matrix([[1, 2], [3, 5]]),
+        LaurentSeries(0, (1, 2, 3)),
+        TorsionDivisor({1: 2, 3: -2}),
+        WeierstrassCurve(-2, 0),
+        x - y,
+        Coordinate(CURVE, validated_to=6),
+        GradedFn(x, 3),
+        TorsionClass(3, 1, 0, (1, 3)),
+        OpenSet([2]),
+        AlmostConstant(2, {2: 3}),
+        Representation({1: 2}, fixed_part=2),
+        EulerClassSymbol({2: 2}),
+        LaurentFn(Poly((0, 1)), Poly((1, 2))),
+        AffineGroup("additive"),
+    ]
+
+
+def _public(value):
+    return [slot for slot in type(value).__slots__ if not slot.startswith("_")]
+
+
+def _with(value, slot, field):
+    """A copy of `value` with one slot replaced, past the constructor."""
+    copy = object.__new__(type(value))
+    for name in type(value).__slots__:
+        object.__setattr__(copy, name, field if name == slot else getattr(value, name))
+    return copy
+
+
+@pytest.mark.parametrize("index", range(15), ids=[type(v).__name__ for v in _values()])
+def test_a_rebuilt_value_is_equal_and_hashes_alike(index):
+    value, copy = _values()[index], _values()[index]
+    assert value is not copy
+    assert value == copy and not value != copy and hash(value) == hash(copy)
+    assert value != object()
+
+
+@pytest.mark.parametrize("index", range(15), ids=[type(v).__name__ for v in _values()])
+def test_each_public_slot_is_part_of_the_value(index):
+    value, other = _values()[index], _others()[index]
+    assert type(other) is type(value) and value != other
+    changed = [slot for slot in _public(value) if getattr(value, slot) != getattr(other, slot)]
+    assert changed
+    for slot in changed:
+        assert _with(value, slot, getattr(other, slot)) != value, slot
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_repr_names_the_type(value):
+    assert repr(value).startswith(type(value).__name__ + "(")
+
+
+def test_coordinates_and_affine_groups_compare_by_value():
+    assert Coordinate(CURVE) == Coordinate(CURVE)
+    assert hash(Coordinate(CURVE, 2)) == hash(Coordinate(CURVE, 2)) != hash(Coordinate(CURVE))
+    warm, cold = AffineGroup("additive"), AffineGroup("additive")
+    warm.phi(6)  # fills the `_phi` memo, which is not part of the value
+    assert warm._phi and not cold._phi
+    assert warm == cold and hash(warm) == hash(cold)
+    assert warm != AffineGroup("multiplicative")
+
+
+def test_a_dict_slot_hashes_by_its_items():
+    first, second = AlmostConstant(0, {2: 1, 3: 4}), AlmostConstant(0, {3: 4, 2: 1})
+    assert list(first.dev) != list(second.dev)
+    assert first == second and hash(first) == hash(second)
+    assert Representation({1: 1, 2: 1}) == Representation({2: 1, 1: 1})
+    assert len({first, second, Representation({1: 1, 2: 1}), Representation({2: 1, 1: 1})}) == 2
+
+
+def test_values_of_different_types_are_unequal():
+    # a `_Frozen` type compares only with its own; LaurentFn also
+    # compares with the scalars and polynomials it coerces
+    assert Poly((1,)) != TorsionClass(1, 1, 0, (1,))
+    assert OpenSet([2]) != TorsionDivisor({2: 1})
+    assert LaurentFn(Poly((1, 2))) == Poly((1, 2)) and Poly((1, 2)) == LaurentFn(Poly((1, 2)))
+    assert GradedFn(CURVE.zero(), 1) == GradedFn(CURVE.zero(), 3)
 
 
 def test_power_on_ints():
