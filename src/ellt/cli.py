@@ -21,7 +21,7 @@ from functools import cache
 from math import lcm
 
 from .affinegroups import AffineGroup, affine_sphere_module
-from .curvefield import Coordinate, CycCache, TorsionDivisor, WeierstrassCurve
+from .curvefield import Coordinate, CycCache, FuncElt, TorsionDivisor, WeierstrassCurve
 from .eatheory import (
     EATheory,
     EllipticGroupData,
@@ -33,7 +33,7 @@ from .eatheory import (
     sphere_cohomology,
     sphere_homology,
 )
-from .errors import CapTooSmall, EllTError
+from .errors import CapTooSmall, EllTError, ValidationFailed
 from .exactcore import Q, _label, divisors_of, parse_poly, qtext
 from .sheafside import DEFAULT_OPENS, OpenSet, glue_check, roundtrip, sections
 from .tmodel import _coerce_weight
@@ -270,20 +270,19 @@ def _model_power(config: JobConfig, n: int, where: str) -> None:
 
 
 def _cache_identity(cache: CycCache) -> dict:
-    curve = cache.curve
-    return {
-        "curve": {"a": qtext(curve.a), "b": qtext(curve.b)},
-        "scale": qtext(cache.coordinate.scale),
-    }
+    return {"curve": cache.curve.payload(), "scale": qtext(cache.coordinate.scale)}
 
 
-def _read_cache_file(path: str) -> dict:
-    """The cache file, refused unless it has the shape `cache warm`
-    writes: an `upto` in 1..PSI_CEILING and a psi table {"n": [u, v, d]}
-    with n canonical decimal text in 1..upto and three polynomial texts.
-    The table comes back parsed, as {n: (u, v, d)} polynomials; whether
-    the entries are right is checked later, against recomputation, so the
-    ceiling bounds that work too."""
+def _check_cache_file(config: JobConfig, cache: CycCache, foreign_ok: bool) -> int:
+    """Check the psi cache file at config.cache_path against `cache`, in
+    order: the shape `cache warm` writes (an `upto` in 1..PSI_CEILING and a
+    psi table {"n": [u, v, d]}, n canonical decimal text in 1..upto, three
+    polynomial texts), the curve and scale it was built for, its `upto`
+    against MODEL_POWER_CEILING, then every entry against recomputation.
+    Returns the number of entries; a file for another curve or scale is
+    skipped (0) when `foreign_ok`, since one path may serve a batch over
+    several curves."""
+    path = config.cache_path
     payload = _read_json(path, "cache")
     if not isinstance(payload, dict) or not isinstance(payload.get("psi"), dict):
         raise ConfigError(f"cache {path} is not a division-polynomial cache")
@@ -308,29 +307,26 @@ def _read_cache_file(path: str) -> dict:
             raise ConfigError(f"cache {path} entry {key} has a malformed polynomial")
         if table[index][2].is_zero():
             raise ConfigError(f"cache {path} entry {key} has a zero denominator")
-    return {**payload, "psi": table}
+    if any(payload.get(key) != value for key, value in _cache_identity(cache).items()):
+        if foreign_ok:
+            return 0
+        raise EllTError(f"cache {path} was built for curve {payload.get('curve')} "
+                        f"at scale {payload.get('scale')}, not the configured one")
+    _model_power(config, upto, f"cache {path} upto")
+    for n, (u, v, d) in table.items():
+        if FuncElt(cache.curve, u, v, d) != cache.psi(n):
+            raise ValidationFailed(f"cached psi_{n} disagrees with recomputation")
+    return len(table)
 
 
-def _make_cache(config: JobConfig, cache_path: str | None) -> CycCache:
-    """The configured curve's cache, seeded from the file at cache_path
-    when there is one (cache admin passes None), every entry verified.
-
-    A file for a different curve or coordinate scale is ignored rather
-    than rejected: one path may serve a batch over several curves.
-    """
+def _make_cache(config: JobConfig) -> CycCache:
     a, b = config.require_curve()
     curve = WeierstrassCurve(a, b)
-    cache = CycCache(curve, Coordinate(curve, scale=config.scale))
-    if cache_path is not None and os.path.exists(cache_path):
-        payload = _read_cache_file(cache_path)
-        if all(payload.get(key) == value for key, value in _cache_identity(cache).items()):
-            _model_power(config, payload["upto"], f"cache {cache_path} upto")
-            cache.load_psi_payload(payload["psi"])
-    return cache
+    return CycCache(curve, Coordinate(curve, scale=config.scale))
 
 
-def _make_theory(config: JobConfig, cache_path: str | None) -> EATheory:
-    return EATheory(_make_cache(config, cache_path))
+def _make_theory(config: JobConfig) -> EATheory:
+    return EATheory(_make_cache(config))
 
 
 # ----------------------------------------------------------------------
@@ -339,15 +335,14 @@ def _make_theory(config: JobConfig, cache_path: str | None) -> EATheory:
 
 def _echo(config: JobConfig, theory_or_cache) -> dict:
     cache = getattr(theory_or_cache, "cache", theory_or_cache)
-    curve = cache.curve
     return {
         "command": config.command,
-        "curve": {"a": qtext(curve.a), "b": qtext(curve.b)},
+        "curve": cache.curve.payload(),
         "coordinate": cache.coordinate.describe(),
     }
 
 
-def _run_dims(config: JobConfig, cache_path) -> dict:
+def _run_dims(config: JobConfig) -> dict:
     weights = _weight_dict(config.params["W"], "params.W")
     variance = config.params.get("variance", "homology")
     if variance not in ("homology", "cohomology"):
@@ -358,24 +353,24 @@ def _run_dims(config: JobConfig, cache_path) -> dict:
     # W's size bounds the window depths, which the default caps of a
     # cohomology request do not
     _divisor(rep_to_divisor(weights).coeffs, "params.W divisor")
-    theory = _make_theory(config, cache_path)
+    theory = _make_theory(config)
     run = sphere_homology if variance == "homology" else sphere_cohomology
     hom = run(theory, weights, caps=caps)
     return {
         **_echo(config, theory),
         "variance": variance,
-        "W": {str(s): a for s, a in sorted(weights.items()) if a},
+        "W": TorsionDivisor(weights).payload(),
         "h0": hom.h0,
         "h1": hom.h1,
         "h0_basis": [f.text() for f in hom.h0_basis()],
-        "certified_caps": {str(s): c for s, c in sorted(hom.window.caps.items())},
+        "certified_caps": TorsionDivisor(hom.window.caps).payload(),
     }
 
 
-def _run_basis(config: JobConfig, cache_path) -> dict:
+def _run_basis(config: JobConfig) -> dict:
     coeffs = _divisor(_weight_dict(config.params["divisor"], "params.divisor"),
                       "params.divisor")
-    cache = _make_cache(config, cache_path)
+    cache = _make_cache(config)
     divisor = TorsionDivisor(coeffs)
     basis = cache.rr_basis(divisor)
     return {
@@ -386,25 +381,27 @@ def _run_basis(config: JobConfig, cache_path) -> dict:
     }
 
 
-def _run_coeff(config: JobConfig, cache_path) -> dict:
+def _run_coeff(config: JobConfig) -> dict:
     d_min = _integer(config.params.get("d_min", -4), "params.d_min")
     d_max = _integer(config.params.get("d_max", 4), "params.d_max")
     _integer(d_max - d_min, "params.d_max - params.d_min", minimum=0,
              maximum=SPAN_CEILING)
     caps = _caps(config.params)
-    theory = _make_theory(config, cache_path)
+    theory = _make_theory(config)
     rows = coefficient_ring(theory, d_min, d_max, caps=caps)
     return {**_echo(config, theory), "d_min": d_min, "d_max": d_max, "rows": rows}
 
 
-def _run_divpoly(config: JobConfig, cache_path) -> dict:
+def _run_divpoly(config: JobConfig) -> dict:
     n = _integer(config.params["n"], "params.n", 1, PSI_CEILING)
     scale = config.scale
     _integer((n * n - 1) * max(abs(scale.numerator), scale.denominator).bit_length(),
              "params.n with coordinate.scale: bits of scale^(n^2 - 1)",
              maximum=SCALE_POWER_CEILING)
     _model_power(config, n, "params.n")
-    cache = _make_cache(config, cache_path)
+    cache = _make_cache(config)
+    if config.cache_path is not None and os.path.exists(config.cache_path):
+        _check_cache_file(config, cache, foreign_ok=True)
     psi = cache.psi(n)
     factors = {s: cache.t(s) for s in divisors_of(n) if s > 1}
     # each t_s is normalised against the coordinate c x/y, and the
@@ -423,7 +420,7 @@ def _run_divpoly(config: JobConfig, cache_path) -> dict:
     }
 
 
-def _run_kmodel(config: JobConfig, cache_path) -> dict:
+def _run_kmodel(config: JobConfig) -> dict:
     kind = config.params.get("group")
     if kind not in ("multiplicative", "additive"):
         raise ConfigError("params.group must be multiplicative or additive")
@@ -445,7 +442,7 @@ def _run_kmodel(config: JobConfig, cache_path) -> dict:
     report = {"command": config.command, "group": kind}
     if weights is not None:
         module = affine_sphere_module(group, weights, sign)
-        report["W"] = {str(s): a for s, a in sorted(weights.items()) if a}
+        report["W"] = TorsionDivisor(weights).payload()
         report["sign"] = sign
         report["rank"] = module.rank
         report["odd_dim"] = module.odd_dim
@@ -464,9 +461,9 @@ def _run_kmodel(config: JobConfig, cache_path) -> dict:
     return report
 
 
-def _run_completion(config: JobConfig, cache_path) -> dict:
+def _run_completion(config: JobConfig) -> dict:
     k = _integer(config.params["k"], "params.k", 1, STAGE_CEILING)
-    theory = _make_theory(config, cache_path)
+    theory = _make_theory(config)
     module = completion(theory, k)
     action = module.action_matrix()
     return {
@@ -488,20 +485,20 @@ def _nilpotency_order(column: list) -> int | None:
     return -(-len(column) // v) if v else None
 
 
-def _run_localcoh(config: JobConfig, cache_path) -> dict:
+def _run_localcoh(config: JobConfig) -> dict:
     pi = _class_list(config.params["pi"], "params.pi")
     if not pi:
         raise ConfigError("params.pi must name at least one class")
     a = _integer(config.params.get("a", 1), "params.a", 1, LEVEL_CEILING)
-    theory = _make_theory(config, cache_path)
+    theory = _make_theory(config)
     return {**_echo(config, theory), **local_cohomology(theory, pi, a).report()}
 
 
-def _run_serre(config: JobConfig, cache_path) -> dict:
+def _run_serre(config: JobConfig) -> dict:
     divisor = TorsionDivisor(_weight_dict(config.params["divisor"], "params.divisor"))
     _integer(divisor.degree, "params.divisor degree", maximum=DEGREE_CEILING)
     caps = _caps(config.params)
-    theory = _make_theory(config, cache_path)
+    theory = _make_theory(config)
     pairing = serre_pairing(theory, divisor, caps=caps)
     return {
         **_echo(config, theory),
@@ -513,27 +510,27 @@ def _run_serre(config: JobConfig, cache_path) -> dict:
     }
 
 
-def _run_sections(config: JobConfig, cache_path) -> dict:
+def _run_sections(config: JobConfig) -> dict:
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
     pi = _class_list(config.params["pi"], "params.pi")
     cap = _integer(config.params.get("cap", 0), "params.cap", 0, CAP_CEILING)
     _divisor(coeffs, "params.divisor", cap, pi)
-    cache = _make_cache(config, cache_path)
+    cache = _make_cache(config)
     window = sections(cache, coeffs, OpenSet(pi), cap)
     return {**_echo(config, cache), **window.report()}
 
 
-def _run_glue(config: JobConfig, cache_path) -> dict:
+def _run_glue(config: JobConfig) -> dict:
     coeffs = _weight_dict(config.params["divisor"], "params.divisor")
     left = OpenSet(_class_list(config.params["left"], "params.left"))
     right = OpenSet(_class_list(config.params["right"], "params.right"))
     cap = _integer(config.params.get("cap", 0), "params.cap", 0, CAP_CEILING)
     _divisor(coeffs, "params.divisor", cap, set(left.pi) | set(right.pi))
-    cache = _make_cache(config, cache_path)
+    cache = _make_cache(config)
     return {**_echo(config, cache), **glue_check(cache, coeffs, left, right, cap)}
 
 
-def _run_roundtrip(config: JobConfig, cache_path) -> dict:
+def _run_roundtrip(config: JobConfig) -> dict:
     weights = _weight_dict(config.params["W"], "params.W")
     divisor = _divisor(rep_to_divisor(weights).coeffs, "params.W divisor")
     opens = DEFAULT_OPENS
@@ -552,56 +549,48 @@ def _run_roundtrip(config: JobConfig, cache_path) -> dict:
     for piece in opens:  # the largest divisor each open fattens W's to
         _divisor(divisor, f"params.W divisor with cap {cap} on classes {list(piece.pi)}",
                  cap, piece.pi)
-    theory = _make_theory(config, cache_path)
+    theory = _make_theory(config)
     return {**_echo(config, theory), **roundtrip(theory, weights, opens, caps)}
 
 
-def _run_cache_admin(config: JobConfig, cache_path) -> dict:
+def _run_cache_admin(config: JobConfig) -> dict:
     action = config.params.get("action")
     if action not in ("warm", "verify", "clear"):
         raise ConfigError("params.action must be warm, verify, or clear")
     upto = _integer(config.params.get("upto", 6), "params.upto", 1, PSI_CEILING)
-    if cache_path is None:
+    path = config.cache_path
+    if path is None:
         raise ConfigError("cache admin needs a cache path (--cache, ELLT_CACHE, "
                           "or cache_path in the config)")
-    report = {"command": config.command, "action": action, "path": cache_path}
+    report = {"command": config.command, "action": action, "path": path}
 
     if action == "clear":
-        removed = os.path.exists(cache_path)
+        removed = os.path.exists(path)
         if removed:
             try:
-                os.remove(cache_path)
+                os.remove(path)
             except OSError as exc:
-                raise ConfigError(f"cannot clear cache {cache_path}: {exc}")
+                raise ConfigError(f"cannot clear cache {path}: {exc}")
         report["removed"] = removed
         return report
 
-    if action == "warm":
-        _model_power(config, upto, "params.upto")
-        cache = _make_cache(config, None)
-        cache.warm(upto)
-        payload = {**_cache_identity(cache), "upto": upto,
-                   "psi": cache.psi_cache_payload()}
-        try:
-            _write_output(cache_path, _json_bytes(payload))
-        except OSError as exc:
-            raise ConfigError(f"cannot write cache {cache_path}: {exc}")
-        report["upto"] = upto
-        report["entries"] = len(payload["psi"])
+    if action == "verify":
+        report["entries"] = _check_cache_file(config, _make_cache(config), foreign_ok=False)
+        report["ok"] = True
         return report
 
-    cache = _make_cache(config, None)
-    payload = _read_cache_file(cache_path)
-    identity = _cache_identity(cache)
-    if payload.get("curve") != identity["curve"] or payload.get("scale") != identity["scale"]:
-        raise EllTError(
-            f"cache {cache_path} was built for curve {payload.get('curve')} "
-            f"at scale {payload.get('scale')}, not the configured one"
-        )
-    _model_power(config, payload["upto"], f"cache {cache_path} upto")
-    cache.load_psi_payload(payload["psi"])
-    report["entries"] = len(payload["psi"])
-    report["ok"] = True
+    _model_power(config, upto, "params.upto")
+    cache = _make_cache(config)
+    table = {}
+    for n in range(1, upto + 1):
+        psi = cache.psi(n)
+        table[str(n)] = [psi.u.text(), psi.v.text(), psi.d.text()]
+    try:
+        _write_output(path, _json_bytes({**_cache_identity(cache), "upto": upto, "psi": table}))
+    except OSError as exc:
+        raise ConfigError(f"cannot write cache {path}: {exc}")
+    report["upto"] = upto
+    report["entries"] = upto
     return report
 
 
@@ -660,13 +649,13 @@ def _write_output(path: str, data: bytes) -> None:
         raise
 
 
-def run(config: JobConfig, cache_path: str | None) -> dict:
+def run(config: JobConfig) -> dict:
     handler, accepted, required = _HANDLERS[config.command]
     _check_keys(config.params, accepted, "params")
     for key in required:
         if key not in config.params:
             raise ConfigError(f"{config.command} needs params.{key}")
-    return handler(config, cache_path)
+    return handler(config)
 
 
 # ----------------------------------------------------------------------
@@ -684,7 +673,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_HANDLERS))
     parser.add_argument("--config", required=True, help="path to a JSON job config")
     parser.add_argument("--out", help="report destination (default: stdout)")
-    parser.add_argument("--cache", help="division-polynomial cache file")
+    parser.add_argument("--cache", help="division-polynomial cache file (divpoly, cache)")
     return parser
 
 
@@ -700,9 +689,9 @@ def main(argv=None) -> int:
             # paths; success stays 0, every failure becomes a config error
             return 0 if not exc.code else 1
         config = load_config(args.command, args.config)
-        cache_path = args.cache or os.environ.get("ELLT_CACHE") or config.cache_path
+        config.cache_path = args.cache or os.environ.get("ELLT_CACHE") or config.cache_path
         started = time.perf_counter()
-        report = run(config, cache_path)
+        report = run(config)
         elapsed = time.perf_counter() - started
     except ConfigError as exc:
         print(f"ellt: config error: {exc}", file=sys.stderr)

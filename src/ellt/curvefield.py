@@ -158,6 +158,10 @@ class WeierstrassCurve(_Frozen):
     def __repr__(self):
         return f"WeierstrassCurve(a={qtext(self.a)}, b={qtext(self.b)})"
 
+    def payload(self) -> dict:
+        """The report form {"a": a, "b": b}, each as p/q text."""
+        return {"a": qtext(self.a), "b": qtext(self.b)}
+
     # convenient field elements
     def elt(self, u, v=None, d=None) -> "FuncElt":
         return FuncElt(self, u if isinstance(u, Poly) else Poly.const(u),
@@ -542,9 +546,10 @@ class Coordinate(_Frozen):
 
 
 class CycCache:
-    """Per-(curve, coordinate) memo of division polynomials, cyclotomic
-    functions t_s and their products, class polynomials, chart series and
-    expansions of the coordinate.
+    """Per-(curve, coordinate) memo of division polynomials (as the
+    integer g_n of the integral model), cyclotomic functions t_s and their
+    products, class polynomials, chart series and expansions of the
+    coordinate.  It holds nothing on disk: the CLI owns the psi cache file.
 
     Single-threaded: entries are stored in place, and a t_s is stored
     only after it has been validated, so a stored entry is always a
@@ -554,7 +559,6 @@ class CycCache:
     def __init__(self, curve: WeierstrassCurve, coordinate: Coordinate | None = None):
         self.curve = curve
         self.coordinate = coordinate or Coordinate(curve)
-        self._psi: dict[int, FuncElt] = {}
         self._model = _IntegralModel(curve)
         self._t: dict[int, FuncElt] = {}
         self._class_poly: dict[int, Poly] = {}
@@ -572,10 +576,7 @@ class CycCache:
         nonzero n-torsion once each against (n^2 - 1)(e)."""
         if n < 0:
             raise ValueError("index must be nonnegative")
-        val = self._psi.get(n)
-        if val is None:
-            val = self._psi[n] = self._model.psi(n)
-        return val
+        return self._model.psi(n)
 
     # -- cyclotomic functions --------------------------------------------
 
@@ -817,27 +818,6 @@ class CycCache:
         profile = {s: tuple(max(0, -self._ord_along(f, s)) for f in pair)
                    for s in sorted(touched)}
         return {"validated_to": bound, "classes": sorted(touched), "profile": profile}
-
-    # -- persistence -------------------------------------------------------
-
-    def psi_cache_payload(self) -> dict:
-        return {
-            str(n): [f.u.text(), f.v.text(), f.d.text()]
-            for n, f in sorted(self._psi.items())
-            if n >= 1
-        }
-
-    def warm(self, upto: int) -> None:
-        for n in range(1, upto + 1):
-            self.psi(n)
-
-    def load_psi_payload(self, payload: dict) -> None:
-        """Take a stored psi table, {n: (u, v, d)} with the polynomials
-        parsed from the texts of `psi_cache_payload`, after checking every
-        entry against the integer recurrence."""
-        for n, (u, v, d) in payload.items():
-            if FuncElt(self.curve, u, v, d) != self.psi(n):
-                raise ValidationFailed(f"cached psi_{n} disagrees with recomputation")
 
 
 def _int_mul(p: tuple, q: tuple) -> tuple:

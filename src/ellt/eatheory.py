@@ -439,17 +439,14 @@ class SphereHomology:
         ]
 
     def report(self) -> dict:
-        curve = self.theory.curve
         return {
-            "curve": {"a": qtext(curve.a), "b": qtext(curve.b)},
+            "curve": self.theory.curve.payload(),
             "coordinate": self.theory.cache.coordinate.describe(),
             "W": _weights_payload(self.weights),
             "h0": self.h0,
             "h1": self.h1,
             "h0_basis": [g.fn.text() for g in self.h0_basis()],
-            "certified_caps": {
-                str(s): self.window.caps[s] for s in sorted(self.window.caps)
-            },
+            "certified_caps": TorsionDivisor(self.window.caps).payload(),
         }
 
 

@@ -22,8 +22,8 @@ class UnsupportedPoles(EllTError, ValueError):
 
 
 class DepthExceeded(EllTError, ValueError):
-    """A principal-part request asked for a shallower window than the
-    actual pole depth of the function."""
+    """A principal-part request asked for a depth below 1; poles deeper
+    than the requested depth are truncated, not refused."""
 
 
 class CapTooSmall(EllTError):

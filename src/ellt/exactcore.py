@@ -8,6 +8,7 @@ formats; sizes stay at desk scale and predictability wins.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 from math import gcd, lcm
 
@@ -241,15 +242,24 @@ class Poly(_Frozen):
         return "[" + ", ".join(qtext(c) for c in self.coeffs) + "]"
 
 
+# a coefficient as `qtext` writes it; `Fraction` would also read an
+# exponent, and build 10^e for "1e10000000" before any check could refuse it
+_QTEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_poly(text: str) -> Poly:
-    """Parse the bracketed ascending-coefficient format, e.g. '[-1, 0, 1]'."""
+    """Parse the bracketed ascending-coefficient format, e.g. '[-1, 0, 1]',
+    each coefficient p/q text as `qtext` writes it."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"not a polynomial literal: {text!r}")
     inner = text[1:-1].strip()
     if not inner:
         return Poly()
-    return Poly(tuple(rational(part) for part in inner.split(",")))
+    parts = inner.split(",")
+    if not all(_QTEXT.fullmatch(part.strip()) for part in parts):
+        raise ValueError("polynomial coefficients must be p/q text")
+    return Poly(tuple(rational(part) for part in parts))
 
 
 def _primitive(values) -> list[int]:

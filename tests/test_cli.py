@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellt import cli, curvefield
+from ellt import cli, curvefield, exactcore
 from ellt.cli import _HANDLERS, ConfigError, JobConfig, load_config, main
 from ellt.exactcore import qtext
 
@@ -210,25 +210,34 @@ def test_the_model_power_ceiling(a, b, n, admitted):
 
 
 @pytest.mark.parametrize("command,params", [
-    ("dims", {"W": {"1": 1}}),
+    ("basis", {"divisor": {"1": 1, "2": 1}}),
     ("divpoly", {"n": 2}),
     ("cache", {"action": "verify"}),
 ])
 def test_a_cache_file_upto_meets_the_model_power_ceiling(tmp_path, capsys, monkeypatch,
                                                          command, params):
-    # `cache warm` refuses upto 32 on this curve at once, so a file that
-    # claims it is refused before any entry is checked against psi_32
+    # `cache warm` refuses upto 32 on this curve at once, so a reader
+    # refuses a file that claims it before any entry is checked against
+    # psi_32; `basis` computes no psi_n, so it never opens the file
     cache = tmp_path / "psi.json"
     cache.write_text(json.dumps({**WIDE, "scale": "1", "upto": 32,
                                  "psi": {"32": ["[1]", "[]", "[1]"]}}))
+    config = {**WIDE, "params": params}
+    if command == "basis":
+        assert run_cli(tmp_path, command, config) == 0
+        plain = capsys.readouterr().out
     calls = []
     psi = curvefield.CycCache.psi
     monkeypatch.setattr(curvefield.CycCache, "psi",
                         lambda self, n: calls.append(n) or psi(self, n))
-    assert run_cli(tmp_path, command, {**WIDE, "params": params}, "--cache", str(cache)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"ellt: config error: cache {cache} upto with the curve: "
-                          "bits of u^(n^2 - 1)")
+    code = run_cli(tmp_path, command, config, "--cache", str(cache))
+    captured = capsys.readouterr()
+    if command == "basis":
+        assert code == 0 and captured.out == plain
+    else:
+        assert code == 1
+        assert captured.err.startswith(f"ellt: config error: cache {cache} upto with the "
+                                       "curve: bits of u^(n^2 - 1)")
     assert calls == []
 
 
@@ -239,6 +248,73 @@ def test_a_cache_file_upto_is_bounded_as_warm_bounds_it(tmp_path, upto, code):
     cache.write_text(json.dumps({**WIDE, "scale": "1", "upto": upto, "psi": {}}))
     cfg = {**WIDE, "params": {"action": "verify"}}
     assert run_cli(tmp_path, "cache", cfg, "--cache", str(cache)) == code
+
+
+@pytest.mark.parametrize("text", ["[1e10000000]", "[1e0]", "[1.0]", "[+1]", "[1_0]"])
+def test_cache_texts_are_refused_before_they_are_read(tmp_path, capsys, monkeypatch, text):
+    # psi_1 = 1: these texts used to give 0 when their value was 1 and 3
+    # otherwise, and 10^10000000 was built first
+    cache = tmp_path / "psi.json"
+    cache.write_text(json.dumps({**E1, "scale": "1", "upto": 1, "psi": {"1": [text, "[]", "[1]"]}}))
+    built = []
+    monkeypatch.setattr(exactcore, "rational", lambda value: built.append(value))
+    for command, params in (("divpoly", {"n": 1}), ("cache", {"action": "verify"})):
+        assert run_cli(tmp_path, command, {**E1, "params": params}, "--cache", str(cache)) == 1
+        assert "entry 1 has a malformed polynomial" in capsys.readouterr().err
+    assert built == []
+
+
+# (-1/256, 0) is (-1, 0) rescaled, so every command runs on it, and its
+# u = 256 puts a cache file with upto 32 past MODEL_POWER_CEILING
+C256 = {"curve": {"a": "-1/256", "b": "0"}}
+C256_HEADER = {**C256, "scale": "1"}
+# each file that a reader refuses, with the exit code it gives there
+BAD_CACHE_FILES = {
+    "malformed": ({**C256_HEADER, "upto": 1, "psi": {"1": ["[1", "[]", "[1]"]}}, 1),
+    "past-the-ceiling": ({**C256_HEADER, "upto": 32, "psi": {"1": ["[1]", "[]", "[1]"]}}, 1),
+    "wrong-entry": ({**C256_HEADER, "upto": 2, "psi": {"2": ["[]", "[3]", "[1]"]}}, 3),
+}
+# one request of each command that computes no psi_n
+NO_PSI_REQUESTS = {
+    "basis": {"divisor": {"1": 1, "2": 1}},
+    "coeff": {"d_min": -2, "d_max": 2},
+    "completion": {"k": 3},
+    "dims": {"W": {"2": 1}},
+    "glue": {"divisor": {"1": 1}, "left": [1], "right": [2], "cap": 2},
+    "localcoh": {"pi": [2], "a": 1},
+    "roundtrip": {"W": {"1": 1}},
+    "sections": {"divisor": {"1": 1}, "pi": [2], "cap": 2},
+    "serre": {"divisor": {"1": 2}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_CACHE_FILES))
+def test_the_readers_refuse_each_bad_cache_file(tmp_path, capsys, kind):
+    blob, code = BAD_CACHE_FILES[kind]
+    cache = tmp_path / "psi.json"
+    cache.write_text(json.dumps(blob))
+    for command, params in (("divpoly", {"n": 2}), ("cache", {"action": "verify"})):
+        assert run_cli(tmp_path, command, {**C256, "params": params}, "--cache", str(cache)) == code
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_CACHE_FILES))
+@pytest.mark.parametrize("command", sorted(NO_PSI_REQUESTS))
+def test_commands_without_psi_never_read_the_cache_file(tmp_path, capsys, monkeypatch,
+                                                        command, kind):
+    config = {**C256, "params": NO_PSI_REQUESTS[command]}
+    code = run_cli(tmp_path, command, config)
+    plain = capsys.readouterr().out
+    cache = tmp_path / "psi.json"
+    cache.write_text(json.dumps(BAD_CACHE_FILES[kind][0]))
+    calls = []
+    psi, reader = curvefield.CycCache.psi, cli._check_cache_file
+    monkeypatch.setattr(curvefield.CycCache, "psi",
+                        lambda self, n: calls.append(n) or psi(self, n))
+    monkeypatch.setattr(cli, "_check_cache_file",
+                        lambda *args, **kw: calls.append("read") or reader(*args, **kw))
+    assert run_cli(tmp_path, command, config, "--cache", str(cache)) == code == 0
+    assert capsys.readouterr().out == plain
+    assert calls == []
 
 
 def _fraction_then_ceiling(text):
@@ -682,6 +758,26 @@ class TestCacheAdmin:
         blob["psi"]["5"][2] = "[2]"
         json.dump(blob, open(cache, "w"))
         assert run_cli(tmp_path, "cache", {**cfg, "params": {"action": "verify"}}) == 3
+
+    @pytest.mark.parametrize("curve", [E1, {"curve": {"a": "0", "b": "1/4"}}],
+                             ids=["E1", "E6"])
+    @pytest.mark.parametrize("scale", ["1", "-1/3"])
+    def test_warm_then_verify_round_trips(self, tmp_path, capsys, curve, scale):
+        cache = tmp_path / "psi.json"
+        cfg = {**curve, "coordinate": {"scale": scale}, "cache_path": str(cache)}
+        rep = run_json(tmp_path, capsys, "cache", {**cfg, "params": {"action": "warm", "upto": 7}})
+        assert rep["entries"] == rep["upto"] == 7
+        blob = json.loads(cache.read_text())
+        assert blob["curve"] == curve["curve"] and blob["scale"] == scale
+        assert list(blob["psi"]) == [str(n) for n in range(1, 8)]
+        rep = run_json(tmp_path, capsys, "cache", {**cfg, "params": {"action": "verify"}})
+        assert rep["entries"] == 7 and rep["ok"] is True
+        # the stored texts are the psi_n that divpoly prints, file or no file
+        plain = run_json(tmp_path, capsys, "divpoly",
+                         {**curve, "coordinate": {"scale": scale}, "params": {"n": 7}})
+        assert plain["psi"] == "({}; {}; {})".format(*blob["psi"]["7"])
+        assert run_json(tmp_path, capsys, "divpoly", {**cfg, "params": {"n": 7}}) == plain
+        assert cache.read_text() == json.dumps(blob, indent=2) + "\n"
 
     def test_verify_rejects_foreign_curve(self, tmp_path, capsys):
         cache = str(tmp_path / "psi.json")

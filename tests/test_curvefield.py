@@ -1,4 +1,3 @@
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -247,33 +246,6 @@ class TestDivisionPolys:
                     y0 = numpy.sqrt(complex(x0) ** 3 - complex(x0))
                     val = (ev(psi.u, x0) + ev(psi.v, x0) * y0) / ev(psi.d, x0)
                     assert abs(val) < 1e-9
-
-
-def parsed(payload):
-    """The psi table as the CLI cache reader hands it on."""
-    return {int(n): tuple(map(parse_poly, entry)) for n, entry in payload.items()}
-
-
-class TestPsiCachePersistence:
-    """The psi table the CLI cache file stores, through JSON text."""
-
-    def test_roundtrip(self):
-        cache = CycCache(E1)
-        cache.warm(5)
-        payload = json.loads(json.dumps(cache.psi_cache_payload()))
-        assert sorted(payload, key=int) == ["1", "2", "3", "4", "5"]
-        fresh = CycCache(E1)
-        fresh.load_psi_payload(parsed(payload))
-        assert fresh.psi_cache_payload() == payload
-        assert fresh.psi(5) == cache.psi(5)
-
-    def test_tampered_entry_rejected(self):
-        cache = CycCache(E1)
-        cache.warm(3)
-        payload = json.loads(json.dumps(cache.psi_cache_payload()))
-        payload["3"] = ["[1, 1]", "[]", "[1]"]
-        with pytest.raises(ValidationFailed):
-            CycCache(E1).load_psi_payload(parsed(payload))
 
 
 class TestCyclotomicFunctions:

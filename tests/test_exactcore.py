@@ -1,3 +1,6 @@
+import fractions
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +55,26 @@ class TestPoly:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_poly("x^2-1")
+
+    @pytest.mark.parametrize("text", ["[1e10000000]", "[2, 1e10000000]", "[0.5]", "[+1]",
+                                      "[1_0]", "[1/2e3]", "[\uff11]", "[1 /2]", "[-]"])
+    def test_parse_reads_only_p_q_text(self, text):
+        # `Fraction` reads an exponent too and builds 10^e first, so every
+        # coefficient is refused before any Fraction is built
+        calls = []
+
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(watch)
+        try:
+            with pytest.raises(ValueError, match="p/q text"):
+                parse_poly(text)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        assert parse_poly("[ -7/2 , 0,1 ]") == P(Q(-7, 2), 0, 1)
 
     def test_mul_and_divmod(self):
         a = P(-1, 0, 1)  # x^2 - 1

@@ -26,6 +26,10 @@ rationals appear only at the public edge (`QWindow.matrix`).  Every
 residue comes from one split of a denominator against a class polynomial
 and one inverse modulo its class part (`curvefield._residue_split`), read
 through `curvefield.residue_form`, once per column of the Serre pairing.
+The psi cache file belongs to the CLI: `cli._check_cache_file` is its one
+reader, `divpoly` and `cache` the only commands that compute psi_n, and
+`curvefield` keeps no persistence.  A curve's report form is
+`WeierstrassCurve.payload`.
 A second copy drifts from the first;
 this walks the same source as `test_no_asserts.py` and names every copy
 it finds."""
@@ -279,3 +283,31 @@ def test_block_assembly_builds_no_fraction():
         sys.setprofile(None)
     assert len(blocks) == 4 and win.rows and calls == []
     assert win.matrix is not None  # the public edge does build them
+
+
+def test_curvefield_keeps_no_cache_file():
+    # `CycCache.psi` reads the integral model's g_n memo, and no method
+    # writes or loads a psi table; the payloads left are report forms
+    file_methods = _homes(lambda node: isinstance(node, ast.FunctionDef)
+                          and (node.name == "warm" or "payload" in node.name))
+    assert [home for home in file_methods if home.startswith("curvefield.py:")] == [
+        "curvefield.py:TorsionDivisor", "curvefield.py:WeierstrassCurve"]
+    assert _homes(lambda node: isinstance(node, ast.Attribute) and node.attr == "_psi") == []
+
+
+def test_one_cache_file_reader():
+    def in_cli(homes):
+        return {home for home in homes if home.startswith("cli.py:")}
+
+    assert in_cli(_homes(lambda node: _is_call_of(node, "parse_poly"))) == {
+        "cli.py:_check_cache_file"}
+    assert in_cli(_homes(lambda node: _is_call_of(node, "psi"))) == {
+        "cli.py:_check_cache_file", "cli.py:_run_divpoly", "cli.py:_run_cache_admin"}
+
+
+def test_one_report_form_for_a_curve():
+    def curve_dict(node):
+        return isinstance(node, ast.Dict) and [
+            getattr(key, "value", None) for key in node.keys] == ["a", "b"]
+
+    assert _homes(curve_dict) == ["curvefield.py:WeierstrassCurve.payload"]

@@ -67,12 +67,22 @@ def theories():
             for curve, scale in ((CURVES[0], 1), (CURVES[1], 2), (CURVES[5], Fraction(1, 3)))]
 
 
+# the terms m_k * t*(E).inverse() of each (coordinate, cap divisor), built
+# once: keyed by value, since a freed context's id is reused
+TERMS = {}
+
+
 def reference_element(ctx, vec):
-    """sum_k vec[k] (m_k * t*(E).inverse()), one index at a time."""
-    inv = ctx.cache.t_star(ctx.cap_divisor).inverse()
+    """sum_k vec[k] (m_k * t*(E).inverse()), one index at a time (a zero
+    vec[k] adds nothing, so it is skipped)."""
+    terms = TERMS.setdefault((ctx.cache.coordinate, ctx.cap_divisor), [])
+    if len(terms) < len(vec):
+        inv = ctx.cache.t_star(ctx.cap_divisor).inverse()
+        terms += [monomial(ctx.cache.curve, k) * inv for k in range(len(terms), len(vec))]
     total = ctx.cache.curve.one() * 0
-    for k, c in enumerate(vec):
-        total = total + monomial(ctx.cache.curve, k) * inv * c
+    for term, c in zip(terms, vec):
+        if c:
+            total = total + term * c
     return total
 
 
