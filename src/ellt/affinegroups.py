@@ -141,17 +141,6 @@ def _coerce_fn(value):
     return None
 
 
-def parse_laurent_fn(text: str) -> LaurentFn:
-    from .exactcore import parse_poly
-
-    # the fraction bar sits between bracketed polynomials; the slashes
-    # inside the brackets belong to rational coefficients
-    head, sep, tail = text.strip().partition("] / [")
-    if sep:
-        return LaurentFn(parse_poly(head + "]"), parse_poly("[" + tail))
-    return LaurentFn(parse_poly(text.strip()))
-
-
 class AffineGroup(_Frozen):
     """A one-dimensional affine group law with its cyclotomic factors."""
 

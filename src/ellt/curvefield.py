@@ -31,7 +31,6 @@ from .exactcore import (
     _primitive,
     _whole,
     divisors_of,
-    parse_poly,
     poly_gcd,
     poly_inverse_mod,
     power,
@@ -314,18 +313,6 @@ class FuncElt(_Frozen):
 
     def __repr__(self):
         return f"FuncElt{self.text()}"
-
-
-def parse_func_elt(curve: WeierstrassCurve, text: str) -> FuncElt:
-    """Parse the '(u; v; d)' wire format."""
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"not a function-element literal: {text!r}")
-    parts = text[1:-1].split(";")
-    if len(parts) != 3:
-        raise ValueError("expected three components (u; v; d)")
-    u, v, d = (parse_poly(p.strip()) for p in parts)
-    return FuncElt(curve, u, v, d)
 
 
 # ---------------------------------------------------------------------------

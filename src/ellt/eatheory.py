@@ -158,6 +158,10 @@ class EllipticGroupData:
     windows and the integer ladders of block multipliers across
     assemblies; that reuse is what keeps sweeps over many weights
     affordable.  No block rows are kept.
+
+    Before its first window at a class s <= 4 the instance runs the
+    class-s spot check (`check_class`), so no window at such a class is
+    read on a backend whose check there failed or has not run.
     """
 
     def __init__(self, cache: CycCache):
@@ -167,6 +171,7 @@ class EllipticGroupData:
         self.profile = dict(report["profile"])
         self._windows: dict = {}
         self._multipliers: dict = {}
+        self._unchecked = {1, 2, 3, 4}
 
     @staticmethod
     def default_caps(exp: dict) -> dict:
@@ -178,12 +183,38 @@ class EllipticGroupData:
         return caps
 
     def window(self, s: int, depth: int, others: TorsionDivisor) -> QuotientWindow:
+        self.check_class(s)
         key = (s, depth, tuple(sorted(others.coeffs.items())))
         win = self._windows.get(key)
         if win is None:
             win = QuotientWindow(self.cache, s, depth, others)
             self._windows[key] = win
         return win
+
+    def check_class(self, s: int) -> None:
+        """The class-s spot check, once per instance for s <= 4: at depths
+        1 and 2 the structure map covers the class-s window once the
+        vertex carries enough poles.  Each depth assembles the one block
+        it reads and compares its shape and rank with its row count.  A
+        check that fails stays pending, so the next read runs it again."""
+        if s not in self._unchecked:
+            return
+        self._unchecked.discard(s)  # its own blocks read class-s windows
+        try:
+            for depth in (1, 2):
+                caps = {1: depth, 2: 1} if s == 1 else {1: 2, s: depth}
+                ctx = self.setup({}, caps)
+                rows = next(r for cls, _, r in ctx.blocks if cls == s)
+                _, block = ctx.block_matrix(s)
+                if (len(block) != rows
+                        or any(len(row) != ctx.source_dim for row in block)
+                        or matrix_rank(block) != rows):
+                    raise ValidationFailed(
+                        f"structure map misses the class-{s} window at depth {depth}"
+                    )
+        except BaseException:
+            self._unchecked.add(s)
+            raise
 
     def twist(self, s: int, w: int) -> FuncElt:
         """t_s ** w: t*(w A<s>), or for s = 1, which t_star ignores, the
@@ -340,34 +371,21 @@ class EATheory:
         g = fn
         if w:
             g = fn * self.backend.twist(s, w)
+        self.backend.check_class(s)  # principal_part reads class-s windows directly
         vec = principal_part(self.cache, g, s, depth)
         return TorsionClass(s, depth, weight - w, vec)
 
     def _construction_check(self) -> None:
-        """Construction-time spot check: the base object has one function
-        and one torsion class, and the structure map covers each torsion
-        window once the vertex carries enough poles.  Only the base window
-        is a full `QWindow`: each spot check assembles the one block it
-        reads and compares its shape and rank with its row count."""
+        """Build-time check: the base object has one function and one
+        torsion class.  Its window reads class 1, so the class-1 spot
+        check runs here too; the checks at classes 2-4 wait for the first
+        read of a window at their class."""
         base = QWindow(self.backend, AlmostConstant(0))
         if base.hom_dim != 1 or base.ext_dim != 1:
             raise ValidationFailed(
                 f"base window has dims ({base.hom_dim}, {base.ext_dim}), "
                 "expected (1, 1)"
             )
-        for s in (1, 2, 3, 4):
-            for depth in (1, 2):
-                caps = {1: depth, 2: 1} if s == 1 else {1: 2, s: depth}
-                ctx = self.backend.setup({}, caps)
-                rows = next(r for cls, _, r in ctx.blocks if cls == s)
-                _, block = ctx.block_matrix(s)
-                if (len(block) != rows
-                        or any(len(row) != ctx.source_dim for row in block)
-                        or matrix_rank(block) != rows):
-                    raise ValidationFailed(
-                        f"structure map misses the class-{s} window "
-                        f"at depth {depth}"
-                    )
 
 
 def build_ea(curve, coordinate: Coordinate | None = None) -> EATheory:

@@ -430,23 +430,6 @@ def suspend(x: ASObject, delta) -> ASObject:
     return ASObject(x.group, x.weight + delta, name=f"susp({x.name})")
 
 
-def sphere_hom(source, target) -> tuple[int, EulerClassSymbol | None]:
-    """Degree-zero maps between spheres.
-
-    There is a single copy of Q, spanned by the Euler symbol of the
-    weight difference, exactly when the target weight is pointwise at
-    most the source weight with the same tail; otherwise nothing.
-    """
-    ws = source.weight if isinstance(source, ASObject) else _coerce_weight(source)
-    wt = target.weight if isinstance(target, ASObject) else _coerce_weight(target)
-    if ws.tail != wt.tail:
-        return 0, None
-    diff = ws - wt
-    if any(v < 0 for v in diff.dev.values()):
-        return 0, None
-    return 1, EulerClassSymbol(diff)
-
-
 class StabilizedResult:
     """A window value together with the caps that certified it."""
 

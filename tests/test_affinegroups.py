@@ -11,7 +11,6 @@ from ellt.affinegroups import (
     additive_group,
     affine_sphere_module,
     multiplicative_group,
-    parse_laurent_fn,
 )
 from ellt.tmodel import (
     Representation,
@@ -115,8 +114,6 @@ class TestLaurentFn:
     def test_text_and_parse(self):
         fn = LaurentFn(Poly([1, 2]), Poly([0, 0, 3]))
         assert fn.text() == "[1/3, 2/3] / [0, 0, 1]"
-        assert parse_laurent_fn(fn.text()) == fn
-        assert parse_laurent_fn("[5]") == LaurentFn(Poly([5]))
 
 
 @given(

@@ -747,10 +747,9 @@ class TestCacheAdmin:
         cfg = {**E1, "cache_path": cache}
         run_json(tmp_path, capsys, "cache", {**cfg, "params": {"action": "warm", "upto": 5}})
         parsed = []
-        parse_poly = curvefield.parse_poly
-        for module in (cli, curvefield):
-            monkeypatch.setattr(module, "parse_poly",
-                                lambda text: parsed.append(text) or parse_poly(text))
+        parse_poly = cli.parse_poly
+        monkeypatch.setattr(cli, "parse_poly",
+                            lambda text: parsed.append(text) or parse_poly(text))
         assert run_cli(tmp_path, "cache", {**cfg, "params": {"action": "verify"}}) == 0
         assert len(parsed) == 3 * 5
         # every entry is still checked against recomputation

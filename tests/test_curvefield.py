@@ -22,7 +22,6 @@ from ellt.curvefield import (
     h_dims,
     ladder_frames,
     monomial,
-    parse_func_elt,
     principal_part,
     residue_along,
     residue_at_e,
@@ -132,10 +131,6 @@ class TestCurveAndElements:
         # (x*y) / (x) collapses to y with monic denominator
         f = FuncElt(E1, Poly(), Poly((0, 2)), Poly((0, 2)))
         assert f == E1.y()
-
-    def test_text_roundtrip(self):
-        f = (E1.x() * 2 + E1.y()) / (E1.x() - 3)
-        assert parse_func_elt(E1, f.text()) == f
 
     @settings(max_examples=150, deadline=None)
     @given(small_poly, small_poly, denominator_poly, st.one_of(st.just(Poly.const(1)), unit_poly))

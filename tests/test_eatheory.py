@@ -1,6 +1,9 @@
 """Elliptic windows: frozen examples on two small curves and cross-checks
 against the divisor dimension count."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,7 +95,9 @@ class TestConstruction:
     def test_spot_check_refuses_a_faulty_block(self, monkeypatch, s, depth, fault):
         """A class-s block at the spot caps that loses rank, or gains a row
         or a column without losing rank, is refused with the message of
-        an uncovered window."""
+        an uncovered window.  Class 1 is checked at build; a class s >= 2
+        at the first read of a class-s window, on every route to one, and
+        a failed check is not recorded as passed, so each read raises."""
         caps = {1: depth, 2: 1} if s == 1 else {1: 2, s: depth}
         honest = _EllipticAssembly.block_matrix
 
@@ -108,14 +113,29 @@ class TestConstruction:
 
         monkeypatch.setattr(_EllipticAssembly, "block_matrix", faulty)
         message = f"structure map misses the class-{s} window at depth {depth}"
-        with pytest.raises(ValidationFailed, match=message):
-            build_ea((0, 1))
+        if s == 1:
+            with pytest.raises(ValidationFailed, match=message):
+                build_ea((0, 1))
+            return
+        th = build_ea((0, 1))
+        reads = [
+            lambda: th.window({}, {1: 2, s: 1}),
+            lambda: sphere_homology(th, {s: -1}),
+            lambda: th.q({}, th.curve.one(), s),
+            lambda: local_cohomology(th, [s]),
+            lambda: serre_pairing(th, {s: 1}),
+        ]
+        for read in reads + reads:
+            with pytest.raises(ValidationFailed, match=message):
+                read()
 
     def test_check_assembles_nine_blocks_and_no_kernel(self, monkeypatch):
-        """The base window is the one full window; each of the eight spot
-        checks assembles only the block it reads, so a build runs nine
-        block assemblies and nine ranks.  Every check reads dimensions
-        only, so no kernel basis is built."""
+        """The base window is the one full window a build assembles, and
+        the class-1 spot checks run inside it: 3 block assemblies and 3
+        ranks.  The first read at a class s in 2..4 adds that class's two
+        spot checks, a later read none, so the four classes come to nine
+        blocks and nine ranks.  Every check reads dimensions only, so no
+        kernel basis is built."""
         calls = {"block_matrix": 0, "matrix_rank": 0, "kernel_and_image": 0}
 
         def counted(name, fn):
@@ -131,8 +151,29 @@ class TestConstruction:
         for module in (tmodel, eatheory):
             monkeypatch.setattr(module, "matrix_rank",
                                 counted("matrix_rank", module.matrix_rank))
-        build_ea((0, 1))
+        th = build_ea((0, 1))
+        assert calls == {"block_matrix": 3, "matrix_rank": 3, "kernel_and_image": 0}
+        for n, s in enumerate((2, 3, 4), 1):
+            # q reads windows without assembling a block of its own
+            th.q({}, th.curve.x(), s)
+            th.q({}, th.curve.y(), s, 2)
+            assert calls == {"block_matrix": 3 + 2 * n, "matrix_rank": 3 + 2 * n,
+                             "kernel_and_image": 0}
+        th.q({}, th.curve.x(), 1)
         assert calls == {"block_matrix": 9, "matrix_rank": 9, "kernel_and_image": 0}
+
+    def test_a_dropped_theory_is_freed_by_refcount(self):
+        """The backend runs its own checks and holds nothing that points
+        back at the theory, so no cycle keeps a dropped theory alive."""
+        gc.disable()
+        try:
+            th = build_ea((0, 1))
+            assert sphere_homology(th, {2: -1, 3: -1}).h1 == 13
+            theory, backend = weakref.ref(th), weakref.ref(th.backend)
+            del th
+            assert theory() is None and backend() is None
+        finally:
+            gc.enable()
 
 
 class TestKernelOnRead:

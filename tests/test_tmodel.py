@@ -17,7 +17,6 @@ from ellt.tmodel import (
     SphereObject,
     _coerce_caps,
     dim_fn,
-    sphere_hom,
     stabilize,
     suspend,
 )
@@ -199,26 +198,6 @@ class TestEulerClassSymbol:
     def test_text(self):
         assert EulerClassSymbol(AlmostConstant(0)).text() == "c^0"
         assert EulerClassSymbol(AlmostConstant(0, {2: 1})).text() == "c(2: 1)"
-
-
-class TestSphereHomRule:
-    def test_identity_sphere(self):
-        dim, sym = sphere_hom(AlmostConstant(0), AlmostConstant(0))
-        assert dim == 1 and sym.is_one()
-
-    def test_euler_class_direction(self):
-        big, small = dim_fn({1: 2}), dim_fn({1: 1})
-        dim, sym = sphere_hom(big, small)
-        assert dim == 1 and sym == EulerClassSymbol(AlmostConstant(0, {1: 1}))
-        assert sphere_hom(small, big) == (0, None)
-
-    def test_incomparable_weights(self):
-        a, b = dim_fn({2: 1}), dim_fn({3: 1})
-        assert sphere_hom(a, b) == (0, None)
-        assert sphere_hom(b, a) == (0, None)
-
-    def test_tails_must_agree(self):
-        assert sphere_hom(dim_fn({}, 1), AlmostConstant(0)) == (0, None)
 
 
 class TestStabilize:
