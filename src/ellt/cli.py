@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 import time
 from functools import cache
 from math import lcm
@@ -275,13 +274,13 @@ def _cache_identity(cache: CycCache) -> dict:
 
 def _check_cache_file(config: JobConfig, cache: CycCache, foreign_ok: bool) -> int:
     """Check the psi cache file at config.cache_path against `cache`, in
-    order: the shape `cache warm` writes (an `upto` in 1..PSI_CEILING and a
-    psi table {"n": [u, v, d]}, n canonical decimal text in 1..upto, three
-    polynomial texts), the curve and scale it was built for, its `upto`
-    against MODEL_POWER_CEILING, then every entry against recomputation.
-    Returns the number of entries; a file for another curve or scale is
-    skipped (0) when `foreign_ok`, since one path may serve a batch over
-    several curves."""
+    order: the envelope `cache warm` writes (an `upto` in 1..PSI_CEILING and
+    a psi object), the curve and scale it was built for, its entries
+    ({"n": [u, v, d]}, n canonical decimal text in 1..upto, three
+    polynomial texts), its `upto` against MODEL_POWER_CEILING, then every
+    entry against recomputation.  Returns the number of entries; a file for
+    another curve or scale is skipped (0), unread, when `foreign_ok`, since
+    one path may serve a batch over several curves."""
     path = config.cache_path
     payload = _read_json(path, "cache")
     if not isinstance(payload, dict) or not isinstance(payload.get("psi"), dict):
@@ -289,6 +288,11 @@ def _check_cache_file(config: JobConfig, cache: CycCache, foreign_ok: bool) -> i
     upto = payload.get("upto")
     if type(upto) is not int or not 1 <= upto <= PSI_CEILING:
         raise ConfigError(f"cache {path} has no upto in 1..{PSI_CEILING}")
+    if any(payload.get(key) != value for key, value in _cache_identity(cache).items()):
+        if foreign_ok:
+            return 0
+        raise EllTError(f"cache {path} was built for curve {payload.get('curve')} "
+                        f"at scale {payload.get('scale')}, not the configured one")
     table = {}
     for key, entry in payload["psi"].items():
         try:
@@ -307,11 +311,6 @@ def _check_cache_file(config: JobConfig, cache: CycCache, foreign_ok: bool) -> i
             raise ConfigError(f"cache {path} entry {key} has a malformed polynomial")
         if table[index][2].is_zero():
             raise ConfigError(f"cache {path} entry {key} has a zero denominator")
-    if any(payload.get(key) != value for key, value in _cache_identity(cache).items()):
-        if foreign_ok:
-            return 0
-        raise EllTError(f"cache {path} was built for curve {payload.get('curve')} "
-                        f"at scale {payload.get('scale')}, not the configured one")
     _model_power(config, upto, f"cache {path} upto")
     for n, (u, v, d) in table.items():
         if FuncElt(cache.curve, u, v, d) != cache.psi(n):
@@ -636,9 +635,11 @@ def _csv_bytes(command: str, report: dict) -> bytes:
 
 
 def _write_output(path: str, data: bytes) -> None:
-    """Atomic write: a temp file in the target directory, then rename."""
+    """Atomic write: a temp file in the target directory, then rename.  The
+    file is made as open() makes one, with mode 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ellt-tmp-")
+    tmp = os.path.join(directory, f".ellt-tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -599,16 +599,24 @@ class SerrePairing:
     """Residue pairing between sections of a divisor and the torsion
     classes of its inverse."""
 
-    __slots__ = ("divisor", "matrix", "dim", "rank", "sections", "reps", "classes")
+    __slots__ = ("divisor", "matrix", "dim", "rank", "reps", "classes", "_window", "_sections")
 
-    def __init__(self, divisor, matrix, sections, reps, classes):
+    def __init__(self, divisor, matrix, window, reps, classes):
         self.divisor = divisor
         self.matrix = matrix
         self.dim = divisor.degree
         self.rank = matrix_rank(matrix)
-        self.sections = sections
         self.reps = reps
         self.classes = classes
+        self._window, self._sections = window, None
+
+    @property
+    def sections(self) -> list:
+        """The sections f_i of the rows, built from the window on first read."""
+        if self._sections is None:
+            win = self._window
+            self._sections = [win.kernel_element(k) for k in range(win.hom_dim)]
+        return self._sections
 
     @property
     def nondegenerate(self) -> bool:
@@ -631,14 +639,11 @@ def serre_pairing(theory: EATheory, divisor, caps=None) -> SerrePairing:
     if not hom_window.certified:
         raise CapTooSmall("duality window is uncertified", caps=hom_window.caps)
     ext = QWindow(theory.backend, -weight)
-    sections = [
-        hom_window.kernel_element(k) for k in range(hom_window.hom_dim)
-    ]
     reps = [ext.ext_rep(j) for j in range(ext.ext_dim)]
     classes = tuple(s for s, _ in ext.ext_classes())
-    if len(sections) != divisor.degree or len(reps) != divisor.degree:
+    if hom_window.hom_dim != divisor.degree or len(reps) != divisor.degree:
         raise ValidationFailed(
-            f"window dims ({len(sections)}, {len(reps)}) disagree with "
+            f"window dims ({hom_window.hom_dim}, {len(reps)}) disagree with "
             f"the divisor degree {divisor.degree}"
         )
     # section i is (u_i + v_i y) t*(-E), so entry (i, j) is the residue of
@@ -653,7 +658,7 @@ def serre_pairing(theory: EATheory, divisor, caps=None) -> SerrePairing:
         gv, gu = gj.v * w % g, gj.u * w % g
         columns.append([c * ((u * gv + v * gu) % g).coeff(g.degree - 1)
                         for u, v in numerators])
-    return SerrePairing(divisor, Matrix(tuple(zip(*columns))), sections, reps, classes)
+    return SerrePairing(divisor, Matrix(tuple(zip(*columns))), hom_window, reps, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ comparison with model windows.
 Opens here are complements of finitely many isogeny classes.  Sections
 of a divisor sheaf over such an open form the colimit of Riemann-Roch
 spaces as the poles on the removed classes grow; one `cap` fixes a
-finite stage.  The model side reproduces these stages as kernels of
-suspended windows, and `roundtrip` checks the two agree space for
-space, both placed in the frame of the window's cap divisor, while
-`glue_check` runs Mayer-Vietoris on one cover.
+finite stage.  The model side cuts these stages out with the integer
+rows of suspended windows; `roundtrip` certifies, in the frame of each
+window's cap divisor, that those rows annihilate independent section
+rows, and `glue_check` runs Mayer-Vietoris on one cover.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .curvefield import TorsionDivisor, _as_divisor, h_dims, ladder_frames
 from .eatheory import EATheory, _weights_payload, rep_to_divisor
@@ -126,12 +128,12 @@ def ma_eval(x: ASObject, open_set: OpenSet, cap: int = 0, caps=None) -> QWindow:
 
     Sections over the complement of some classes are maps out of the
     zero sphere after letting poles grow there, so this is the certified
-    q-window of the object suspended by cap on every removed class, read
-    through its kernel: `hom_dim`, and the kernel vectors, which are
-    coordinates in the basis m_k / t*(E) of H^0(O(E)) for the window's
-    cap divisor E (`ctx.cap_divisor`).  The naive
-    alternative of dropping matrix rows is wrong as soon as a weight is
-    negative; suspension keeps kernel and certificate honest.
+    q-window of the object suspended by cap on every removed class.  Its
+    `hom_dim` counts the sections, and its integer `rows` cut them out of
+    H^0(O(E)), in the basis m_k / t*(E) for the window's cap divisor E
+    (`ctx.cap_divisor`).  The naive alternative of dropping matrix rows
+    is wrong as soon as a weight is negative; suspension keeps the rows
+    and the certificate honest.
     """
     if cap < 0:
         raise ValidationFailed("the pole cap is nonnegative")
@@ -163,15 +165,15 @@ def sa_build(theory: EATheory, divisor) -> ASObject:
 
 
 def _span_rows(hom: QWindow, sec: SectionWindow) -> list[tuple]:
-    """The model kernel and the section basis as rows in one frame.
+    """The section basis as integer rows in the frame of the window.
 
-    Kernel vectors already are coordinates in H^0(O(E)) for the cap
-    divisor E of the window, and the section space is placed there by
-    t* products, so the two spaces agree exactly when these rows have
+    The window's columns are coordinates in H^0(O(E)) for its cap
+    divisor E, so with `hom.hom_dim == sec.dim` the two spaces agree
+    exactly when the window's rows annihilate these rows and they have
     rank `sec.dim`.  E must dominate `sec.allowed`; otherwise
     `frame_rows` raises ValidationFailed.
     """
-    return list(hom.kernel) + sec.frame_rows(hom.ctx.cap_divisor)
+    return sec.frame_rows(hom.ctx.cap_divisor)
 
 
 def glue_check(cache, divisor, left: OpenSet, right: OpenSet,
@@ -259,7 +261,8 @@ def roundtrip(theory: EATheory, weights, opens=None, caps=(0, 1, 2, 3)) -> dict:
                 )
             if sec.dim:
                 span = _span_rows(hom, sec)
-                if matrix_rank(Matrix(tuple(span))) != sec.dim:
+                if (any(sum(map(mul, row, v)) for row in hom.rows for v in span)
+                        or matrix_rank(span) != sec.dim):
                     raise ValidationFailed(
                         f"model and sheaf sections over {piece.text()} at cap "
                         f"{cap} span different spaces"

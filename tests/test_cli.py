@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -795,6 +796,35 @@ class TestCacheAdmin:
                        {**E1, "cache_path": cache, "params": {"n": 3}})
         assert rep["psi"] == "([-1, 0, -6, 0, 3]; []; [1])"
 
+    @pytest.mark.parametrize("key,entry", [
+        ("3", ["[1, x]", "[]", "[1]"]),
+        ("3", "[1, 0, 3]"),
+        ("9", ["[1]", "[]", "[1]"]),
+    ], ids=["malformed-polynomial", "not-three-texts", "index-above-upto"])
+    def test_a_foreign_file_is_judged_by_its_identity_first(
+            self, tmp_path, capsys, monkeypatch, key, entry):
+        # a file for (0, 1) with a bad entry: on (-1, 0) its entries are never
+        # read, so divpoly skips it (exit 0, was 1) and verify refuses it as
+        # foreign (exit 3, was 1); on its own curve it stays a config error
+        cache = str(tmp_path / "psi.json")
+        other = {"curve": {"a": "0", "b": "1"}, "cache_path": cache}
+        run_json(tmp_path, capsys, "cache", {**other, "params": {"action": "warm", "upto": 4}})
+        blob = json.load(open(cache))
+        blob["psi"][key] = entry
+        json.dump(blob, open(cache, "w"))
+        parsed = []
+        parse_poly = cli.parse_poly
+        monkeypatch.setattr(cli, "parse_poly",
+                            lambda text: parsed.append(text) or parse_poly(text))
+        rep = run_json(tmp_path, capsys, "divpoly", {**E1, "cache_path": cache, "params": {"n": 3}})
+        assert rep["psi"] == "([-1, 0, -6, 0, 3]; []; [1])"
+        assert run_cli(tmp_path, "cache", {**E1, "cache_path": cache,
+                                           "params": {"action": "verify"}}) == 3
+        assert "was built for curve" in capsys.readouterr().err
+        assert parsed == []
+        assert run_cli(tmp_path, "divpoly", {**other, "params": {"n": 3}}) == 1
+        assert run_cli(tmp_path, "cache", {**other, "params": {"action": "verify"}}) == 1
+
     def test_missing_cache_file_is_an_empty_cache(self, tmp_path, capsys):
         cfg = {**E1, "params": {"W": {"1": 1, "2": 1}}}
         assert run_cli(tmp_path, "dims", cfg) == 0
@@ -906,3 +936,34 @@ class TestParameterContract:
             assert run_cli(tmp_path, command, {**E1, "params": params}) == 1
             assert capsys.readouterr().err == (
                 "ellt: config error: unknown keys in params: ['bogus']\n")
+
+
+class TestWrittenFileModes:
+    """Reports and cache files are made as open() makes a new file: mode
+    0o666 less the umask, through a temp file renamed into place."""
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+    def test_reports_and_caches_take_the_umask(self, tmp_path, mask):
+        report, cache = tmp_path / "r.json", tmp_path / "psi.json"
+        old = os.umask(mask)
+        try:
+            assert run_cli(tmp_path, "dims", {**E1, "params": {"W": {"1": 1}}},
+                           "--out", str(report)) == 0
+            assert run_cli(tmp_path, "cache", {**E1, "cache_path": str(cache),
+                                               "params": {"action": "warm", "upto": 3}}) == 0
+            plain = tmp_path / "plain"
+            plain.write_bytes(b"")
+        finally:
+            os.umask(old)
+        for path in (report, cache, plain):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask, path.name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json", "plain", "psi.json",
+                                                              "r.json"]
+
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()  # a directory cannot be renamed over
+        assert run_cli(tmp_path, "dims", {**E1, "params": {"W": {"1": 1}}},
+                       "--out", str(target)) == 1
+        assert "cannot write report" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json", "taken"]

@@ -450,6 +450,21 @@ class TestSerrePairing:
         pairing = serre_pairing(e1, {1: 1, 2: 1})
         assert (pairing.dim, pairing.rank) == (4, 4)
 
+    def test_sections_are_built_on_first_read(self, e1, monkeypatch):
+        # no report reads the section functions, so the pairing builds none
+        # until a caller does, and then once
+        calls = []
+        real = tmodel.QWindow.kernel_element
+        monkeypatch.setattr(tmodel.QWindow, "kernel_element",
+                            lambda self, k: calls.append(k) or real(self, k))
+        pairing = serre_pairing(e1, {1: 1, 2: 1})
+        assert calls == [] and pairing.nondegenerate
+        first = pairing.sections
+        assert calls == [0, 1, 2, 3] and pairing.sections is first
+        assert len(calls) == 4
+        window = tmodel.QWindow(e1.backend, tmodel.AlmostConstant(0, {1: 1, 2: 1}))
+        assert first == [real(window, k) for k in range(4)]
+
     def test_rejects_degree_zero(self, e1):
         with pytest.raises(ValidationFailed):
             serre_pairing(e1, {})

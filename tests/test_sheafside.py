@@ -245,10 +245,60 @@ class TestMaEval:
         assert h.hom_dim == sections(CACHE, {1: 1, 2: 1}, OpenSet({2}), 1).dim == 7
 
 
+SPHERES = ({}, {1: 1}, {2: 1}, {1: -1}, {1: 1, 3: 1})
+
+
+def _kernel_span_rank(hom, rows):
+    """The span check `roundtrip` made before it read the window's rows:
+    the rank of the kernel basis stacked on the section rows, over Q."""
+    return matrix_rank(Matrix(tuple(list(hom.kernel) + list(rows))))
+
+
+def _certified(theory, weights, piece, cap, monkeypatch):
+    """Run `roundtrip` on one (open, cap) and return the (window, sections,
+    rows) that its certificate accepted."""
+    seen = []
+
+    def spy(hom, sec):
+        rows = _span_rows(hom, sec)
+        seen.append((hom, sec, rows))
+        return rows
+
+    monkeypatch.setattr(ellt.sheafside, "_span_rows", spy)
+    assert roundtrip(theory, weights, opens=(piece,), caps=(cap,))["ok"]
+    return seen
+
+
+def _refused(theory, weights, piece, cap, monkeypatch, forge, caps=None):
+    """`roundtrip` on one (open, cap), with the certified rows replaced by
+    forge(hom, rows), and the window at explicit `caps` if given; the
+    forged rows and the window are returned after the refusal."""
+    seen = []
+
+    def forged(hom, sec):
+        rows = forge(hom, _span_rows(hom, sec))
+        seen.append((hom, rows))
+        return rows
+
+    monkeypatch.setattr(ellt.sheafside, "_span_rows", forged)
+    if caps is not None:
+        monkeypatch.setattr(ellt.sheafside, "ma_eval",
+                            lambda obj, open_set, cap: ma_eval(obj, open_set, cap, caps))
+    with pytest.raises(ValidationFailed, match="span different spaces"):
+        roundtrip(theory, weights, opens=(piece,), caps=(cap,))
+    return seen[0]
+
+
+def _annihilated(hom, rows):
+    return all(sum(a * b for a, b in zip(row, v)) == 0 for row in hom.rows for v in rows)
+
+
 class TestSpanRows:
-    """The vertex-frame span check of `roundtrip` against the path it
-    replaces: kernel elements times t*(allowed), read by the rational
-    reference ladder, beside the section basis in its own frame."""
+    """The certificate of `roundtrip` (the window's integer rows annihilate
+    the section rows, which have rank `sec.dim`) against the checks it
+    replaces: the rank of the kernel basis stacked on the section rows,
+    and kernel elements times t*(allowed), read by the rational reference
+    ladder, beside the section basis in its own frame."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -259,27 +309,62 @@ class TestSpanRows:
     )
     @example(theory=EA, weights={1: -1}, pi={1}, cap=3)
     @example(theory=EA2, weights={2: 1, 3: -1}, pi={2}, cap=1)
+    @example(theory=EA, weights={1: -1}, pi={2}, cap=2)
     def test_rank_matches_the_canonical_path(self, theory, weights, pi, cap):
-        divisor = rep_to_divisor(weights)
-        piece = OpenSet(pi)
-        hom = ma_eval(sa_build(theory, divisor), piece, cap)
-        sec = sections(theory.cache, divisor, piece, cap)
-        assert hom.hom_dim == sec.dim
-        if not sec.dim:
-            return
-        rank = matrix_rank(Matrix(tuple(_span_rows(hom, sec))))
-        elements = [hom.kernel_element(k) for k in range(hom.hom_dim)]
-        reference = (_frame_of(sec.allowed, elements, theory.cache)
-                     + sec.frame_rows(sec.allowed))
-        assert rank == matrix_rank(Matrix(tuple(reference))) == sec.dim
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = _certified(theory, weights, OpenSet(pi), cap, monkeypatch)
+        for hom, sec, rows in seen:
+            assert hom.hom_dim == sec.dim and _annihilated(hom, rows)
+            elements = [hom.kernel_element(k) for k in range(hom.hom_dim)]
+            reference = (_frame_of(sec.allowed, elements, theory.cache)
+                         + sec.frame_rows(sec.allowed))
+            assert (_kernel_span_rank(hom, rows) == matrix_rank(rows)
+                    == matrix_rank(Matrix(tuple(reference))) == sec.dim)
 
-    def test_equal_dimensions_in_different_places_are_told_apart(self):
+    def test_the_certificate_agrees_with_the_kernel_span_on_the_sheaf_suite(
+            self, monkeypatch):
+        # both curves, every sphere, every default open and cap: 146 span
+        # checks, 22 of them on a window with rows
+        checks = with_rows = 0
+        for theory in (EA, EA2):
+            for weights in SPHERES:
+                for piece in DEFAULT_OPENS:
+                    for cap in range(4):
+                        for hom, sec, rows in _certified(theory, weights, piece, cap,
+                                                         monkeypatch):
+                            assert _kernel_span_rank(hom, rows) == sec.dim
+                            checks, with_rows = checks + 1, with_rows + bool(hom.rows)
+        assert (checks, with_rows) == (146, 22)
+
+    def test_a_section_row_outside_the_kernel_is_refused(self, monkeypatch):
+        def outside(hom, rows):
+            (row,) = hom.rows  # one condition on the six-dimensional frame
+            k = next(k for k, c in enumerate(row) if c)
+            return rows[:-1] + [tuple(int(i == k) for i in range(hom.source_dim))]
+
+        hom, rows = _refused(EA, {1: -1}, OpenSet({2}), 2, monkeypatch, outside)
+        assert not _annihilated(hom, rows)
+        assert _kernel_span_rank(hom, rows) == 6  # refused before as well
+
+    def test_dependent_section_rows_are_refused(self, monkeypatch):
+        # five rows inside the kernel but spanning only four dimensions: the
+        # kernel span alone still had rank 5 and accepted them
+        hom, rows = _refused(EA, {1: -1}, OpenSet({2}), 2, monkeypatch,
+                             lambda hom, rows: rows[:-1] + rows[:1])
+        assert _annihilated(hom, rows) and matrix_rank(rows) == 4
+        assert _kernel_span_rank(hom, rows) == hom.hom_dim == 5
+
+    def test_equal_dimensions_in_different_places_are_told_apart(self, monkeypatch):
         # O(e + A<2>) and O(4e) both have four sections, but only the
-        # constants are shared: E = 4e + A<2> holds 7 of the 8 rows
-        hom = ma_eval(sa_build(EA, {1: 1, 2: 1}), U_ALL, 0, caps={1: 4, 2: 1})
-        sec = sections(CACHE, {1: 4}, U_ALL, 0)
-        assert hom.hom_dim == sec.dim == 4
-        assert matrix_rank(Matrix(tuple(_span_rows(hom, sec)))) == 7
+        # constants are shared: E = 4e + A<2> holds 7 of the 8 rows, and
+        # the window's rows do not annihilate the sections of O(4e)
+        four_e = sections(CACHE, {1: 4}, U_ALL, 0)
+        hom, rows = _refused(EA, {2: 1}, U_ALL, 0, monkeypatch,
+                             lambda hom, rows: four_e.frame_rows(hom.ctx.cap_divisor),
+                             caps={1: 4, 2: 1})
+        assert hom.hom_dim == four_e.dim == matrix_rank(rows) == 4
+        assert not _annihilated(hom, rows)
+        assert _kernel_span_rank(hom, rows) == 7
 
     @pytest.mark.parametrize("coeffs", [{2: 1}, {1: 3}])
     def test_cap_divisor_must_dominate_the_sections(self, coeffs):
@@ -299,6 +384,25 @@ class TestSpanRows:
         monkeypatch.setattr(QWindow, "kernel_element", counted)
         assert roundtrip(EA, {1: 1, 2: 1})["ok"]
         assert calls == []
+
+    @pytest.mark.parametrize("fresh", [False, True], ids=["warm", "fresh-theory"])
+    def test_roundtrip_builds_no_matrix_and_reads_no_kernel(self, monkeypatch, fresh):
+        theory = build_ea((-1, 0)) if fresh else EA
+        built = []
+        init = Matrix.__init__
+
+        def counted(self, entries):
+            built.append(self)
+            init(self, entries)
+
+        def unread(self):
+            raise AssertionError("roundtrip read a kernel basis")
+
+        monkeypatch.setattr(Matrix, "__init__", counted)
+        monkeypatch.setattr(QWindow, "kernel", property(unread))
+        for weights in SPHERES:
+            assert roundtrip(theory, weights)["ok"]
+        assert built == []
 
 
 class TestSaBuild:
