@@ -272,6 +272,18 @@ def _cache_identity(cache: CycCache) -> dict:
     return {"curve": cache.curve.payload(), "scale": qtext(cache.coordinate.scale)}
 
 
+def _cache_envelope(path: str) -> dict:
+    """The psi cache file at path, refused unless it has the envelope `cache
+    warm` writes: a JSON object, a psi object, an `upto` in 1..PSI_CEILING."""
+    payload = _read_json(path, "cache")
+    if not isinstance(payload, dict) or not isinstance(payload.get("psi"), dict):
+        raise ConfigError(f"cache {path} is not a division-polynomial cache")
+    upto = payload.get("upto")
+    if type(upto) is not int or not 1 <= upto <= PSI_CEILING:
+        raise ConfigError(f"cache {path} has no upto in 1..{PSI_CEILING}")
+    return payload
+
+
 def _check_cache_file(config: JobConfig, cache: CycCache, foreign_ok: bool) -> int:
     """Check the psi cache file at config.cache_path against `cache`, in
     order: the envelope `cache warm` writes (an `upto` in 1..PSI_CEILING and
@@ -282,12 +294,8 @@ def _check_cache_file(config: JobConfig, cache: CycCache, foreign_ok: bool) -> i
     another curve or scale is skipped (0), unread, when `foreign_ok`, since
     one path may serve a batch over several curves."""
     path = config.cache_path
-    payload = _read_json(path, "cache")
-    if not isinstance(payload, dict) or not isinstance(payload.get("psi"), dict):
-        raise ConfigError(f"cache {path} is not a division-polynomial cache")
-    upto = payload.get("upto")
-    if type(upto) is not int or not 1 <= upto <= PSI_CEILING:
-        raise ConfigError(f"cache {path} has no upto in 1..{PSI_CEILING}")
+    payload = _cache_envelope(path)
+    upto = payload["upto"]
     if any(payload.get(key) != value for key, value in _cache_identity(cache).items()):
         if foreign_ok:
             return 0
@@ -563,19 +571,21 @@ def _run_cache_admin(config: JobConfig) -> dict:
                           "or cache_path in the config)")
     report = {"command": config.command, "action": action, "path": path}
 
+    if action == "verify":
+        report["entries"] = _check_cache_file(config, _make_cache(config), foreign_ok=False)
+        report["ok"] = True
+        return report
+
+    exists = os.path.exists(path)
+    if exists:
+        _cache_envelope(path)  # a cache of any curve; anything else stays in place
     if action == "clear":
-        removed = os.path.exists(path)
-        if removed:
+        if exists:
             try:
                 os.remove(path)
             except OSError as exc:
                 raise ConfigError(f"cannot clear cache {path}: {exc}")
-        report["removed"] = removed
-        return report
-
-    if action == "verify":
-        report["entries"] = _check_cache_file(config, _make_cache(config), foreign_ok=False)
-        report["ok"] = True
+        report["removed"] = exists
         return report
 
     _model_power(config, upto, "params.upto")

@@ -15,7 +15,6 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import (
-    DepthExceeded,
     PrecisionExhausted,
     UnsupportedPoles,
     ValidationFailed,
@@ -993,12 +992,11 @@ def ladder_frames(h: FuncElt, count: int, dim: int) -> tuple[int, list[list[int]
 
 class QuotientWindow:
     """The quotient H^0(O(G)) / H^0(O(G')) in explicit coordinates, for
+    an effective residual divisor G' and
 
-        G  = (base + depth) A<s> + others,
-        G' =  base          A<s> + others.
+        G = G' + depth A<s>.
 
-    Its dimension is depth * |A<s>| whatever the enclosure `others`
-    (an effective divisor avoiding the class s) happens to be.  All of
+    Its dimension is depth * |A<s>| whatever G' happens to be.  All of
     H^0(O(G)) is the span of monomials over t*(G), so classes reduce to
     vectors: write the shifted element in the monomial frame, sweep out
     the subspace (whose basis is triangular by pole order), and read the
@@ -1012,34 +1010,27 @@ class QuotientWindow:
     `ladder_columns` hands a block's columns over as ints over one
     denominator.
 
-    When base = 0 and `others` has degree zero an auxiliary class is
-    added, keeping the residual divisor G' of positive degree; this pads
-    the frame without changing the window dimension.
+    A residual of degree zero gets an auxiliary class, keeping G' of
+    positive degree; this pads the frame without changing the window
+    dimension.  Windows are built by `EllipticGroupData.window`, which
+    memoises them behind the class-s spot check.
     """
 
     def __init__(self, cache: CycCache, s: int, depth: int,
-                 others: TorsionDivisor | None = None, base: int = 0):
+                 residual: TorsionDivisor = TorsionDivisor()):
         if depth < 1:
             raise ValueError("window depth must be at least 1")
-        if base < 0:
-            raise ValueError("window base must be nonnegative")
-        others = others if others is not None else TorsionDivisor()
-        if others.coefficient(s) != 0:
-            raise ValueError("the enclosure must avoid the quotient class")
-        if not others.is_effective():
-            raise ValueError("the enclosure must be effective")
-        m = exact_order_count(s)
-        if base * m + others.degree < 1:
-            others = others + single_class(1 if s >= 2 else 2, 1)
+        if not residual.is_effective():
+            raise ValueError("the residual divisor must be effective")
+        if residual.degree < 1:
+            residual = single_class(1 if s >= 2 else 2, 1)
         self.cache = cache
         self.s = s
         self.depth = depth
-        self.base = base
-        self.others = others
-        self.block_size = depth * m
-        self.residual_dim = base * m + others.degree
+        self.block_size = depth * exact_order_count(s)
+        self.residual_dim = residual.degree
         self.frame_dim = self.residual_dim + self.block_size
-        self.divisor = others + single_class(s, base + depth)
+        self.divisor = residual + single_class(s, depth)
         # t_star ignores the class 1, so s = 1 shifts by the constant 1
         _, *parts = _ladder_ints(cache.t_star(single_class(s, depth)), self.residual_dim)
         reducers = {}
@@ -1106,28 +1097,3 @@ class QuotientWindow:
         return (monomial(self.cache.curve, self.complement[i])
                 * self.cache.t_star(self.divisor.scale(-1)))
 
-
-def principal_part(cache: CycCache, f: FuncElt, s: int, depth: int) -> list[Q]:
-    """Class of f in H^0(O(G)) / H^0(O(G - depth A<s>)) as a vector of
-    length depth * |A<s>|, where G enclosing the poles of f away from
-    the class s is chosen from its pole support.
-
-    Poles on the class deeper than `depth` are split off slice by slice
-    and discarded, so the result is the class of the depth-truncation.
-    """
-    if _whole(depth, "depths") < 1:
-        raise DepthExceeded("principal parts need depth at least 1")
-    if not isinstance(f, FuncElt):
-        f = cache.curve.one() * f
-    others = TorsionDivisor({r: n for r, n in cache.pole_support(f).items()
-                             if r != s and n > 0})
-    if f.is_zero():
-        return [QZERO] * (depth * exact_order_count(s))
-    excess = max(0, -cache._ord_along(f, s))
-    g = f
-    for level in range(excess, depth, -1):
-        top_slice = QuotientWindow(cache, s, 1, others, base=level - 1)
-        for i, c in enumerate(top_slice.coords(g)):
-            if c != 0:
-                g = g - top_slice.rep(i) * c
-    return QuotientWindow(cache, s, depth, others).coords(g)

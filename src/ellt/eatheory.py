@@ -26,11 +26,10 @@ from .curvefield import (
     _ladder_ints,
     exact_order_count,
     h_dims,
-    principal_part,
     residue_form,
     single_class,
 )
-from .errors import CapTooSmall, UnsupportedPoles, ValidationFailed
+from .errors import CapTooSmall, DepthExceeded, UnsupportedPoles, ValidationFailed
 from .exactcore import (Matrix, Poly, Q, QZERO, _Frozen, _label, _whole, divisors_of, matrix_rank,
                         qtext, series_one)
 from .tmodel import (
@@ -153,15 +152,16 @@ class EllipticGroupData:
     """Curve-flavoured window backend.
 
     Vertices are Riemann-Roch spaces of the cap divisor, torsion windows
-    are pole-depth quotients along one class, and the blocks of the
-    structure map are frame sweeps.  One instance memoises quotient
-    windows and the integer ladders of block multipliers across
+    are pole-depth quotients along one class, and block rows and
+    principal parts are frame sweeps in them.  One instance memoises
+    quotient windows and the integer ladders of block multipliers across
     assemblies; that reuse is what keeps sweeps over many weights
     affordable.  No block rows are kept.
 
-    Before its first window at a class s <= 4 the instance runs the
-    class-s spot check (`check_class`), so no window at such a class is
-    read on a backend whose check there failed or has not run.
+    `window` builds every `QuotientWindow`, and runs the class-s spot
+    check (`check_class`) before its first one at a class s <= 4, so no
+    such window is read on a backend whose check there failed or has
+    not run.
     """
 
     def __init__(self, cache: CycCache):
@@ -182,14 +182,39 @@ class EllipticGroupData:
             caps = {1: 1}
         return caps
 
-    def window(self, s: int, depth: int, others: TorsionDivisor) -> QuotientWindow:
+    def window(self, s: int, depth: int, residual: TorsionDivisor) -> QuotientWindow:
+        """The class-s window H^0(O(residual + depth A<s>)) / H^0(O(residual)),
+        memoised per (class, depth, residual divisor)."""
         self.check_class(s)
-        key = (s, depth, tuple(sorted(others.coeffs.items())))
+        key = (s, depth, tuple(residual.coeffs.items()))
         win = self._windows.get(key)
         if win is None:
-            win = QuotientWindow(self.cache, s, depth, others)
+            win = QuotientWindow(self.cache, s, depth, residual)
             self._windows[key] = win
         return win
+
+    def principal_part(self, f: FuncElt, s: int, depth: int) -> list[Q]:
+        """Class of f in H^0(O(G)) / H^0(O(G - depth A<s>)) as a vector of
+        length depth * |A<s>|, where G enclosing the poles of f away from
+        the class s is chosen from its pole support.
+
+        Poles on the class deeper than `depth` are split off slice by
+        slice and discarded, so the result is the class of the
+        depth-truncation.  Its window opens first: f = 0 runs the spot check.
+        """
+        if _whole(depth, "depths") < 1:
+            raise DepthExceeded("principal parts need depth at least 1")
+        others = TorsionDivisor({r: n for r, n in self.cache.pole_support(f).items()
+                                 if r != s and n > 0})
+        window = self.window(s, depth, others)
+        if f.is_zero():
+            return [QZERO] * window.block_size
+        for level in range(-self.cache._ord_along(f, s), depth, -1):
+            top_slice = self.window(s, 1, others + single_class(s, level - 1))
+            for i, c in enumerate(top_slice.coords(f)):
+                if c != 0:
+                    f = f - top_slice.rep(i) * c
+        return window.coords(f)
 
     def check_class(self, s: int) -> None:
         """The class-s spot check, once per instance for s <= 4: at depths
@@ -268,7 +293,6 @@ class _EllipticAssembly:
         self.certified = self.cap_divisor.degree >= 1 and all(
             self.caps.get(s, 0) >= w for s, w in self.exp.items()
         )
-        self._built: dict = {}
 
     def numerator(self, vec) -> tuple[Poly, Poly]:
         """(u, v) of the pure sum_k vec[k] m_k = u + v y (m_k is 1 at
@@ -283,16 +307,13 @@ class _EllipticAssembly:
         return pure * self.cache.t_star(self.cap_divisor.scale(-1))
 
     def _block(self, s: int) -> tuple[QuotientWindow, tuple]:
-        """(window, multiplier ladder) of the class-s block."""
-        built = self._built.get(s)
-        if built is not None:
-            return built
+        """(window, multiplier ladder) of the class-s block, from the backend memos."""
         w = self.exp.get(s, 0)
         if s == 1:
             others = {r: c for r, c in self.caps.items() if r >= 2 and c}
             if w:
                 # powers of the coordinate move poles onto the classes of
-                # its divisor; pad the enclosure to absorb them
+                # its divisor; pad the residual divisor to absorb them
                 for r in self.backend.touched:
                     lo, hi = self.backend.profile[r]
                     pad = w * lo if w > 0 else -w * hi
@@ -311,8 +332,7 @@ class _EllipticAssembly:
         # cancellation against t*(E) stays out of the function field
         exps = {r: c - self.caps.get(r, 0) + (w if r == s else 0)
                 for r, c in win.divisor.coeffs.items() if r >= 2}
-        built = self._built[s] = (win, self.backend.multiplier(s, w, exps))
-        return built
+        return win, self.backend.multiplier(s, w, exps)
 
     def block_matrix(self, s: int) -> tuple[int, tuple]:
         """(den, rows): the class-s block is rows / den, rows of ints."""
@@ -359,7 +379,8 @@ class EATheory:
     def q(self, symbol, fn, s: int, depth: int = 1) -> TorsionClass:
         """Structure map on one tensor: the Euler symbol prescribes the
         twist at the class, and the value is the principal part of the
-        twisted function, tagged with the shifted weight."""
+        twisted function (`EllipticGroupData.principal_part`), tagged with
+        the shifted weight."""
         if not isinstance(symbol, EulerClassSymbol):
             symbol = EulerClassSymbol.from_weights(symbol)
         weight = 0
@@ -371,8 +392,7 @@ class EATheory:
         g = fn
         if w:
             g = fn * self.backend.twist(s, w)
-        self.backend.check_class(s)  # principal_part reads class-s windows directly
-        vec = principal_part(self.cache, g, s, depth)
+        vec = self.backend.principal_part(g, s, depth)
         return TorsionClass(s, depth, weight - w, vec)
 
     def _construction_check(self) -> None:

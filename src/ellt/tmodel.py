@@ -298,7 +298,7 @@ class QWindow:
             for s, depth, rows, _ in self.blocks:
                 den, block = ctx.block_matrix(s)
                 if den < 1 or len(block) != rows or any(len(r) != self.source_dim for r in block):
-                    raise ValueError(f"backend block at class {s} has wrong shape")
+                    raise ValidationFailed(f"backend block at class {s} has wrong shape")
                 entries.extend(block)
                 self._dens += [den] * rows
         self.rows = tuple(entries)

@@ -718,6 +718,41 @@ class TestCacheAdmin:
                  {**cfg, "params": {"action": "warm", "upto": 6}})
         assert open(cache, "rb").read() == first
 
+    @pytest.mark.parametrize("action", ["clear", "warm"])
+    @pytest.mark.parametrize("text", [
+        "plain notes\n", "[1, 2]", '{"psi": {}}', '{"psi": [], "upto": 2}',
+        '{"psi": {}, "upto": 33}', '{"psi": {}, "upto": true}'],
+        ids=["text", "list", "no-upto", "psi-list", "upto-33", "upto-bool"])
+    def test_a_file_that_is_no_cache_is_left_in_place(self, tmp_path, capsys, action, text):
+        path = tmp_path / "notes.json"
+        path.write_text(text, encoding="utf-8")
+        cfg = {**E1, "cache_path": str(path), "params": {"action": action, "upto": 2}}
+        assert run_cli(tmp_path, "cache", cfg) == 1
+        assert "cache" in capsys.readouterr().err
+        assert path.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("action", ["clear", "warm"])
+    def test_the_config_itself_is_no_cache(self, tmp_path, capsys, action):
+        config = write_config(tmp_path, {**E1, "params": {"action": action}}, "c.json")
+        before = open(config, "rb").read()
+        assert main(["cache", "--config", config, "--cache", config]) == 1
+        assert "not a division-polynomial cache" in capsys.readouterr().err
+        assert open(config, "rb").read() == before
+
+    def test_a_cache_of_any_curve_is_cleared_or_replaced(self, tmp_path, capsys):
+        cache = tmp_path / "psi.json"
+        other = {"curve": {"a": "0", "b": "1"}, "cache_path": str(cache)}
+        run_json(tmp_path, capsys, "cache", {**other, "params": {"action": "warm", "upto": 3}})
+        cfg = {**E1, "cache_path": str(cache)}
+        rep = run_json(tmp_path, capsys, "cache", {**cfg, "params": {"action": "warm", "upto": 2}})
+        assert rep["entries"] == 2 and json.loads(cache.read_text())["curve"] == E1["curve"]
+        run_json(tmp_path, capsys, "cache", {**other, "params": {"action": "warm", "upto": 3}})
+        assert run_json(tmp_path, capsys, "cache",
+                        {**cfg, "params": {"action": "clear"}})["removed"] is True
+        assert not cache.exists()
+        assert run_json(tmp_path, capsys, "cache",
+                        {**cfg, "params": {"action": "clear"}})["removed"] is False
+
     def test_corruption_is_caught(self, tmp_path, capsys):
         cache = str(tmp_path / "psi.json")
         cfg = {**E1, "cache_path": cache}

@@ -122,6 +122,7 @@ class TestConstruction:
             lambda: th.window({}, {1: 2, s: 1}),
             lambda: sphere_homology(th, {s: -1}),
             lambda: th.q({}, th.curve.one(), s),
+            lambda: th.q({}, 0, s),
             lambda: local_cohomology(th, [s]),
             lambda: serre_pairing(th, {s: 1}),
         ]
@@ -403,6 +404,24 @@ class TestQMap:
 
     def test_symbol_coercion_from_weights(self, e1):
         assert e1.q({2: 1}, e1.curve.y().inverse(), 2).is_zero()
+
+    def test_a_second_q_builds_no_window(self, monkeypatch):
+        # every window q reads, slices included, comes from the backend's memo
+        th = build_ea((0, 1))
+        fn = th.cache.t(2).inverse() ** 3 * th.curve.x().inverse()
+        first = [th.q({}, fn, s, 2) for s in (1, 2, 3)]
+        built = []
+        real = eatheory.QuotientWindow
+
+        def counted(*args):
+            built.append(args[1:3])
+            return real(*args)
+
+        monkeypatch.setattr(eatheory, "QuotientWindow", counted)
+        assert [th.q({}, fn, s, 2) for s in (1, 2, 3)] == first
+        assert built == []
+        th.q({}, fn, 2, 1)  # the spy sees a window the memo lacks
+        assert set(built) == {(2, 1)}
 
 
 class TestCoefficientRing:

@@ -26,6 +26,7 @@ from ellt.curvefield import (
     WeierstrassCurve,
     _ladder_ints,
     exact_order_count,
+    single_class,
 )
 from ellt.eatheory import EATheory
 from ellt.errors import ValidationFailed
@@ -67,14 +68,14 @@ def theories(caches):
 
 @pytest.fixture(scope="module")
 def window_of(caches):
-    """(window, its reference reducers) on caches[i], memoised across
-    examples."""
+    """(window, its reference reducers) on caches[i] over the residual
+    divisor others + base A<s>, memoised across examples."""
     memo = {}
 
     def window_of(i, s, depth, others, base=0):
         key = (i, s, depth, others, base)
         if key not in memo:
-            win = QuotientWindow(caches[i], s, depth, others, base)
+            win = QuotientWindow(caches[i], s, depth, others + single_class(s, base))
             memo[key] = win, reference_reducers(win)
         return memo[key]
 

@@ -20,7 +20,10 @@ never off a series, and series derivatives live only in the test
 reference `tests/residue_reference.py`.  Block multipliers are memoised
 in one place (`eatheory.EllipticGroupData`), and a window's kernel basis is
 built in one place (`tmodel.QWindow.kernel`, on first read; dimensions come
-from the rank).  Block assembly runs on ints: a multiplier's integer ladder
+from the rank).  Every class-s quotient window is built in one place
+(`eatheory.EllipticGroupData.window`, which memoises it and runs the
+class-s spot check first), for block assembly and principal parts
+alike.  Block assembly runs on ints: a multiplier's integer ladder
 is built once per distinct multiplier and a window's once per window, and
 rationals appear only at the public edge (`QWindow.matrix`).  Every
 residue comes from one split of a denominator against a class polynomial
@@ -258,6 +261,13 @@ def test_one_ladder_per_window_and_multiplier(monkeypatch):
     built = sum(len(t.backend._windows) + len(t.backend._multipliers) for t in theories) - built
     assert sum(len(win.blocks) for win in windows) > 1000 and built > 250
     assert len(calls) == built
+
+
+def test_one_home_of_quotient_windows():
+    # the memo and the spot check hold for every window by construction
+    for name in ("QuotientWindow", "check_class"):
+        assert _homes(lambda node: _is_call_of(node, name)) == [
+            "eatheory.py:EllipticGroupData.window"], name
 
 
 def test_block_assembly_builds_no_fraction():

@@ -41,6 +41,7 @@ from ellt.curvefield import (
     _eval_rel,
     expand_at_e,
 )
+from ellt.eatheory import EllipticGroupData
 from ellt.errors import PrecisionExhausted, UnsupportedPoles
 from ellt.exactcore import LaurentSeries, Poly, Q, QONE, QZERO, series_reciprocal
 from valuation_reference import reference_ord_along
@@ -289,8 +290,9 @@ def test_a_mixed_coordinate_classifies_each_element_once(monkeypatch):
     # an element with a pole off the torsion classes is still refused,
     # by ord_along's own support and by principal_part's
     stray = FuncElt(curve, Poly((1,)), Poly((1,)), Poly((-5, 1)))
+    backend = EllipticGroupData(cache)
     for call in (lambda: cache.ord_along(stray, 3),
-                 lambda: curvefield.principal_part(cache, stray, 3, 1)):
+                 lambda: backend.principal_part(stray, 3, 1)):
         with pytest.raises(UnsupportedPoles, match="not supported on torsion classes"):
             call()
 
@@ -300,15 +302,15 @@ def test_principal_part_finds_one_pole_support(monkeypatch, s, depth):
     # x + y has u and v both nonzero; ord_along takes the support that
     # principal_part already found instead of finding its own
     curve = CURVES[0]
-    cache = CycCache(curve)
+    backend = EllipticGroupData(CycCache(curve))
     f = curve.x() + curve.y()
-    expected = curvefield.principal_part(cache, f, s, depth)
+    expected = backend.principal_part(f, s, depth)
     supported = []
     pole_support = CycCache.pole_support
     monkeypatch.setattr(CycCache, "pole_support",
                         lambda self, elt: supported.append(elt)
                         or pole_support(self, elt))
-    assert curvefield.principal_part(cache, f, s, depth) == expected
+    assert backend.principal_part(f, s, depth) == expected
     assert supported == [f]
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ellt.curvefield import CycCache, TorsionDivisor, WeierstrassCurve
-from ellt.errors import CapTooSmall
+from ellt.errors import CapTooSmall, ValidationFailed
 from ellt.exactcore import Matrix, Poly, Q
 from ellt.sheafside import OpenSet, sections
 from ladder_reference import scaled_rows
@@ -321,6 +321,9 @@ class TestWindowAssembly:
             matrices={2: Matrix([(1, 0, 0)])},  # claims 2 rows, delivers 1
         )
         with pytest.raises(ValueError):
+            QWindow(backend, AlmostConstant(0), caps={2: 1})
+        # an internal invariant: the CLI reports it with exit 3, not a traceback
+        with pytest.raises(ValidationFailed, match="class 2 has wrong shape"):
             QWindow(backend, AlmostConstant(0), caps={2: 1})
 
     def test_a_block_denominator_below_one_is_rejected(self, monkeypatch):
